@@ -36,6 +36,10 @@ SCHEMA = "omp4py-bench-history/1"
 #: the trend table (same noise floor as smoke_delta).
 NOISE_FLOOR = 0.10
 
+#: The cold-path layer (``reproduce.measure_cold_path``): top-level
+#: smoke fields copied into the ledger row, not per-kernel walls.
+COLD_PATH_FIELDS = ("transform_ms", "fleet_ready_s")
+
 
 def resolve_sha() -> str:
     """The commit under test: CI env first, then git, then unknown."""
@@ -57,7 +61,7 @@ def resolve_sha() -> str:
 def entry_from_smoke(payload: dict, *, sha: str | None = None,
                      time_unix: float | None = None) -> dict:
     """One ledger entry from a ``BENCH_smoke.json`` payload."""
-    return {
+    entry = {
         "schema": SCHEMA,
         "sha": sha if sha is not None else resolve_sha(),
         "time_unix": time_unix if time_unix is not None else time.time(),
@@ -68,6 +72,10 @@ def entry_from_smoke(payload: dict, *, sha: str | None = None,
                     for record in payload.get("kernels", [])
                     if record.get("wall_s") is not None},
     }
+    for field in COLD_PATH_FIELDS:  # absent in smoke files before PR 14
+        if payload.get(field) is not None:
+            entry[field] = payload[field]
+    return entry
 
 
 def append_entry(path, entry: dict) -> None:

@@ -126,11 +126,54 @@ def run_task_bench(out_dir: pathlib.Path, threads: int = 4,
     return failures, records
 
 
-def write_bench_json(out_dir: pathlib.Path, records: list[dict]) -> None:
+def measure_cold_path() -> dict:
+    """The cold-path layer of the ledger: what a script and a serving
+    fleet pay before they compute anything.
+
+    ``transform_ms`` is the sum over the nine apps x four modes of one
+    fresh ``transform`` each, best of 5 passes; ``fleet_ready_s`` is a
+    two-worker ``ServeServer`` from construction until every worker has
+    reported ready, best of 3 starts.
+    """
+    from repro.apps import get_app, list_apps
+    from repro.decorator import transform
+    from repro.modes import Mode
+    from repro.serve import ServeServer
+
+    sources = [(get_app(app).source(mode), mode)
+               for app in list_apps() for mode in Mode]
+    passes = []
+    for _ in range(5):
+        begin = time.perf_counter()
+        for source, mode in sources:
+            transform(source, mode)
+        passes.append(time.perf_counter() - begin)
+    starts = []
+    for _ in range(3):
+        begin = time.perf_counter()
+        server = ServeServer(workers=2, tenants={"default": 2})
+        try:
+            server.start()
+            deadline = begin + 60.0
+            while server.fleet.idle_workers() < 2:
+                if time.perf_counter() > deadline:
+                    raise TimeoutError("fleet not ready within 60 s")
+                time.sleep(0.002)
+            starts.append(time.perf_counter() - begin)
+        finally:
+            server.stop()
+    return {"transform_ms": 1e3 * min(passes),
+            "fleet_ready_s": min(starts)}
+
+
+def write_bench_json(out_dir: pathlib.Path, records: list[dict],
+                     cold_path: dict) -> None:
     """Write the machine-readable smoke summary ``BENCH_smoke.json``.
 
     CI uploads this as an artifact and ``benchmarks/check_overhead.py``
     compares two of them to gate diagnostics overhead at <2%.
+    ``cold_path`` (see :func:`measure_cold_path`) lands as top-level
+    fields, outside the per-kernel walls and their total.
     """
     import json
     import os
@@ -160,6 +203,7 @@ def write_bench_json(out_dir: pathlib.Path, records: list[dict]) -> None:
         },
         "total_wall_s": sum(r["wall_s"] for r in records),
         "kernels": records,
+        **cold_path,
     }
     path = out_dir / "BENCH_smoke.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -236,7 +280,15 @@ def run_smoke(out_dir: pathlib.Path) -> None:
         records.extend(serve_records)
     except Exception as error:  # noqa: BLE001 - smoke verdict
         failures.append(f"serving: {type(error).__name__}: {error}")
-    write_bench_json(out_dir, records)
+    cold_path = {}
+    try:
+        cold_path = measure_cold_path()
+        print(f"[reproduce] cold path: transform_ms="
+              f"{cold_path['transform_ms']:.1f} fleet_ready_s="
+              f"{cold_path['fleet_ready_s']:.3f}")
+    except Exception as error:  # noqa: BLE001 - smoke verdict
+        failures.append(f"cold-path: {type(error).__name__}: {error}")
+    write_bench_json(out_dir, records, cold_path)
     try:
         # Ledger ride-along: append this run to BENCH_history.jsonl
         # (seeded from the committed ledger on a fresh workspace) and

@@ -27,6 +27,8 @@ import argparse
 import json
 import pathlib
 
+import perf_history
+
 #: Deltas smaller than this are noise on shared runners; mark ~.
 NOISE_FLOOR = 0.10
 
@@ -89,6 +91,19 @@ def format_delta(baseline: dict | None, current: dict | None,
                     else "🟢" if ratio < -NOISE_FLOOR else "~")
             lines.append(f"| {kernel} | {b:.3f} | {c:.3f} | "
                          f"{ratio * 100:+.1f}% {flag} |")
+    cold = []
+    for field in perf_history.COLD_PATH_FIELDS:
+        b, c = baseline.get(field), current.get(field)
+        if c is None:
+            continue
+        if not b:
+            cold.append(f"| {field} | — | {c:.3f} | _new_ |")
+        else:
+            cold.append(f"| {field} | {b:.3f} | {c:.3f} | "
+                        f"{(c - b) / b * 100:+.1f}% |")
+    if cold:
+        lines += ["", "| cold path | baseline | current | delta |",
+                  "|---|---|---|---|", *cold]
     total_b = baseline.get("total_wall_s")
     total_c = current.get("total_wall_s")
     if total_b and total_c:
@@ -111,7 +126,6 @@ def main(argv=None) -> int:
     print(format_delta(_load(baseline_path), _load(current_path),
                        args.baseline, args.current))
     if args.history:
-        import perf_history
         print(perf_history.format_trend(
             perf_history.load_history(args.history)))
     return 0

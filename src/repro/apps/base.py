@@ -53,13 +53,15 @@ class AppSpec:
     table1: tuple[str, str] | None = None
     _variants: dict = dataclasses.field(default_factory=dict)
 
+    def source(self, mode: Mode):
+        """The source function a mode transforms."""
+        return self.kernel_dt if mode is Mode.COMPILED_DT else self.kernel
+
     def variant(self, mode: Mode):
         """Transformed kernel for a mode (cached)."""
         cached = self._variants.get(mode)
         if cached is None:
-            source = (self.kernel_dt if mode is Mode.COMPILED_DT
-                      else self.kernel)
-            cached = transform(source, mode)
+            cached = transform(self.source(mode), mode)
             self._variants[mode] = cached
         return cached
 

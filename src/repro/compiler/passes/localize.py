@@ -77,7 +77,7 @@ class LocalizeGlobals:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._process_function(child)
-            else:
+            elif not isinstance(child, ast.expr):  # defs are statements
                 self._process_container(child)
 
     def _process_function(self, fn: ast.FunctionDef) -> None:
@@ -117,6 +117,8 @@ class LocalizeGlobals:
                 value=ast.Attribute(
                     value=ast.Name(id=self.rt_name, ctx=ast.Load()),
                     attr=attr, ctx=ast.Load())))
+        for stmt in prologue:  # every other node here is located already
+            ast.fix_missing_locations(ast.copy_location(stmt, fn))
         fn.body[:0] = _after_declarations(fn.body, prologue)
 
 

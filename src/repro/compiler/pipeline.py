@@ -17,6 +17,4 @@ def optimize(node: ast.stmt, ctx: TransformContext, *, typed: bool,
         vectorizer = VectorizePass(ctx, options=options, debug=debug)
         node = vectorizer.run(node)
     node = fold.FoldConstants().visit(node)
-    node = localize.LocalizeGlobals(ctx).run(node)
-    ast.fix_missing_locations(node)
-    return node
+    return localize.LocalizeGlobals(ctx).run(node)

@@ -77,14 +77,21 @@ def _collect_identifiers(tree: ast.AST) -> set[str]:
     return names
 
 
-def _get_source_tree(target) -> ast.AST:
+def _fetch_source(target) -> tuple[str, tuple[str, int]]:
+    """The target's source text and its origin ``(file, first line)``,
+    from a single :mod:`inspect` lookup (each one tokenises the file)."""
     try:
-        source = textwrap.dedent(inspect.getsource(target))
+        lines, first_line = inspect.getsourcelines(target)
+        source_file = inspect.getsourcefile(target)
     except (TypeError, OSError) as error:
         raise OmpTransformError(
             f"cannot retrieve the source of {target!r}; the omp decorator "
             f"needs file-backed source code") from error
-    return ast.parse(source)
+    return "".join(lines), (source_file or "<unknown>", first_line)
+
+
+def _get_source_tree(target) -> ast.AST:
+    return ast.parse(textwrap.dedent(_fetch_source(target)[0]))
 
 
 def transform(target, mode: Mode | str | int | None = None, *,
@@ -125,12 +132,55 @@ def transform(target, mode: Mode | str | int | None = None, *,
         raise OmpTransformError(
             f"omp can only decorate functions and classes, not {target!r}")
 
-    if cache and not force:
-        cached = _load_cache(cache, target, mode, globalns, live_globals)
-        if cached is not None:
-            return cached
+    # The generated code object keeps the (dedented) original linenos,
+    # so mapping a runtime frame back to the user's file only needs the
+    # source file and the def's first line (see repro.diagnostics.origin).
+    # The module qualifies the synthetic filename: every app names its
+    # kernel ``kernel``.
+    source, origin = _fetch_source(target)
+    filename = f"<omp4py:{target.__module__}.{target.__qualname__}>"
+    from repro.diagnostics.origin import register_origin
+    register_origin(filename, *origin)
 
-    tree = _get_source_tree(target)
+    def bind(code, name: str, rt_name: str, needs_kernels: bool,
+             **attributes):
+        """Execute generated code; return what it defines as ``name``."""
+        namespace = globalns if live_globals else dict(globalns)
+        namespace[rt_name] = runtime_for(mode)
+        if needs_kernels:
+            from repro.compiler import kernels
+            from repro.compiler.vectorize import KERNEL_HANDLE
+            namespace[KERNEL_HANDLE] = kernels
+        _MISSING = object()
+        previous = namespace.get(name, _MISSING) if live_globals else None
+        exec(code, namespace)  # noqa: S102 - the whole point of the decorator
+        result = namespace[name]
+        if live_globals:
+            # Don't clobber the module binding here: the decorator
+            # statement itself rebinds the name to our return value, and
+            # a plain ``omp(fn)`` call must leave the original untouched.
+            if previous is _MISSING:
+                del namespace[name]
+            else:
+                namespace[name] = previous
+        try:
+            result.__omp_mode__ = mode
+            result.__omp_origin__ = origin
+            for key, value in attributes.items():
+                setattr(result, key, value)
+        except (AttributeError, TypeError):  # pragma: no cover - exotic
+            pass
+        return result
+
+    cache_path = _cache_path(cache, target, mode, source) if cache else None
+    if cache_path and not force:
+        cached = _load_cache(cache_path)
+        if cached is not None:
+            code, rt_name, needs_kernels, generated = cached
+            return bind(code, target.__name__, rt_name, needs_kernels,
+                        __omp_source__=generated, __omp_cached__=True)
+
+    tree = ast.parse(textwrap.dedent(source))
     node = tree.body[0]
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -144,21 +194,8 @@ def transform(target, mode: Mode | str | int | None = None, *,
         rt_name=rt_name,
         module_globals=set(globalns),
         taken_names=_collect_identifiers(tree),
-        filename=f"<omp4py:{getattr(target, '__qualname__', node.name)}>",
-        module_name=getattr(target, "__module__", "__main__"))
-
-    # The generated code object keeps the (dedented) original linenos,
-    # so mapping a runtime frame back to the user's file only needs the
-    # source file and the def's first line (see repro.diagnostics.origin).
-    origin = None
-    try:
-        origin = (inspect.getsourcefile(target) or "<unknown>",
-                  inspect.getsourcelines(target)[1])
-    except (TypeError, OSError):  # pragma: no cover - source vanished
-        pass
-    if origin is not None:
-        from repro.diagnostics.origin import register_origin
-        register_origin(ctx.filename, *origin)
+        filename=filename,
+        module_name=target.__module__)
 
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         transform_function_def(node, ctx)
@@ -172,112 +209,56 @@ def transform(target, mode: Mode | str | int | None = None, *,
         node = optimize(node, ctx, typed=(mode is Mode.COMPILED_DT),
                         options=options or {}, debug=debug)
 
+    # Every node is located by now (see transform_function_def; the
+    # compiler passes locate what they add), so no pass is needed here.
     module = ast.Module(body=[node], type_ignores=[])
-    ast.fix_missing_locations(module)
     generated = ast.unparse(module)
     if dump:
         print(f"# --- omp4py generated code ({mode.value}) ---",
               file=sys.stderr)
         print(generated, file=sys.stderr)
-    if cache:
-        _write_cache(cache, target, mode, generated, force,
-                     rt_name=rt_name,
-                     needs_kernels=getattr(ctx, "needs_kernels", False))
+    needs_kernels = getattr(ctx, "needs_kernels", False)
+    if cache_path and (force or not os.path.exists(cache_path)):
+        # The header records what the loader must rebind: the runtime
+        # handle name baked into the generated code and whether the
+        # kernel namespace is referenced.
+        os.makedirs(cache, exist_ok=True)
+        with open(cache_path, "w", encoding="utf-8") as handle:
+            handle.write(f"# omp4py-cache rt={rt_name} "
+                         f"kernels={int(needs_kernels)} mode={mode.value}\n"
+                         + generated)
 
-    code = compile(module, filename=ctx.filename, mode="exec")
-    namespace = globalns if live_globals else dict(globalns)
-    namespace[rt_name] = runtime_for(mode)
-    if getattr(ctx, "needs_kernels", False):
-        from repro.compiler import kernels
-        from repro.compiler.vectorize import KERNEL_HANDLE
-        namespace[KERNEL_HANDLE] = kernels
-    _MISSING = object()
-    previous = namespace.get(node.name, _MISSING) if live_globals else None
-    exec(code, namespace)  # noqa: S102 - the whole point of the decorator
-    result = namespace[node.name]
-    if live_globals:
-        # Don't clobber the module binding here: the decorator statement
-        # itself rebinds the name to our return value, and a plain
-        # ``omp(fn)`` call must leave the original untouched.
-        if previous is _MISSING:
-            del namespace[node.name]
-        else:
-            namespace[node.name] = previous
-    try:
-        result.__omp_mode__ = mode
-        result.__omp_source__ = generated
-        result.__omp_origin__ = origin
-    except (AttributeError, TypeError):  # pragma: no cover - exotic targets
-        pass
-    return result
+    code = compile(module, filename=filename, mode="exec")
+    return bind(code, node.name, rt_name, needs_kernels,
+                __omp_source__=generated)
 
 
-def _cache_path(cache_dir: str, target, mode: Mode) -> str:
+def _cache_path(cache_dir: str, target, mode: Mode, source: str) -> str:
     """Key the cache on the original source, so edits invalidate."""
-    try:
-        source = inspect.getsource(target)
-    except (TypeError, OSError):
-        source = repr(target)
     digest = hashlib.sha256(
-        f"{getattr(target, '__qualname__', '?')}:{mode.value}:"
-        f"{source}".encode()).hexdigest()[:16]
+        f"{target.__qualname__}:{mode.value}:{source}".encode()
+    ).hexdigest()[:16]
     return os.path.join(cache_dir, f"omp4py_{digest}.py")
 
 
-def _write_cache(cache_dir: str, target, mode: Mode, generated: str,
-                 force: bool, *, rt_name: str,
-                 needs_kernels: bool) -> None:
-    """Persist the generated source (the decorator's ``cache`` option).
+def _load_cache(path: str):
+    """``(code, runtime handle, needs kernels, generated source)`` of a
+    cache entry, or ``None`` when it is missing or corrupted (the
+    caller then retransforms).
 
-    The header records what the loader must rebind: the runtime handle
-    name baked into the generated code and whether the kernel namespace
-    is referenced.
+    The whole file is compiled under its own path — the header is a
+    comment — so traceback lines match the file on disk.
     """
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, target, mode)
-    if force or not os.path.exists(path):
-        header = (f"# omp4py-cache rt={rt_name} "
-                  f"kernels={int(needs_kernels)} mode={mode.value}\n")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(header + generated)
-
-
-def _load_cache(cache_dir: str, target, mode: Mode, globalns: dict,
-                live_globals: bool):
-    """Rebuild the transformed object from a cached generated source."""
-    path = _cache_path(cache_dir, target, mode)
-    if not os.path.exists(path):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except FileNotFoundError:
         return None
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     header, _newline, body = text.partition("\n")
     try:
         fields = dict(part.split("=", 1) for part in header.split()
                       if "=" in part)
-        rt_name = fields["rt"]
-        code = compile(body, filename=path, mode="exec")
+        return (compile(text, filename=path, mode="exec"), fields["rt"],
+                fields.get("kernels") == "1", body)
     except (KeyError, ValueError, SyntaxError):
-        return None  # corrupted cache entry: fall through to retransform
-    namespace = globalns if live_globals else dict(globalns)
-    namespace[rt_name] = runtime_for(mode)
-    if fields.get("kernels") == "1":
-        from repro.compiler import kernels
-        from repro.compiler.vectorize import KERNEL_HANDLE
-        namespace[KERNEL_HANDLE] = kernels
-    name = getattr(target, "__name__", None)
-    _MISSING = object()
-    previous = namespace.get(name, _MISSING) if live_globals else None
-    exec(code, namespace)  # noqa: S102
-    result = namespace[name]
-    if live_globals:
-        if previous is _MISSING:
-            del namespace[name]
-        else:
-            namespace[name] = previous
-    try:
-        result.__omp_mode__ = mode
-        result.__omp_source__ = body
-        result.__omp_cached__ = True
-    except (AttributeError, TypeError):  # pragma: no cover
-        pass
-    return result
+        return None

@@ -1,8 +1,8 @@
 """Generated-code → user-source origin mapping.
 
 The ``@omp`` decorator compiles the transformed AST under a synthetic
-filename (``<omp4py:qualname>``) whose line numbers are relative to the
-*dedented* original source (the transformer preserves locations through
+filename (``<omp4py:module.qualname>``) whose line numbers are relative
+to the *dedented* original source (the transformer preserves locations through
 ``copy_location``/``fix_missing_locations``).  This registry records,
 per synthetic filename, the real file and the first line of the
 original source, so diagnostics can translate any frame inside

@@ -19,12 +19,28 @@ long-running multi-tenant service:
 See docs/serving.md for the architecture and the wire protocol.
 """
 
-from repro.serve.admission import AdmissionQueue, QueueFull
-from repro.serve.protocol import ServeRequest, result_digest
-from repro.serve.server import ServeServer
-from repro.serve.shm import ArrayHandle, ShmRegistry, leaked_segments
-from repro.serve.tenants import DuplicateTenantError, TenantDirectory
+import importlib
+
+#: Public name -> submodule.  Resolved on first access (PEP 562): a
+#: spawned worker imports ``repro.serve.worker`` through this package
+#: and must not load the HTTP front door it never runs.
+_EXPORTS = {"AdmissionQueue": "admission", "QueueFull": "admission",
+            "ServeRequest": "protocol", "result_digest": "protocol",
+            "ServeServer": "server",
+            "ArrayHandle": "shm", "ShmRegistry": "shm",
+            "leaked_segments": "shm",
+            "DuplicateTenantError": "tenants",
+            "TenantDirectory": "tenants"}
 
 __all__ = ["AdmissionQueue", "ArrayHandle", "DuplicateTenantError",
            "QueueFull", "ServeRequest", "ServeServer", "ShmRegistry",
            "TenantDirectory", "leaked_segments", "result_digest"]
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -77,7 +77,7 @@ class Fleet:
     """Spawn/supervise the worker processes behind the dispatcher."""
 
     def __init__(self, *, workers: int, registry, report_dir,
-                 warm_apps=(), warm_threads: int = 2,
+                 warm_threads: int = 2,
                  watchdog_interval: float | None = 5.0,
                  job_timeout: float = 60.0,
                  debug_apps: bool = False,
@@ -85,7 +85,6 @@ class Fleet:
         self.registry = registry
         self.report_dir = pathlib.Path(report_dir)
         self.report_dir.mkdir(parents=True, exist_ok=True)
-        self.warm_apps = tuple(warm_apps)
         self.warm_threads = warm_threads
         self.watchdog_interval = watchdog_interval
         self.job_timeout = job_timeout
@@ -121,7 +120,6 @@ class Fleet:
                 "slab": worker.slab_handle.to_wire(),
                 "report_path": str(report),
                 "watchdog_interval": self.watchdog_interval,
-                "warm_apps": list(self.warm_apps),
                 "warm_threads": self.warm_threads,
                 "debug_apps": self.debug_apps,
                 "env": {}}

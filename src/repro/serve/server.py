@@ -164,7 +164,6 @@ class ServeServer:
             self._report_tmp = None
         self.fleet = Fleet(
             workers=workers, registry=self.shm, report_dir=report_dir,
-            warm_apps=catalog.serveable_apps(debug_apps),
             warm_threads=warm_threads or max(budgets.values()),
             watchdog_interval=watchdog_interval,
             job_timeout=job_timeout,

@@ -4,9 +4,10 @@ Each worker is a spawned process holding one warm OMP4Py runtime.  At
 startup it attaches its response slab, arms the stall watchdog on both
 runtimes (a hung kernel writes a structured ``omp4py-doctor-report/1``
 to the worker's report file instead of stalling silently — the
-supervisor collects it after the kill), transforms and warm-runs the
-apps it will serve so the hot-team pool is populated *before* the
-first request, and only then reports ready.
+supervisor collects it after the kill), runs one tiny ``pi`` region so
+the hot-team pool is populated *before* the first request, and only
+then reports ready.  Kernels compile on demand: the first request for
+an (app, mode) pair transforms that variant, later ones reuse it.
 
 Per job it: applies the tenant's CPU partition through
 ``OmpRuntime.set_affinity``, materializes inputs — shared-memory
@@ -45,23 +46,17 @@ def _runtimes():
 
 
 def _warm(config: dict) -> None:
-    """Populate the hot-team pool and transform the served kernels.
+    """Populate the hot-team pool.
 
     A tiny ``pi`` run forks one real region at the largest tenant
     budget, so the hot-team pool already holds parked workers when the
     first request lands (respawned workers come back warm the same
-    way); the other served apps are transformed ahead of time.
+    way).
     """
-    from repro.apps import get_app, list_apps
+    from repro.apps import get_app
     from repro.modes import Mode
     warm_threads = max(1, int(config.get("warm_threads", 2)))
     get_app("pi").variant(Mode.PURE)(threads=warm_threads, n=2000)
-    for app in config.get("warm_apps") or []:
-        if app in list_apps() and app != "pi":
-            try:
-                get_app(app).variant(Mode.PURE)
-            except Exception:  # noqa: BLE001 - warmup is best-effort
-                pass
 
 
 class _JobRunner:

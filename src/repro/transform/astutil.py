@@ -164,9 +164,3 @@ def check_loop_body(stmts: list[ast.stmt], directive: str) -> None:
     checker = _EscapeChecker(directive, in_ws_loop=True)
     for stmt in stmts:
         checker.visit(stmt)
-
-
-def fix_locations(node: ast.AST, reference: ast.AST | None = None) -> None:
-    if reference is not None:
-        ast.copy_location(node, reference)
-    ast.fix_missing_locations(node)

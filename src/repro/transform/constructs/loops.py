@@ -108,7 +108,7 @@ def handle_for(node: ast.With, directive: Directive,
     stmts.append(astutil.rt_call_stmt(
         ctx.rt_name, "for_end", [astutil.name_load(bounds_name)]))
     for stmt in stmts:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return stmts
 
 
@@ -329,7 +329,7 @@ def handle_ordered(node: ast.With, directive: Directive,
                                 astutil.name_load(frame.index_name)])
     result = [start, astutil.try_finally(body, [end])]
     for stmt in result:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return result
 
 

@@ -75,7 +75,7 @@ def handle_parallel(node: ast.With, directive: Directive,
         ctx.rt_name, "parallel_run", [astutil.name_load(fn_name)], keywords)
     result = [fndef, launch]
     for stmt in result:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return result
 
 
@@ -115,9 +115,9 @@ def _handle_combined(node: ast.With, directive: Directive,
             optional_vars=None)],
         body=node.body)
     setattr(synthetic, PARSED_ATTR, inner)
-    astutil.fix_locations(synthetic, node)
+    ast.copy_location(synthetic, node)
     wrapper = ast.With(items=node.items, body=[synthetic])
-    astutil.fix_locations(wrapper, node)
+    ast.copy_location(wrapper, node)
     return handle_parallel(wrapper, outer, ctx)
 
 

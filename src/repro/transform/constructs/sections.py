@@ -90,5 +90,5 @@ def handle_sections(node: ast.With, directive: Directive,
         ctx.rt_name, "sections_end", [astutil.name_load(state_name)],
         [("nowait", astutil.constant(directive.has_clause("nowait")))]))
     for stmt in stmts:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return stmts

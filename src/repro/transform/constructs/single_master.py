@@ -68,7 +68,7 @@ def handle_single(node: ast.With, directive: Directive,
             value=astutil.rt_call(ctx.rt_name, "copyprivate_get",
                                   [astutil.name_load(state_name)])))
     for stmt in stmts:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return stmts
 
 
@@ -81,5 +81,5 @@ def handle_master(node: ast.With, directive: Directive,
         body = transform_statements(node.body, ctx)
     stmt = ast.If(test=astutil.rt_call(ctx.rt_name, "master_begin"),
                   body=body or [ast.Pass()], orelse=[])
-    astutil.fix_locations(stmt, node)
+    ast.copy_location(stmt, node)
     return [stmt]

@@ -28,7 +28,7 @@ def handle_critical(node: ast.With, directive: Directive,
                                  [astutil.constant(name)])
     result = [enter, astutil.try_finally(body or [ast.Pass()], [leave])]
     for stmt in result:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return result
 
 
@@ -43,7 +43,7 @@ def handle_atomic(node: ast.With, directive: Directive,
     leave = astutil.rt_call_stmt(ctx.rt_name, "atomic_exit")
     result = [enter, astutil.try_finally(list(node.body), [leave])]
     for stmt in result:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return result
 
 
@@ -66,14 +66,14 @@ def handle_barrier(node: ast.Expr, directive: Directive,
                    ctx: TransformContext) -> list[ast.stmt]:
     ctx.require_not_inside(directive.source, _NO_BARRIER_INSIDE)
     stmt = astutil.rt_call_stmt(ctx.rt_name, "barrier")
-    astutil.fix_locations(stmt, node)
+    ast.copy_location(stmt, node)
     return [stmt]
 
 
 def handle_taskwait(node: ast.Expr, directive: Directive,
                     ctx: TransformContext) -> list[ast.stmt]:
     stmt = astutil.rt_call_stmt(ctx.rt_name, "task_wait")
-    astutil.fix_locations(stmt, node)
+    ast.copy_location(stmt, node)
     return [stmt]
 
 
@@ -81,5 +81,5 @@ def handle_flush(node: ast.Expr, directive: Directive,
                  ctx: TransformContext) -> list[ast.stmt]:
     arguments = [astutil.constant(name) for name in directive.arguments]
     stmt = astutil.rt_call_stmt(ctx.rt_name, "flush", arguments)
-    astutil.fix_locations(stmt, node)
+    ast.copy_location(stmt, node)
     return [stmt]

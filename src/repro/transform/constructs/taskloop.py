@@ -132,7 +132,7 @@ def handle_taskloop(node: ast.With, directive: Directive,
     if not directive.has_clause("nogroup"):
         stmts.append(astutil.rt_call_stmt(ctx.rt_name, "task_wait"))
     for stmt in stmts:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return stmts
 
 

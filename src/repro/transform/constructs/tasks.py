@@ -70,5 +70,5 @@ def handle_task(node: ast.With, directive: Directive,
         ctx.rt_name, "task_submit", [astutil.name_load(fn_name)], keywords)
     result = [fndef, submit]
     for stmt in result:
-        astutil.fix_locations(stmt, node)
+        ast.copy_location(stmt, node)
     return result

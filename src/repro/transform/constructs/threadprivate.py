@@ -63,7 +63,7 @@ def handle_declare_reduction(node: ast.Expr, directive: Directive,
     stmt = astutil.rt_call_stmt(
         ctx.rt_name, "declare_reduction",
         [astutil.constant(name), combiner, initializer])
-    astutil.fix_locations(stmt, node)
+    ast.copy_location(stmt, node)
     return [stmt]
 
 
@@ -72,11 +72,6 @@ class ThreadprivateRewriter(ast.NodeTransformer):
 
     def __init__(self, ctx: TransformContext):
         self.ctx = ctx
-
-    def rewrite(self, stmt: ast.stmt) -> ast.stmt:
-        result = self.visit(stmt)
-        ast.fix_missing_locations(result)
-        return result
 
     def _key(self, name: str) -> str:
         return self.ctx.threadprivate[name]

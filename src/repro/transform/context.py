@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 
 from repro.errors import OmpSyntaxError
+from repro.transform import scope
 
 
 class SymbolGen:
@@ -34,8 +35,9 @@ class ScopeFrame:
     """One Python function scope the rewriter is generating into.
 
     ``params`` are names bound unconditionally (parameters, generated
-    privates/accumulators); ``stmts`` is the scope's statement list, so
-    binding queries can *exclude* a directive block's subtree — a name
+    privates/accumulators); ``stmts`` is the scope's statement list as
+    the user wrote it, walked once when the frame is pushed, so binding
+    queries can *discount* a directive block's own sites — a name
     assigned only inside the block moves into the generated inner
     function and is not a binding of this scope afterwards.
     """
@@ -43,9 +45,8 @@ class ScopeFrame:
     params: set[str]
     stmts: list
 
-    def bound(self, exclude_ids: frozenset[int] = frozenset()) -> set[str]:
-        from repro.transform import scope
-        return self.params | scope.assigned_names(self.stmts, exclude_ids)
+    def __post_init__(self):
+        self.bindings = scope.bindings(self.stmts)
 
 
 @dataclasses.dataclass
@@ -89,13 +90,15 @@ class TransformContext:
     def pop_scope(self) -> None:
         self.scopes.pop()
 
-    def bound_in_enclosing_function(
-            self, name: str,
-            exclude_ids: frozenset[int] = frozenset()) -> bool:
-        """Is ``name`` a local of any enclosing function scope, not
-        counting bindings inside the excluded subtrees?"""
-        return any(name in frame.bound(exclude_ids)
-                   for frame in self.scopes)
+    def enclosing_bound(self, body: list, block) -> set[str]:
+        """The locals of every enclosing function scope, not counting
+        binding sites inside the block ``body`` (``block`` is
+        ``scope.bindings(body)``)."""
+        bound: set[str] = set()
+        for frame in self.scopes:
+            bound |= frame.params
+            bound |= frame.bindings.bound_outside(body, block)
+        return bound
 
     # Construct nesting --------------------------------------------------
 

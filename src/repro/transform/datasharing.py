@@ -70,18 +70,17 @@ def classify(body: list[ast.stmt], directive: Directive,
     explicit = set(privates) | set(firstprivates) | set(lastprivates) \
         | set(shared) | set(copyin) | {var for _o, var, _a in reductions}
 
-    # Bindings inside this very block do not make a name "defined before
-    # the block": they move into the generated inner function.  The
-    # whole subtree is excluded by identity, so synthesized wrapper
-    # nodes (combined directives) still shadow the shared originals.
-    exclude_ids = frozenset(
-        id(child) for stmt in body for child in ast.walk(stmt))
+    # One binding analysis per block.  Bindings inside this very block
+    # do not make a name "defined before the block": they move into the
+    # generated inner function.
+    block = scope.bindings(body)
+    outer = ctx.enclosing_bound(body, block)
 
-    _check_outer_bindings(directive, ctx, exclude_ids, firstprivates,
+    _check_outer_bindings(directive, ctx, outer, firstprivates,
                           shared, [var for _o, var, _a in reductions],
                           copyin)
 
-    assigned = scope.assigned_names(body)
+    assigned = block.bound()
     used = scope.read_names(body) | assigned
 
     if policy in ("private", "firstprivate"):
@@ -92,7 +91,7 @@ def classify(body: list[ast.stmt], directive: Directive,
             if name in explicit or name in ctx.threadprivate \
                     or name in _EXEMPT_NAMES:
                 continue
-            if ctx.bound_in_enclosing_function(name, exclude_ids):
+            if name in outer:
                 if policy == "private":
                     privates.append(name)
                 else:
@@ -103,7 +102,7 @@ def classify(body: list[ast.stmt], directive: Directive,
             name for name in used
             if name not in explicit and name not in ctx.threadprivate
             and name not in _EXEMPT_NAMES
-            and ctx.bound_in_enclosing_function(name, exclude_ids))
+            and name in outer)
         if missing:
             raise OmpSyntaxError(
                 f"default(none) requires explicit sharing for: "
@@ -118,10 +117,9 @@ def classify(body: list[ast.stmt], directive: Directive,
         if name in privates or name in firstprivates \
                 or name in lastprivates or name in ctx.threadprivate:
             continue
-        if ctx.bound_in_enclosing_function(name, exclude_ids):
+        if name in outer:
             nonlocal_names.append(name)
-        elif name in ctx.module_globals or name in scope.declared_globals(
-                body):
+        elif name in ctx.module_globals or name in block.globals:
             global_names.append(name)
         # Otherwise the name is new inside the block: a plain local of
         # the generated function, thread-local by construction.
@@ -134,11 +132,11 @@ def classify(body: list[ast.stmt], directive: Directive,
 
 
 def _check_outer_bindings(directive: Directive, ctx: TransformContext,
-                          exclude_ids: frozenset[int],
+                          outer: set[str],
                           *name_lists: list[str]) -> None:
     for names in name_lists:
         for name in names:
-            if not ctx.bound_in_enclosing_function(name, exclude_ids) \
+            if name not in outer \
                     and name not in ctx.module_globals \
                     and name not in ctx.threadprivate:
                 raise OmpSyntaxError(

@@ -165,6 +165,10 @@ def transform_function_def(funcdef: ast.FunctionDef,
         from repro.transform.constructs.threadprivate import \
             ThreadprivateRewriter
         tp_rewriter = ThreadprivateRewriter(ctx)
-        funcdef.body = [tp_rewriter.rewrite(stmt) for stmt in funcdef.body]
+        funcdef.body = [tp_rewriter.visit(stmt) for stmt in funcdef.body]
+    # The one location pass: lowering functions only stamp the statements
+    # they generate with their directive's location (``copy_location``);
+    # here every other generated node inherits from its nearest located
+    # ancestor, and no completed subtree is walked twice.
     ast.fix_missing_locations(funcdef)
     return funcdef

@@ -12,6 +12,7 @@ their targets.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from collections.abc import Iterable
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
@@ -30,24 +31,39 @@ def _target_names(target: ast.expr) -> Iterable[str]:
 
 
 class _AssignedVisitor(ast.NodeVisitor):
-    """Collects names bound in the current scope (no descent into
-    nested scopes).
+    """Collects the binding sites of the current scope (no descent into
+    nested scopes), counted per name.
 
-    ``exclude_ids`` skips specific statement subtrees — used to ask
-    "which names does this scope bind *outside* a directive block",
-    since the block's bindings move into the generated inner function.
+    The counts let one walk of a scope answer "which names does this
+    scope bind *outside* a directive block" for every block in it: the
+    block's bindings move into the generated inner function, so its own
+    sites (a second, block-sized walk) are subtracted.
     """
 
-    def __init__(self, exclude_ids: frozenset[int] = frozenset()):
-        self.names: set[str] = set()
-        self.globals: set[str] = set()
-        self.nonlocals: set[str] = set()
-        self.exclude_ids = exclude_ids
+    def __init__(self):
+        self.names: Counter[str] = Counter()
+        self.globals: Counter[str] = Counter()
+        #: ids of the statements walked; a block whose statements are
+        #: not among them contributed no sites (it sits behind a nested
+        #: scope or a region-creating directive).
+        self.visited: set[int] = set()
 
     def visit(self, node: ast.AST):
-        if id(node) in self.exclude_ids:
-            return None
+        if isinstance(node, ast.stmt):
+            self.visited.add(id(node))
         return super().visit(node)
+
+    def bound(self) -> set[str]:
+        return self.names.keys() - self.globals.keys()
+
+    def bound_outside(self, body: list[ast.stmt],
+                      block: _AssignedVisitor) -> set[str]:
+        """Names bound here by sites outside ``body``, whose own walk
+        is ``block``."""
+        if not body or id(body[0]) not in self.visited:
+            return self.bound()
+        return (self.names - block.names).keys() \
+            - (self.globals - block.globals).keys()
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -89,31 +105,28 @@ class _AssignedVisitor(ast.NodeVisitor):
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.name is not None:
-            self.names.add(node.name)
+            self.names[node.name] += 1
         for stmt in node.body:
             self.visit(stmt)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self.names.add(alias.asname or alias.name.split(".")[0])
+            self.names[alias.asname or alias.name.split(".")[0]] += 1
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         for alias in node.names:
-            self.names.add(alias.asname or alias.name)
+            self.names[alias.asname or alias.name] += 1
 
     def visit_Global(self, node: ast.Global) -> None:
         self.globals.update(node.names)
 
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        self.nonlocals.update(node.names)
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.names.add(node.name)  # binding; body is a nested scope
+        self.names[node.name] += 1  # binding; body is a nested scope
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.names.add(node.name)
+        self.names[node.name] += 1
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         pass  # nested scope
@@ -129,20 +142,17 @@ class _AssignedVisitor(ast.NodeVisitor):
     visit_GeneratorExp = visit_ListComp
 
 
-def assigned_names(stmts: Iterable[ast.stmt],
-                   exclude_ids: frozenset[int] = frozenset()) -> set[str]:
-    """Names bound by the statements in their own scope."""
-    visitor = _AssignedVisitor(exclude_ids)
-    for stmt in stmts:
-        visitor.visit(stmt)
-    return visitor.names - visitor.globals
-
-
-def declared_globals(stmts: Iterable[ast.stmt]) -> set[str]:
+def bindings(stmts: Iterable[ast.stmt]) -> _AssignedVisitor:
+    """Walk the statements once; the result holds what they bind."""
     visitor = _AssignedVisitor()
     for stmt in stmts:
         visitor.visit(stmt)
-    return visitor.globals
+    return visitor
+
+
+def assigned_names(stmts: Iterable[ast.stmt]) -> set[str]:
+    """Names bound by the statements in their own scope."""
+    return bindings(stmts).bound()
 
 
 def _moves_to_inner_function(node: ast.With) -> bool:

@@ -501,3 +501,62 @@ def tagged(n):
         origin = getattr(fn, "__omp_origin__", None)
         assert origin is not None
         assert origin[0].endswith(".py")
+
+    _KERNEL = """
+def kernel(n):
+    total = 0
+    with omp("parallel num_threads(1)"):
+        total = n // 0
+    return total
+"""
+
+    def test_same_named_functions_keep_their_own_origin(self, omp_compile):
+        # Every shipped app names its kernel ``kernel``: the synthetic
+        # filename must tell the modules apart, or the registry's last
+        # writer wins and reports name the wrong file.
+        first = omp_compile("\n# pushes the def down\n" + self._KERNEL,
+                            "kernel")
+        second = omp_compile(self._KERNEL, "kernel")
+        assert first.__code__.co_filename != second.__code__.co_filename
+        for fn in (first, second):
+            assert fn.__omp_origin__[0].endswith(f"{fn.__module__}.py")
+            assert resolve(fn.__code__.co_filename, 1) == fn.__omp_origin__
+
+    def test_shipped_kernels_do_not_collide(self):
+        from repro import Mode, transform
+        from repro.apps import get_app
+        pi = transform(get_app("pi").kernel, Mode.PURE)
+        transform(get_app("jacobi").kernel, Mode.PURE)  # the later writer
+        assert format_location(pi.__code__.co_filename, 3).endswith(
+            f"apps/pi.py:{pi.__omp_origin__[1] + 2}")
+
+    def test_cache_hit_keeps_the_origin(self, omp_compile, tmp_path):
+        cache = str(tmp_path / "cache")
+        omp_compile(self._KERNEL, "kernel", cache=cache)
+        # Same source, same mode, another module: a hit.
+        cached = omp_compile(self._KERNEL, "kernel", cache=cache)
+        assert cached.__omp_cached__ is True
+        source_file, first_line = cached.__omp_origin__
+        assert source_file.endswith(f"{cached.__module__}.py")
+        assert first_line == 5  # the fixture's three import lines + a blank
+        assert resolve(f"<omp4py:{cached.__module__}.kernel>", 1) \
+            == cached.__omp_origin__
+
+    def test_cache_hit_traceback_lines_match_the_cache_file(
+            self, omp_compile, tmp_path):
+        import traceback
+        cache = tmp_path / "cache"
+        omp_compile(self._KERNEL, "kernel", cache=str(cache))
+        # Second transform of the same source: a hit.
+        cached = omp_compile(self._KERNEL, "kernel", cache=str(cache))
+        assert cached.__omp_cached__ is True
+        with pytest.raises(OmpError) as caught:
+            cached(1)
+        error = caught.value.__cause__
+        assert isinstance(error, ZeroDivisionError)
+        frame = traceback.extract_tb(error.__traceback__)[-1]
+        (entry,) = cache.iterdir()
+        assert frame.filename == str(entry)
+        lines = entry.read_text(encoding="utf-8").splitlines()
+        assert "n // 0" in lines[frame.lineno - 1]
+        assert frame.line == lines[frame.lineno - 1].strip()

@@ -1,0 +1,76 @@
+"""Golden digests of what the transformer generates.
+
+Transformer speed-ups may not change the generated code: for every app
+× mode this hashes ``__omp_source__`` (the global runtime-handle counter
+normalised) together with the ``co_lines()`` table of the variant's code
+object and every code object nested in it.  ``golden_digests.json`` was
+computed on the commit *before* the linear-time transformer landed; run
+``python tests/transform/test_golden.py`` to print the current digests
+when a change to the generated code is intended.
+
+Bytecode offsets and ``ast.unparse`` details differ between Python
+minor versions, so digests are keyed by version and unknown versions
+skip.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import re
+import sys
+import types
+
+import pytest
+
+from repro import Mode, transform
+from repro.apps import get_app, list_apps
+
+_GOLDEN = pathlib.Path(__file__).with_name("golden_digests.json")
+_VERSION = "%d.%d" % sys.version_info[:2]
+_HANDLE = re.compile(r"__omp\d+__")
+
+
+def _line_tables(code: types.CodeType) -> list:
+    tables = [[code.co_name, list(code.co_lines())]]
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            tables.extend(_line_tables(const))
+    return tables
+
+
+def digest(app_name: str, mode: Mode) -> str:
+    # A fresh transform, never the spec's cached variant.
+    variant = transform(get_app(app_name).source(mode), mode)
+    generated = _HANDLE.sub("__ompN__", variant.__omp_source__)
+    payload = json.dumps([generated, _line_tables(variant.__code__)])
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def current_digests() -> dict[str, str]:
+    return {f"{app}/{mode.value}": digest(app, mode)
+            for app in list_apps() for mode in Mode}
+
+
+def _golden() -> dict[str, str]:
+    return json.loads(_GOLDEN.read_text(encoding="utf-8")).get(_VERSION, {})
+
+
+@pytest.mark.skipif(not _golden(),
+                    reason=f"no golden digests for Python {_VERSION}")
+@pytest.mark.parametrize("app_name", list_apps())
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_generated_code_is_unchanged(app_name, mode):
+    assert digest(app_name, mode) == _golden()[f"{app_name}/{mode.value}"]
+
+
+def test_golden_covers_every_pair():
+    golden = _golden()
+    if golden:
+        assert set(golden) == {f"{app}/{mode.value}"
+                               for app in list_apps() for mode in Mode}
+
+
+if __name__ == "__main__":
+    print(json.dumps({_VERSION: current_digests()}, indent=1))
