@@ -28,14 +28,10 @@ _HANDLE_COUNTER = itertools.count()
 def runtime_for(mode: Mode):
     """The runtime instance a mode binds as ``__omp__``.
 
-    When the ``OMP4PY_TRACE`` / ``OMP4PY_METRICS`` /
-    ``OMP4PY_METRICS_PORT`` environment knobs are set, the returned
-    runtime is auto-instrumented on the way out
-    (see :mod:`repro.ompt.auto`); likewise ``OMP4PY_FLIGHT`` /
-    ``OMP4PY_WATCHDOG`` arm the hang diagnostics
-    (:mod:`repro.diagnostics.auto`) and ``OMP4PY_PROFILE`` the
-    sampling profiler (:mod:`repro.sampling.auto`).  Unset knobs cost
-    a few environment reads, nothing more.
+    The ``OMP4PY_*`` observability knobs (trace, metrics, live
+    endpoint, flight recorder, watchdog, sampling profiler) are
+    honoured on the way out (:func:`repro.arming.arm_from_env`); unset
+    knobs cost a few environment reads, nothing more.
     """
     if mode is Mode.PURE:
         from repro.runtime import pure_runtime
@@ -43,17 +39,8 @@ def runtime_for(mode: Mode):
     else:
         from repro.cruntime import cruntime
         runtime = cruntime
-    from repro import env
-    if env.trace_spec() is not None or env.metrics_spec() is not None \
-            or env.metrics_port() is not None:
-        from repro.ompt.auto import auto_instrument
-        auto_instrument(runtime)
-    if env.flight_spec() is not None or env.watchdog_spec() is not None:
-        from repro.diagnostics.auto import auto_diagnose
-        auto_diagnose(runtime)
-    if env.profile_spec() is not None:
-        from repro.sampling.auto import auto_sample
-        auto_sample(runtime)
+    from repro.arming import arm_from_env
+    arm_from_env(runtime)
     return runtime
 
 

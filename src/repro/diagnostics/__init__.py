@@ -6,19 +6,20 @@ Three pieces, all optional and all following the runtime's one
 attribute-read-when-disabled cost discipline:
 
 * :class:`~repro.diagnostics.flight.FlightRecorder` — always-cheap
-  per-thread ring buffers of the last N sync/work events, fed from the
-  OMPT-style tool dispatch points.
+  per-thread ring buffers of the last N sync/work events: a tool on
+  the runtime's one event channel (:mod:`repro.ompt.hooks`).
 * :class:`~repro.diagnostics.state.DiagnosticsState` +
   :mod:`~repro.diagnostics.waitgraph` — blocking records written at
-  every event-driven wait site, assembled into a wait-for graph with
-  cycle detection.
+  every event-driven wait site (the mutex ones by the one shared
+  acquire, :func:`repro.runtime.locks.acquire`), assembled into a
+  wait-for graph with cycle detection.
 * :class:`~repro.diagnostics.watchdog.Watchdog` — a daemon thread that
   notices lost progress and emits a structured *deadlock* or *stall*
   report.
 
 Arm everything from the environment (``OMP4PY_FLIGHT``,
 ``OMP4PY_WATCHDOG`` — see :mod:`repro.env`), programmatically
-(:func:`~repro.diagnostics.auto.arm`), or from the command line
+(:func:`repro.arming.arm`), or from the command line
 (``python -m repro.doctor``).
 """
 

@@ -94,6 +94,9 @@ class FlightRecorder(ToolHooks):
     def implicit_task(self, thread, endpoint, team_size):
         self._note("implicit_task", thread, endpoint)
 
+    def loop(self, thread, endpoint):
+        self._note(f"loop_{endpoint}", thread)
+
     def work(self, thread, wstype, low, high):
         self._note("work", thread, wstype, low, high)
 

@@ -22,33 +22,10 @@ flag is set (see :mod:`repro.diagnostics.waitgraph`).
 
 from __future__ import annotations
 
-import os
-import sys
 import threading
 import time
 
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_GENERATED_PREFIX = "<omp4py:"
-
-
-def user_location(depth: int = 2) -> tuple[str, int] | None:
-    """The innermost non-runtime frame: generated omp4py code (mapped
-    back through the origin registry at report time) or the user's own
-    script.  ``None`` when the whole stack is runtime-internal (e.g. a
-    worker thread's bootstrap barrier)."""
-    try:
-        frame = sys._getframe(depth)
-    except ValueError:  # pragma: no cover - stack shallower than depth
-        return None
-    hops = 0
-    while frame is not None and hops < 30:
-        filename = frame.f_code.co_filename
-        if filename.startswith(_GENERATED_PREFIX) or \
-                not filename.startswith(_PACKAGE_ROOT):
-            return filename, frame.f_lineno
-        frame = frame.f_back
-        hops += 1
-    return None
+from repro.runtime.trace import caller_site
 
 
 class BlockRecord:
@@ -145,9 +122,14 @@ class DiagnosticsState:
     def block_enter(self, kind: str, resource, team=None,
                     thread_num: int = -1, detail=None) -> BlockRecord:
         ident = threading.get_ident()
+        # Generated omp4py code (mapped back through the origin
+        # registry at report time) or the user's own script; nothing
+        # when the whole stack is runtime-internal.
+        site = caller_site()
         record = BlockRecord(ident, kind, resource,
                              id(team) if team is not None else None,
-                             thread_num, detail, user_location(depth=3))
+                             thread_num, detail,
+                             site if site[0] else None)
         stack = self.blocked.get(ident)
         if stack is None:
             stack = []

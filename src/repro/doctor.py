@@ -45,17 +45,16 @@ def _runtimes(choice: str) -> list:
 
 
 def _cmd_run(args) -> int:
-    from repro.diagnostics.auto import arm, install_signal_dump
-    watchdogs = []
-    for runtime in _runtimes(args.runtime):
-        _recorder, watchdog = arm(
-            runtime,
+    from repro.arming import arm, disarm, install_signal_dump
+    runtimes = _runtimes(args.runtime)
+    watchdogs = [
+        arm(runtime,
+            flight=args.flight != 0,
             flight_capacity=args.flight,
             watchdog_interval=args.watchdog,
             report_path=args.report,
-            exit_on_deadlock=not args.no_exit,
-            flight=args.flight != 0)
-        watchdogs.append(watchdog)
+            exit_on_deadlock=not args.no_exit).watchdog
+        for runtime in runtimes]
     install_signal_dump()
     # The script sees itself as __main__ with its own argv, like
     # ``python SCRIPT ARGS...``.
@@ -66,13 +65,11 @@ def _cmd_run(args) -> int:
     try:
         runpy.run_path(args.script, run_name="__main__")
     finally:
-        for watchdog in watchdogs:
-            if watchdog is not None:
-                watchdog.stop()
+        for runtime in runtimes:
+            disarm(runtime)
     deadlocked = any(
-        watchdog is not None and any(
-            report["verdict"] == "deadlock" for report in watchdog.reports)
-        for watchdog in watchdogs)
+        report["verdict"] == "deadlock"
+        for watchdog in watchdogs for report in watchdog.reports)
     return DEADLOCK_EXIT_CODE if deadlocked else 0
 
 

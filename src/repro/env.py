@@ -14,9 +14,9 @@ Two families of variables are honoured, mirroring the paper:
 * ``OMP4PY_*`` — defaults for the ``omp`` decorator arguments
   (``OMP4PY_CACHE``, ``OMP4PY_DUMP``, ``OMP4PY_DEBUG``, ``OMP4PY_COMPILE``,
   ``OMP4PY_FORCE``, ``OMP4PY_MODE``, ``OMP4PY_LINT``), plus the
-  observability knobs ``OMP4PY_TRACE`` and ``OMP4PY_METRICS`` that
-  auto-instrument every runtime bound by the ``@omp`` decorator (see
-  :mod:`repro.ompt.auto` and docs/observability.md),
+  observability knobs — every one of them armed by
+  :mod:`repro.arming` on each runtime the ``@omp`` decorator binds (see
+  docs/observability.md) — ``OMP4PY_TRACE`` and ``OMP4PY_METRICS``,
   ``OMP4PY_METRICS_PORT`` serving live ``/metrics`` (Prometheus),
   ``/explain`` (DAG summary) and ``/profile`` (sampling profile) over
   HTTP while the workload runs (:mod:`repro.explain.live`), the
@@ -28,7 +28,7 @@ Two families of variables are honoured, mirroring the paper:
   ``OMP4PY_WATCHDOG`` (stall watchdog: truthy for the default
   interval, an interval in seconds, or ``interval:report-path``) and
   ``OMP4PY_WATCHDOG_EXIT`` (terminate with the doctor exit code on a
-  deadlock verdict — see :mod:`repro.diagnostics.auto`), and the
+  deadlock verdict — see :mod:`repro.diagnostics`), and the
   hot-team pool knobs ``OMP4PY_HOT_TEAMS`` (``0`` restores the
   spawn-per-region fork/join path) and ``OMP4PY_POOL_IDLE_TIMEOUT``
   (seconds a parked pool worker waits for work before trimming itself),
@@ -332,7 +332,7 @@ def metrics_port() -> int | None:
 
     ``None`` when unset/off; otherwise a TCP port for the in-process
     observability endpoint (:mod:`repro.explain.live`).  ``0`` binds an
-    ephemeral port (announced on stderr by the auto-instrument path).
+    ephemeral port (announced on stderr when it is armed).
     """
     raw = os.environ.get("OMP4PY_METRICS_PORT")
     if raw is None:

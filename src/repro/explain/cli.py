@@ -17,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -85,42 +86,19 @@ def explain_app(app: str, mode, threads: int, profile: str,
     ``sample_hz`` additionally arms the sampling profiler for the
     run, attaching directive-attributed hot frames to the findings.
     """
-    from repro.analysis.timing import measure
+    from repro.analysis.runner import run_point
     from repro.apps import get_app
+    from repro.arming import session
     from repro.decorator import runtime_for
-    from repro.ompt.metrics import MetricsTool
-
-    from repro.modes import Mode
 
     spec = get_app(app)
-    variant = spec.variant(mode)
     runtime = runtime_for(mode)
-    tool = MetricsTool()
-    tracer = runtime.tracer
-    old_capacity = tracer.capacity
-    tracer.capacity = trace_capacity
-    runtime.attach_tool(tool)
-    sampler = None
-    if sample_hz is not None:
-        from repro.sampling.sampler import Sampler
-        sampler = Sampler(runtime, interval=1.0 / sample_hz).start()
-    tracer.start()
-    try:
-        def make_args():
-            inputs = spec.inputs(profile,
-                                 dt=(mode is Mode.COMPILED_DT))
-            inputs["threads"] = threads
-            return (), inputs
-
-        measurement = measure(variant, runtime=runtime,
-                              repeats=repeats, make_args=make_args)
-    finally:
-        events = tracer.stop()
-        tracer.capacity = old_capacity
-        runtime.detach_tool(tool)
-        if sampler is not None:
-            sampler.stop()
-    samples = sampler.report() if sampler is not None else None
+    with session(runtime, trace_capacity=trace_capacity, trace=True,
+                 sample_hz=sample_hz) as armed:
+        measurement = run_point(spec, mode, threads, profile,
+                                repeats).measurement
+    events = runtime.tracer.events()
+    samples = armed.sampler.report() if armed.sampler else None
     analysis = build_dag(events)
     findings = classify(analysis, nthreads=threads,
                         wall=measurement.wall,
@@ -152,33 +130,30 @@ def explain_script(path: str, script_args: list[str],
     explain report from whichever runtime recorded the region work."""
     import runpy
 
+    from repro.arming import session
     from repro.cruntime import cruntime
     from repro.runtime import pure_runtime
 
     runtimes = [pure_runtime, cruntime]
-    old = []
-    for runtime in runtimes:
-        old.append(runtime.tracer.capacity)
-        runtime.tracer.capacity = trace_capacity
-        runtime.tracer.start()
     old_argv = sys.argv
     old_path = list(sys.path)
     script_dir = str(pathlib.Path(path).resolve().parent)
     begin = time.perf_counter()
     try:
-        sys.argv = [path, *script_args]
-        if script_dir not in sys.path:
-            sys.path.insert(0, script_dir)
-        runpy.run_path(path, run_name="__main__")
+        with contextlib.ExitStack() as stack:
+            for runtime in runtimes:
+                stack.enter_context(session(
+                    runtime, trace_capacity=trace_capacity, trace=True))
+            sys.argv = [path, *script_args]
+            if script_dir not in sys.path:
+                sys.path.insert(0, script_dir)
+            runpy.run_path(path, run_name="__main__")
     finally:
         wall = time.perf_counter() - begin
         sys.argv = old_argv
         sys.path[:] = old_path
-        logs = []
-        for runtime, capacity in zip(runtimes, old):
-            logs.append(runtime.tracer.stop())
-            runtime.tracer.capacity = capacity
-    events = max(logs, key=len)
+    events = max((runtime.tracer.events() for runtime in runtimes),
+                 key=len)
     analysis = build_dag(events)
     threads = max((meta["size"] for meta in
                    analysis.regions.values()), default=1)
@@ -336,26 +311,14 @@ def _sweep_models(app: str, mode, counts, profile: str,
                   repeats: int) -> dict | None:
     """Untraced timed runs at each thread count, fitted to the
     speedup models (projection-aware via Measurement.projected)."""
-    from repro.analysis.timing import measure
+    from repro.analysis.runner import run_point
     from repro.apps import get_app
-    from repro.decorator import runtime_for
-    from repro.modes import Mode
 
     spec = get_app(app)
-    variant = spec.variant(mode)
-    runtime = runtime_for(mode)
-    points = []
-    for threads in counts:
-        def make_args(threads=threads):
-            inputs = spec.inputs(profile,
-                                 dt=(mode is Mode.COMPILED_DT))
-            inputs["threads"] = threads
-            return (), inputs
-
-        measurement = measure(variant, runtime=runtime,
-                              repeats=repeats, make_args=make_args)
-        points.append((threads, measurement.projected))
-    return fit_models(points)
+    return fit_models([
+        (threads, run_point(spec, mode, threads, profile,
+                            repeats).measurement.projected)
+        for threads in counts])
 
 
 if __name__ == "__main__":

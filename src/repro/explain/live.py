@@ -13,9 +13,8 @@ serving:
   ``{"armed": false}`` when ``OMP4PY_PROFILE`` is off;
 * ``GET /healthz`` — liveness probe.
 
-Armed by ``OMP4PY_METRICS_PORT`` through the decorator's
-auto-instrument path (:mod:`repro.ompt.auto`); port 0 binds an
-ephemeral port, exposed via :attr:`MetricsServer.port`.  Binds
+Armed by ``OMP4PY_METRICS_PORT`` through :mod:`repro.arming`; port 0
+binds an ephemeral port, exposed via :attr:`MetricsServer.port`.  Binds
 127.0.0.1 — front it with a real proxy to expose it beyond the host.
 """
 

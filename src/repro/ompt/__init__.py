@@ -6,9 +6,10 @@ pluggable callback surface (:mod:`repro.ompt.hooks`), a thread-safe
 metrics registry and the standard metrics tool
 (:mod:`repro.ompt.metrics`), exporters for Chrome trace-event JSON,
 Prometheus text, and the structured JSON report
-(:mod:`repro.ompt.exporters`), environment-driven auto-instrumentation
-(:mod:`repro.ompt.auto`), and the ``python -m repro.profile`` CLI
-(:mod:`repro.ompt.cli`).
+(:mod:`repro.ompt.exporters`), and the ``python -m repro.profile`` CLI
+(:mod:`repro.ompt.cli`).  Arming from the environment or from code is
+:mod:`repro.arming`'s job, for this package and every other consumer
+of the event stream.
 
 The hang-diagnosis subsystem (:mod:`repro.diagnostics`) plugs into the
 same callback surface: its :class:`FlightRecorder` is a
@@ -32,25 +33,36 @@ Quickstart::
 See docs/observability.md for the full walkthrough.
 """
 
-from repro.ompt.exporters import (chrome_trace, chrome_trace_events,
-                                  metrics_report, prometheus_text,
-                                  validate_chrome_trace,
-                                  write_chrome_trace)
-from repro.ompt.hooks import CALLBACK_NAMES, ToolDispatcher, ToolHooks
-from repro.ompt.metrics import (Counter, Gauge, Histogram,
-                                MetricsRegistry, MetricsTool)
+import importlib
 
-__all__ = ["CALLBACK_NAMES", "Counter", "FlightRecorder", "Gauge",
-           "Histogram", "MetricsRegistry", "MetricsTool",
-           "ToolDispatcher", "ToolHooks", "chrome_trace",
-           "chrome_trace_events", "metrics_report", "prometheus_text",
-           "validate_chrome_trace", "write_chrome_trace"]
+#: Public name -> module.  Resolved on first access (PEP 562): the
+#: runtime core subclasses :class:`ToolHooks` (``repro.runtime.trace``),
+#: so importing :mod:`repro.ompt.hooks` must not load the exporters and
+#: the metrics registry into every program.
+_EXPORTS = {
+    "CALLBACK_NAMES": "repro.ompt.hooks",
+    "ToolDispatcher": "repro.ompt.hooks",
+    "ToolHooks": "repro.ompt.hooks",
+    "Counter": "repro.ompt.metrics", "Gauge": "repro.ompt.metrics",
+    "Histogram": "repro.ompt.metrics",
+    "MetricsRegistry": "repro.ompt.metrics",
+    "MetricsTool": "repro.ompt.metrics",
+    "chrome_trace": "repro.ompt.exporters",
+    "chrome_trace_events": "repro.ompt.exporters",
+    "metrics_report": "repro.ompt.exporters",
+    "prometheus_text": "repro.ompt.exporters",
+    "validate_chrome_trace": "repro.ompt.exporters",
+    "write_chrome_trace": "repro.ompt.exporters",
+    "FlightRecorder": "repro.diagnostics.flight",
+}
+
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    # Lazy: repro.diagnostics.flight subclasses ToolHooks from this
-    # package, so a top-level import here would be circular.
-    if name == "FlightRecorder":
-        from repro.diagnostics.flight import FlightRecorder
-        return FlightRecorder
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -34,13 +34,13 @@ import json
 import pathlib
 import sys
 
-from repro.analysis.timing import measure
+from repro.analysis.runner import run_point
 from repro.apps import get_app, list_apps
+from repro.arming import arm, disarm, session
 from repro.decorator import runtime_for
 from repro.modes import Mode
 from repro.ompt.exporters import (chrome_trace, metrics_report,
                                   prometheus_text, validate_chrome_trace)
-from repro.ompt.metrics import MetricsTool
 from repro.runtime.trace import TraceSummary
 
 
@@ -91,30 +91,15 @@ def profile_app(app: str, mode: Mode, threads: int, profile: str,
     the text exposition dump of the same registry.
     """
     spec = get_app(app)
-    variant = spec.variant(mode)
     runtime = runtime_for(mode)
-    tool = MetricsTool()
-    tracer = runtime.tracer
-    old_capacity = tracer.capacity
-    if trace_capacity is not None:
-        tracer.capacity = trace_capacity
-    runtime.attach_tool(tool)
-    tracer.start()
-    try:
-        def make_args():
-            inputs = spec.inputs(profile, dt=(mode is Mode.COMPILED_DT))
-            inputs["threads"] = threads
-            return (), inputs
-
-        measurement = measure(variant, runtime=runtime, repeats=repeats,
-                              make_args=make_args)
-    finally:
-        events = tracer.stop()
-        tracer.capacity = old_capacity
-        runtime.detach_tool(tool)
-    summary = TraceSummary(events)
-    report = metrics_report(tool.registry, runtime.stats.snapshot(),
-                            trace_summary=summary)
+    with session(runtime, trace_capacity=trace_capacity, trace=True,
+                 metrics=True) as armed:
+        measurement = run_point(spec, mode, threads, profile,
+                                repeats).measurement
+    registry = armed.tool.registry
+    events = runtime.tracer.events()
+    report = metrics_report(registry, runtime.stats.snapshot(),
+                            trace_summary=TraceSummary(events))
     report["run"] = {
         "app": app, "mode": mode.value, "threads": threads,
         "profile": profile, "repeats": repeats,
@@ -127,7 +112,7 @@ def profile_app(app: str, mode: Mode, threads: int, profile: str,
     trace = chrome_trace(events, dropped=events.dropped,
                          metadata={"app": app, "mode": mode.value,
                                    "threads": threads})
-    return measurement, report, trace, prometheus_text(tool.registry)
+    return measurement, report, trace, prometheus_text(registry)
 
 
 def _print_summary(report: dict, out=None) -> None:
@@ -205,20 +190,18 @@ def main(argv=None) -> int:
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    runtime = runtime_for(mode)
     sampler = None
     if args.sample or args.sample_hz is not None:
         from repro import env
-        from repro.sampling.sampler import Sampler
-        hz = args.sample_hz or env.profile_hz()
-        sampler = Sampler(runtime_for(mode),
-                          interval=1.0 / hz).start()
+        sampler = arm(runtime, sample_hz=args.sample_hz
+                      or env.profile_hz()).sampler
     try:
         _measurement, report, trace, prometheus = profile_app(
             args.app, mode, args.threads, args.profile,
             repeats=args.repeats, trace_capacity=args.trace_capacity)
     finally:
-        if sampler is not None:
-            sampler.stop()
+        disarm(runtime)
 
     stem = f"{args.app}_{mode.value}"
     trace_path = out_dir / f"{stem}_trace.json"

@@ -169,7 +169,7 @@ def merge_chrome_traces(payloads) -> dict:
     """Union per-rank trace documents into one timeline.
 
     Each input is a full trace document (typically the per-rank
-    ``trace.rank<k>.json`` files :mod:`repro.ompt.auto` writes under
+    ``trace.rank<k>.json`` files :mod:`repro.arming` writes under
     MPI).  Ranks become processes: payload ``k`` keeps its events with
     ``pid`` remapped to ``k`` (or its recorded ``otherData.rank``) and
     gains a ``process_name`` metadata row.  When every payload carries

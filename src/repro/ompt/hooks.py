@@ -6,10 +6,18 @@ well-defined execution events.  This module is the reproduction's
 analogue.  A tool subclasses :class:`ToolHooks`, overrides the events it
 cares about, and attaches itself with ``runtime.attach_tool(tool)``.
 
-Dispatch discipline mirrors the tracer's: every instrumented site reads
-one attribute (``runtime.tool``) and branches on ``None``, so a runtime
-with no tool attached pays a single attribute read per event site.
-Multiple attached tools are fanned out through :class:`ToolDispatcher`.
+This is the runtime's only event channel: every instrumented site
+reads one attribute (``runtime.tool``) and branches on ``None``, so a
+runtime with no tool attached pays a single attribute read per event
+site.  The tracer (:class:`repro.runtime.trace.Tracer`), the metrics
+tool, the flight recorder and the sampler's directive markers are all
+tools; multiple attached tools are fanned out through
+:class:`ToolDispatcher`.  A callback that needs more than its
+arguments (region id, parent task, call site) reads it from the
+runtime it is attached to: callbacks fire on the thread concerned, so
+``runtime.current_frame()`` is that thread's team and task, its
+``forked`` is the team a ``parallel_begin``/``parallel_end`` is about,
+and :func:`repro.runtime.trace.caller_site` names the user line.
 
 Callback catalogue (thread numbers are team-relative, as everywhere in
 the runtime):
@@ -25,16 +33,20 @@ callback             fired when
                      (``begin``) or is handed its next region (``end``)
 ``parallel_begin``   the encountering thread forks a team
 ``parallel_end``     the team joined (after the implicit barrier)
-``implicit_task``    a team member starts/ends its implicit task
+``implicit_task``    a team member starts its implicit task, arrives at
+                     the join barrier, or ends the task
+``loop``             a worksharing loop begins (``for_init``) or ends
+                     (``for_end``, after its implicit barrier)
 ``work``             a worksharing unit is dispatched: one loop chunk,
                      one claimed section, or the selected single
 ``task_create``      an explicit task is submitted
 ``task_schedule``    an explicit task starts executing
 ``task_steal``       an explicit task was claimed from another thread's
                      deque (fires just before its ``task_schedule``)
-``task_complete``    an explicit task finished (tasking layer)
-``sync_region``      barrier/taskwait enter and release; the release
-                     carries the measured wait time in seconds
+``task_complete``    an explicit task's body returned (fires before
+                     its waiters and successors are released)
+``sync_region``      barrier/taskwait/ordered enter and release; the
+                     release carries the measured wait time in seconds
 ``mutex_acquire``    a mutex was *not* immediately available and the
                      thread is about to block on it
 ``mutex_acquired``   a mutex was obtained (wait time is 0.0 for
@@ -89,10 +101,17 @@ class ToolHooks:
                       team_size: int) -> None:
         """A team member begins/ends its implicit task.
 
-        ``endpoint`` is ``"begin"`` or ``"end"``.
+        ``endpoint`` is ``"begin"``, ``"join"`` (the body returned and
+        the member arrives at the region's join barrier) or ``"end"``
+        (the join barrier released it).
         """
 
     # -- worksharing ------------------------------------------------------
+
+    def loop(self, thread: int, endpoint: str) -> None:
+        """``thread`` starts a worksharing loop (``endpoint ==
+        "begin"``, fired by ``for_init``) or leaves it (``"end"``,
+        fired by ``for_end`` after the loop's implicit barrier)."""
 
     def work(self, thread: int, wstype: str, low: int, high: int) -> None:
         """One worksharing unit was handed to ``thread``.
@@ -125,12 +144,13 @@ class ToolHooks:
 
     def sync_region(self, thread: int, kind: str, endpoint: str,
                     wait_time: float | None) -> None:
-        """Barrier or taskwait boundary.
+        """Barrier, taskwait or ordered-region boundary.
 
-        ``kind`` is ``"barrier"`` or ``"taskwait"``; ``endpoint`` is
-        ``"enter"`` (``wait_time is None``) or ``"release"``
-        (``wait_time`` is the seconds spent inside, including any tasks
-        executed while waiting).
+        ``kind`` is ``"barrier"``, ``"taskwait"`` or ``"ordered"`` (the
+        wait for an iteration's turn in an ``ordered`` region);
+        ``endpoint`` is ``"enter"`` (``wait_time is None``) or
+        ``"release"`` (``wait_time`` is the seconds spent inside,
+        including any tasks executed while waiting).
         """
 
     def mutex_acquire(self, thread: int, kind: str, handle) -> None:
@@ -166,9 +186,10 @@ class ToolHooks:
 #: Every dispatchable callback name, in catalogue order.
 CALLBACK_NAMES = ("thread_begin", "thread_end", "thread_idle",
                   "parallel_begin", "parallel_end", "implicit_task",
-                  "work", "task_create", "task_schedule", "task_steal",
-                  "task_complete", "sync_region", "mutex_acquire",
-                  "mutex_acquired", "mutex_released", "plan")
+                  "loop", "work", "task_create", "task_schedule",
+                  "task_steal", "task_complete", "sync_region",
+                  "mutex_acquire", "mutex_acquired", "mutex_released",
+                  "plan")
 
 
 class ToolDispatcher(ToolHooks):
@@ -205,6 +226,10 @@ class ToolDispatcher(ToolHooks):
     def implicit_task(self, thread, endpoint, team_size):
         for tool in self.tools:
             tool.implicit_task(thread, endpoint, team_size)
+
+    def loop(self, thread, endpoint):
+        for tool in self.tools:
+            tool.loop(thread, endpoint)
 
     def work(self, thread, wstype, low, high):
         for tool in self.tools:

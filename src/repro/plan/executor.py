@@ -19,15 +19,14 @@ binder, and the plan's owner assignment (partition ``p`` → thread
 partition's data stays with one worker — and one place — for the
 plan's lifetime.
 
-Each execution is reported through the OMPT ``plan`` hook and, when
-the tracer is armed, as a ``plan_execute`` trace event that the
-explain DAG builder picks up to veto lock-convoy verdicts.
+Each execution is reported through the OMPT ``plan`` hook; the tracer
+turns it into the ``plan_execute`` trace event that the explain DAG
+builder picks up to veto lock-convoy verdicts.
 """
 
 from __future__ import annotations
 
 from repro.errors import OmpError
-from repro.runtime.trace import caller_site
 
 
 def _default_runtime():
@@ -36,7 +35,7 @@ def _default_runtime():
 
 
 def _notify(runtime, plan, threads: int) -> None:
-    """Report one plan execution (tool hook + trace event)."""
+    """Report one plan execution to the attached tools."""
     tool = runtime.tool
     if tool is not None:
         tool.plan(runtime.get_thread_num(), "execute",
@@ -46,11 +45,6 @@ def _notify(runtime, plan, threads: int) -> None:
                    "colors": plan.ncolors,
                    "conflict_edges": plan.conflict_edges,
                    "threads": threads})
-    if runtime.tracer.enabled:
-        runtime.tracer.record("plan_execute", runtime.get_thread_num(),
-                              plan.source, plan.npartitions,
-                              plan.ncolors, plan.conflict_edges,
-                              *caller_site())
 
 
 def _walk_colors(plan, schedule, body, runtime, thread_num: int,

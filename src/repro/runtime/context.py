@@ -25,7 +25,7 @@ class TaskFrame:
 
     __slots__ = ("team", "thread_num", "parent", "kind", "nthreads_var",
                  "ws_counter", "children", "depend_map", "depend_refs",
-                 "task_id")
+                 "task_id", "forked")
 
     def __init__(self, team, thread_num: int, parent: "TaskFrame | None",
                  kind: str, nthreads_var: int):
@@ -37,6 +37,11 @@ class TaskFrame:
         #: else 0 — the parent link recorded by ``task_submit`` and
         #: ``taskwait`` trace events (see :mod:`repro.explain.dag`).
         self.task_id = 0
+        #: The team this task forked and has not joined yet, else
+        #: ``None``: how a tool's ``parallel_begin``/``parallel_end``
+        #: callback, which fires on the encountering thread, learns
+        #: the region id.
+        self.forked = None
         #: ICV controlling the size of the next team this task forks.
         self.nthreads_var = nthreads_var
         #: Count of worksharing regions this thread has encountered in

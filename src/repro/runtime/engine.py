@@ -16,13 +16,13 @@ import time
 
 from repro import env
 from repro.errors import OmpRuntimeError
-from repro.runtime import reduction, worksharing
+from repro.runtime import locks, reduction, worksharing
 from repro.runtime.context import TaskFrame
 from repro.runtime.locks import OmpLock, OmpNestLock
 from repro.runtime.stats import StatsCollector
 from repro.runtime.tasking import TaskNode
 from repro.runtime.team import BACKOFF_MIN, Team, next_backoff
-from repro.runtime.trace import Tracer, caller_site
+from repro.runtime.trace import Tracer
 
 #: Process-wide parallel-region ids: the key the explain DAG builder
 #: uses to group fork/join, implicit-task, and barrier events of one
@@ -93,24 +93,26 @@ class OmpRuntime:
         self._tp_local = threading.local()
         #: Work-accounting collector (see :mod:`repro.runtime.stats`).
         self.stats = StatsCollector()
-        #: Event tracer (off by default; see :mod:`repro.runtime.trace`).
-        self.tracer = Tracer()
-        #: OMPT-style tool dispatch target: ``None`` when no tool is
+        #: OMPT-style tool dispatch target, the one channel every
+        #: event leaves the runtime through: ``None`` when no tool is
         #: attached, a single tool, or a
         #: :class:`~repro.ompt.hooks.ToolDispatcher`.  Instrumented
-        #: sites read this one attribute and branch on ``None`` — the
-        #: same disabled-cost discipline as the tracer.
+        #: sites read this one attribute and branch on ``None``.
         self.tool = None
         self._tools: list = []
+        #: Event tracer (:mod:`repro.runtime.trace`): a tool that
+        #: ``tracer.start()`` attaches and ``tracer.stop()`` detaches.
+        self.tracer = Tracer(runtime=self)
         #: Hang-diagnosis state (:mod:`repro.diagnostics.state`):
         #: ``None`` when disarmed.  Every event-driven wait site reads
         #: this one attribute and, when armed, records what it is about
         #: to block on — the raw material of the watchdog's wait-for
         #: graph.
         self.diag = None
-        #: Sampling profiler (:mod:`repro.sampling`): ``None`` when
-        #: disarmed.  Directive boundaries read this one attribute and
-        #: branch on ``None`` — same disabled-cost discipline again.
+        #: The running sampling profiler (:mod:`repro.sampling`), for
+        #: the doctor and the live ``/profile`` route to look up; it
+        #: follows directives as an attached tool, so no site reads
+        #: this.
         self.sampler = None
 
     # ------------------------------------------------------------------
@@ -174,17 +176,13 @@ class OmpRuntime:
         size = self._decide_team_size(frame, num_threads, if_)
         team = Team(self, frame, size)
         team.region_id = next(_REGION_IDS)
-        if self.tracer.enabled:
-            self.tracer.record("region_fork", frame.thread_num, size,
-                               team.region_id, *caller_site())
+        frame.forked = team
         tool = self.tool
         if tool is not None:
             tool.parallel_begin(frame.thread_num, size)
         diag = self.diag
         if diag is not None:
             diag.team_begin(team)
-        sampler = self.sampler
-        region_site = caller_site() if sampler is not None else None
         copyin_values = [(key, self._tp_dict().get(key, _TP_MISSING))
                          for key in copyin]
         binder = self._binder
@@ -195,14 +193,10 @@ class OmpRuntime:
             stack = self._stack()
             stack.append(TaskFrame(team, index, frame, "implicit",
                                    frame.nthreads_var))
-            if self.tracer.enabled:
-                self.tracer.record("itask_begin", index, team.region_id)
             if tool is not None:
                 tool.implicit_task(index, "begin", size)
             if diag is not None:
                 diag.thread_enter(team, index)
-            mark = (sampler.region_enter("parallel", region_site)
-                    if sampler is not None else 0)
             begin = time.thread_time()
             try:
                 for key, value in copyin_values:
@@ -212,12 +206,11 @@ class OmpRuntime:
             except BaseException as error:  # noqa: BLE001 - re-raised at join
                 team.record_error(index, error)
             finally:
-                if self.tracer.enabled:
-                    # itask_end doubles as the join-barrier release, so
-                    # the enter must be a separate event or the DAG
-                    # would fold join wait into member compute.
-                    self.tracer.record("join_enter", index,
-                                       team.region_id)
+                if tool is not None:
+                    # The "end" below doubles as the join-barrier
+                    # release, so the arrival must be its own event or
+                    # the DAG would fold join wait into member compute.
+                    tool.implicit_task(index, "join", size)
                 try:
                     team.barrier.wait(self._run_one_task, index)
                 except BaseException as error:  # noqa: BLE001
@@ -227,12 +220,6 @@ class OmpRuntime:
                     # never arrive at any further barrier of this team.
                     diag.thread_exit(team, index)
                 team.cpu_times[index] = time.thread_time() - begin
-                if sampler is not None:
-                    # Truncate to the pre-region depth: also cleans up
-                    # inner markers an exception skipped past.
-                    sampler.region_exit(mark)
-                if self.tracer.enabled:
-                    self.tracer.record("itask_end", index, team.region_id)
                 if tool is not None:
                     tool.implicit_task(index, "end", size)
                 stack.pop()
@@ -246,13 +233,11 @@ class OmpRuntime:
             member(0)
             for worker in workers:
                 worker.join()
-        if self.tracer.enabled:
-            self.tracer.record("region_join", frame.thread_num, size,
-                               team.region_id)
         if diag is not None:
             diag.team_end(team)
         if tool is not None:
             tool.parallel_end(frame.thread_num, size)
+        frame.forked = None
         if team.level == 1:
             self.stats.record(team.cpu_times)
         if team.errors:
@@ -323,17 +308,14 @@ class OmpRuntime:
     def for_init(self, bounds, kind: str = "static", chunk=None,
                  ordered: bool = False, nowait: bool = False) -> None:
         chunk = int(chunk) if chunk is not None else None
-        sampler = self.sampler
-        if sampler is not None:
-            sampler.loop_enter(caller_site())
         worksharing.init_loop(self, bounds, kind, chunk, ordered, nowait)
+        tool = self.tool
+        if tool is not None:
+            tool.loop(bounds[2].thread_num, "begin")
 
     def for_next(self, bounds) -> bool:
         more = worksharing.next_chunk(bounds)
         if more:
-            if self.tracer.enabled:
-                self.tracer.record("chunk", bounds[2].thread_num,
-                                   bounds[0], bounds[1])
             tool = self.tool
             if tool is not None:
                 tool.work(bounds[2].thread_num, "loop",
@@ -345,13 +327,13 @@ class OmpRuntime:
 
     def for_end(self, bounds) -> None:
         if not bounds[2].nowait:
-            # Popped after the implicit barrier, so wait time at the
-            # loop's end attributes to the loop directive, not the
+            # The loop ends after its implicit barrier, so wait time at
+            # the loop's end attributes to the loop directive, not the
             # enclosing region.
             self.barrier()
-        sampler = self.sampler
-        if sampler is not None:
-            sampler.loop_exit()
+        tool = self.tool
+        if tool is not None:
+            tool.loop(bounds[2].thread_num, "end")
 
     @staticmethod
     def trip_count(start: int, stop: int, step: int) -> int:
@@ -380,16 +362,17 @@ class OmpRuntime:
         return tuple(divisors)
 
     def ordered_start(self, bounds, value) -> None:
-        if not self.tracer.enabled:
-            worksharing.ordered_start(
-                bounds, worksharing.linear_index(bounds, value))
+        index = worksharing.linear_index(bounds, value)
+        tool = self.tool
+        if tool is None:
+            worksharing.ordered_start(bounds, index)
             return
-        site = caller_site()
+        thread = bounds[2].thread_num
+        tool.sync_region(thread, "ordered", "enter", None)
         begin = time.perf_counter()
-        worksharing.ordered_start(
-            bounds, worksharing.linear_index(bounds, value))
-        self.tracer.record("ordered_wait", bounds[2].thread_num,
-                           time.perf_counter() - begin, *site)
+        worksharing.ordered_start(bounds, index)
+        tool.sync_region(thread, "ordered", "release",
+                         time.perf_counter() - begin)
 
     def ordered_end(self, bounds, value) -> None:
         worksharing.ordered_end(
@@ -435,116 +418,37 @@ class OmpRuntime:
         if frame.kind == "task":
             raise OmpRuntimeError("barrier inside an explicit task")
         tool = self.tool
-        tracing = self.tracer.enabled
-        region_id = frame.team.region_id
-        if tracing:
-            self.tracer.record("barrier_enter", frame.thread_num,
-                               region_id, *caller_site())
         if tool is not None:
             tool.sync_region(frame.thread_num, "barrier", "enter", None)
-        begin = time.perf_counter() if (tracing or tool is not None) \
-            else 0.0
+            begin = time.perf_counter()
         frame.team.barrier.wait(self._run_one_task, frame.thread_num)
         # A released barrier implies every team task completed, so the
         # frame's dependence history and child list are all dead weight.
         self._prune_dependences(frame)
         frame.children.clear()
-        if tracing or tool is not None:
-            wait = time.perf_counter() - begin
-            if tracing:
-                self.tracer.record("barrier_release", frame.thread_num,
-                                   wait, region_id)
-            if tool is not None:
-                tool.sync_region(frame.thread_num, "barrier", "release",
-                                 wait)
+        if tool is not None:
+            tool.sync_region(frame.thread_num, "barrier", "release",
+                             time.perf_counter() - begin)
+
+    # critical/atomic test for "nothing armed" themselves: going
+    # through locks.acquire/release for the bare lock costs the
+    # disarmed pair a third more (critical) to two thirds more (atomic).
 
     def critical_enter(self, name: str = "") -> None:
         lock = self._critical_lock(name)
-        tool = self.tool
-        diag = self.diag
-        if diag is not None:
-            self._acquire_diagnosed(lock, tool, diag, "critical", name,
-                                    ("critical", name))
-        elif tool is None and not self.tracer.enabled:
+        if self.tool is None and self.diag is None:
             lock.acquire()
         else:
-            self._acquire_instrumented(lock, tool, "critical", name)
+            locks.acquire(self, lock, "critical", name,
+                          ("critical", name))
 
     def critical_exit(self, name: str = "") -> None:
-        diag = self.diag
-        if diag is not None:
-            # Disowned before the unlock so a racing acquirer's
-            # ownership write can never be clobbered by this release.
-            diag.resource_released(("critical", name))
-        self._critical_lock(name).release()
-        if self.tracer.enabled:
-            self.tracer.record("mutex_released", self.get_thread_num(),
-                               "critical", name)
-        tool = self.tool
-        if tool is not None:
-            tool.mutex_released(self.get_thread_num(), "critical", name)
-
-    def _record_acquired(self, thread: int, kind: str, handle,
-                         wait: float) -> None:
-        """Trace a mutex acquisition (hold-interval open) with the
-        measured wait and the acquiring call site."""
-        self.tracer.record("mutex_acquired", thread, kind, handle, wait,
-                           *caller_site())
-
-    def _acquire_instrumented(self, lock, tool, kind: str,
-                              handle) -> None:
-        """Acquire ``lock`` dispatching mutex hooks and/or trace
-        events; the contended path (``mutex_acquire`` + timed wait)
-        only fires when a non-blocking attempt fails."""
-        thread = self.get_thread_num()
-        tracing = self.tracer.enabled
-        if lock.acquire(blocking=False):
-            if tool is not None:
-                tool.mutex_acquired(thread, kind, handle, 0.0)
-            if tracing:
-                self._record_acquired(thread, kind, handle, 0.0)
-            return
-        if tool is not None:
-            tool.mutex_acquire(thread, kind, handle)
-        begin = time.perf_counter()
-        lock.acquire()
-        wait = time.perf_counter() - begin
-        if tool is not None:
-            tool.mutex_acquired(thread, kind, handle, wait)
-        if tracing:
-            self._record_acquired(thread, kind, handle, wait)
-
-    def _acquire_diagnosed(self, lock, tool, diag, kind: str, handle,
-                           key) -> None:
-        """Acquire ``lock`` recording a block record while contended and
-        ownership once held (the diagnostics twin of
-        :meth:`_acquire_instrumented`; dispatches tool hooks and trace
-        events too)."""
-        thread = self.get_thread_num()
-        tracing = self.tracer.enabled
-        if lock.acquire(blocking=False):
-            if tool is not None:
-                tool.mutex_acquired(thread, kind, handle, 0.0)
-            if tracing:
-                self._record_acquired(thread, kind, handle, 0.0)
-            diag.resource_acquired(key)
-            return
-        if tool is not None:
-            tool.mutex_acquire(thread, kind, handle)
-        begin = time.perf_counter()
-        record = diag.block_enter(kind, key, thread_num=thread,
-                                  detail=str(handle))
-        record.sleeping = True
-        try:
-            lock.acquire()
-        finally:
-            diag.block_exit()
-        diag.resource_acquired(key)
-        wait = time.perf_counter() - begin
-        if tool is not None:
-            tool.mutex_acquired(thread, kind, handle, wait)
-        if tracing:
-            self._record_acquired(thread, kind, handle, wait)
+        lock = self._critical_lock(name)
+        if self.tool is None and self.diag is None:
+            lock.release()
+        else:
+            locks.release(self, lock, "critical", name,
+                          ("critical", name))
 
     def _critical_lock(self, name: str):
         lock = self._criticals.get(name)
@@ -555,29 +459,18 @@ class OmpRuntime:
         return lock
 
     def atomic_enter(self) -> None:
-        tool = self.tool
-        diag = self.diag
-        if diag is not None:
-            self._acquire_diagnosed(self._atomic_mutex, tool, diag,
-                                    "atomic", "atomic",
-                                    ("atomic", id(self)))
-        elif tool is None and not self.tracer.enabled:
+        if self.tool is None and self.diag is None:
             self._atomic_mutex.acquire()
         else:
-            self._acquire_instrumented(self._atomic_mutex, tool,
-                                       "atomic", "atomic")
+            locks.acquire(self, self._atomic_mutex, "atomic", "atomic",
+                          ("atomic", id(self)))
 
     def atomic_exit(self) -> None:
-        diag = self.diag
-        if diag is not None:
-            diag.resource_released(("atomic", id(self)))
-        self._atomic_mutex.release()
-        if self.tracer.enabled:
-            self.tracer.record("mutex_released", self.get_thread_num(),
-                               "atomic", "atomic")
-        tool = self.tool
-        if tool is not None:
-            tool.mutex_released(self.get_thread_num(), "atomic", "atomic")
+        if self.tool is None and self.diag is None:
+            self._atomic_mutex.release()
+        else:
+            locks.release(self, self._atomic_mutex, "atomic", "atomic",
+                          ("atomic", id(self)))
 
     def mutex_lock(self) -> None:
         """Team mutex used by generated reduction epilogues."""
@@ -606,11 +499,6 @@ class OmpRuntime:
         frame = self.current_frame()
         team = frame.team
         node = TaskNode(fn, team, self.lowlevel)
-        if self.sampler is not None:
-            node.site = caller_site()
-        if self.tracer.enabled:
-            self.tracer.record("task_submit", frame.thread_num, id(node),
-                               frame.task_id, *caller_site())
         tool = self.tool
         if tool is not None:
             tool.task_create(frame.thread_num, id(node))
@@ -720,14 +608,9 @@ class OmpRuntime:
         frame = self.current_frame()
         team = frame.team
         tool = self.tool
-        tracing = self.tracer.enabled
-        if tracing:
-            self.tracer.record("taskwait_enter", frame.thread_num,
-                               frame.task_id)
-        if tracing or tool is not None:
-            begin = time.perf_counter()
         if tool is not None:
             tool.sync_region(frame.thread_num, "taskwait", "enter", None)
+            begin = time.perf_counter()
         diag = self.diag
         record = None
         backoff = BACKOFF_MIN
@@ -767,10 +650,6 @@ class OmpRuntime:
         finally:
             if record is not None:
                 diag.block_exit()
-        if tracing:
-            self.tracer.record("taskwait_release", frame.thread_num,
-                               time.perf_counter() - begin,
-                               frame.task_id)
         if tool is not None:
             tool.sync_region(frame.thread_num, "taskwait", "release",
                              time.perf_counter() - begin)
@@ -810,9 +689,6 @@ class OmpRuntime:
             return False
         node, victim = claimed
         if victim != thread_num:
-            if self.tracer.enabled:
-                self.tracer.record("task_steal", thread_num, id(node),
-                                   victim)
             tool = self.tool
             if tool is not None:
                 tool.task_steal(thread_num, id(node), victim)
@@ -826,28 +702,22 @@ class OmpRuntime:
                           frame.nthreads_var)
         child.task_id = id(node)
         stack.append(child)
-        if self.tracer.enabled:
-            self.tracer.record("task_start", frame.thread_num, id(node))
         tool = self.tool
         if tool is not None:
             tool.task_schedule(frame.thread_num, id(node))
         diag = self.diag
         if diag is not None:
             diag.task_started(node)
-        sampler = self.sampler
-        mark = (sampler.region_enter("task", node.site)
-                if sampler is not None else 0)
         try:
             node.fn()
         except BaseException as error:  # noqa: BLE001 - raised at join
             node.team.record_error(frame.thread_num, error)
         finally:
-            if sampler is not None:
-                sampler.region_exit(mark)
             stack.pop()
-            if self.tracer.enabled:
-                self.tracer.record("task_finish", frame.thread_num,
-                                   id(node))
+            if tool is not None:
+                # Before finish() wakes waiters, so a trace orders a
+                # task's end ahead of the taskwait it releases.
+                tool.task_complete(frame.thread_num, id(node))
             if diag is not None:
                 diag.task_finished(node)
             ready = node.finish()

@@ -1,14 +1,18 @@
-"""OpenMP lock API objects (simple and nestable locks).
+"""OpenMP lock API objects (simple and nestable locks) and the one
+observed mutex acquire/release every mutex construct shares.
 
 ``omp_init_lock``/``omp_init_nest_lock`` return these objects; the rest
 of the lock API operates on them.  A nestable lock may be re-acquired by
 its owner; ``omp_test_nest_lock`` returns the new nesting count, per the
 OpenMP specification.
 
-Locks created through a runtime dispatch the OMPT-style
-``mutex_acquire``/``mutex_acquired``/``mutex_released`` callbacks when
-a tool is attached (see :mod:`repro.ompt.hooks`); the uninstrumented
-path reads a single attribute.
+``critical``, ``atomic``, :class:`OmpLock` and :class:`OmpNestLock` all
+take and drop their mutex through :func:`acquire` / :func:`release`,
+which dispatch the ``mutex_acquire``/``mutex_acquired``/
+``mutex_released`` tool callbacks (:mod:`repro.ompt.hooks`) and keep
+the diagnostics ownership and block records
+(:mod:`repro.diagnostics.state`); with neither armed they cost two
+attribute reads.
 """
 
 from __future__ import annotations
@@ -17,24 +21,64 @@ import threading
 import time
 
 from repro.errors import OmpRuntimeError
-from repro.runtime.trace import caller_site
 
 
-def _tool_of(runtime):
-    return runtime.tool if runtime is not None else None
+def acquire(runtime, lock, kind: str, handle, key,
+            blocking: bool = True) -> bool:
+    """Take ``lock`` for the ``kind`` construct named ``handle``.
+
+    ``key`` is the diagnostics resource key.  The contended path
+    (``mutex_acquire``, a block record, a timed wait) only runs when a
+    non-blocking attempt fails; the block record is entered *before*
+    the blocking acquire so the watchdog sees the thread as waiting on
+    ``key`` for as long as it sleeps.  ``blocking=False`` is the
+    ``omp_test_lock`` form: a failed attempt returns ``False`` and
+    reports nothing.
+    """
+    tool = runtime.tool
+    diag = runtime.diag
+    if tool is None and diag is None:
+        return lock.acquire(blocking)
+    thread = runtime.get_thread_num()
+    wait = 0.0
+    if not lock.acquire(blocking=False):
+        if not blocking:
+            return False
+        if tool is not None:
+            tool.mutex_acquire(thread, kind, handle)
+        begin = time.perf_counter()
+        if diag is None:
+            lock.acquire()
+        else:
+            # A named construct labels its wait-for node by name, an
+            # anonymous lock by its address (the key).
+            record = diag.block_enter(
+                kind, key, thread_num=thread,
+                detail=handle if isinstance(handle, str) else None)
+            record.sleeping = True
+            try:
+                lock.acquire()
+            finally:
+                diag.block_exit()
+        wait = time.perf_counter() - begin
+    if diag is not None:
+        diag.resource_acquired(key)
+    if tool is not None:
+        tool.mutex_acquired(thread, kind, handle, wait)
+    return True
 
 
-def _diag_of(runtime):
-    return runtime.diag if runtime is not None else None
-
-
-def _tracer_of(runtime):
-    """The runtime's tracer when armed, else ``None`` (one attribute
-    read on the disarmed path, matching the tool/diag discipline)."""
-    if runtime is None:
-        return None
-    tracer = runtime.tracer
-    return tracer if tracer.enabled else None
+def release(runtime, lock, kind: str, handle, key) -> None:
+    """Drop ``lock``.  Ownership is cleared *before* the unlock so a
+    racing acquirer's ownership write can never be clobbered by this
+    release."""
+    diag = runtime.diag
+    if diag is not None:
+        diag.resource_released(key)
+    lock.release()
+    tool = runtime.tool
+    if tool is not None:
+        tool.mutex_released(runtime.get_thread_num(), kind, handle)
 
 
 class OmpLock:
@@ -42,7 +86,7 @@ class OmpLock:
 
     __slots__ = ("_lock", "_destroyed", "_runtime")
 
-    def __init__(self, lowlevel, runtime=None):
+    def __init__(self, lowlevel, runtime):
         self._lock = lowlevel.make_mutex()
         self._destroyed = False
         self._runtime = runtime
@@ -53,76 +97,16 @@ class OmpLock:
 
     def set(self) -> None:
         self._check()
-        tool = _tool_of(self._runtime)
-        diag = _diag_of(self._runtime)
-        tracer = _tracer_of(self._runtime)
-        if tool is None and diag is None and tracer is None:
-            self._lock.acquire()
-            return
-        thread = self._runtime.get_thread_num()
-        if self._lock.acquire(blocking=False):
-            if tool is not None:
-                tool.mutex_acquired(thread, "lock", id(self), 0.0)
-            if tracer is not None:
-                tracer.record("mutex_acquired", thread, "lock",
-                              id(self), 0.0, *caller_site())
-            if diag is not None:
-                diag.resource_acquired(id(self))
-            return
-        if tool is not None:
-            tool.mutex_acquire(thread, "lock", id(self))
-        begin = time.perf_counter()
-        if diag is not None:
-            record = diag.block_enter("lock", id(self),
-                                      thread_num=thread)
-            record.sleeping = True
-            try:
-                self._lock.acquire()
-            finally:
-                diag.block_exit()
-            diag.resource_acquired(id(self))
-        else:
-            self._lock.acquire()
-        wait = time.perf_counter() - begin
-        if tool is not None:
-            tool.mutex_acquired(thread, "lock", id(self), wait)
-        if tracer is not None:
-            tracer.record("mutex_acquired", thread, "lock", id(self),
-                          wait, *caller_site())
+        acquire(self._runtime, self._lock, "lock", id(self), id(self))
 
     def unset(self) -> None:
         self._check()
-        diag = _diag_of(self._runtime)
-        if diag is not None:
-            diag.resource_released(id(self))
-        self._lock.release()
-        tracer = _tracer_of(self._runtime)
-        if tracer is not None:
-            tracer.record("mutex_released",
-                          self._runtime.get_thread_num(), "lock",
-                          id(self))
-        tool = _tool_of(self._runtime)
-        if tool is not None:
-            tool.mutex_released(self._runtime.get_thread_num(), "lock",
-                                id(self))
+        release(self._runtime, self._lock, "lock", id(self), id(self))
 
     def test(self) -> bool:
         self._check()
-        acquired = self._lock.acquire(blocking=False)
-        if acquired:
-            tool = _tool_of(self._runtime)
-            if tool is not None:
-                tool.mutex_acquired(self._runtime.get_thread_num(),
-                                    "lock", id(self), 0.0)
-            tracer = _tracer_of(self._runtime)
-            if tracer is not None:
-                tracer.record("mutex_acquired",
-                              self._runtime.get_thread_num(), "lock",
-                              id(self), 0.0, *caller_site())
-            diag = _diag_of(self._runtime)
-            if diag is not None:
-                diag.resource_acquired(id(self))
-        return acquired
+        return acquire(self._runtime, self._lock, "lock", id(self),
+                       id(self), blocking=False)
 
     def destroy(self) -> None:
         self._destroyed = True
@@ -134,7 +118,7 @@ class OmpNestLock:
     __slots__ = ("_lock", "_owner", "_count", "_destroyed", "_guard",
                  "_runtime")
 
-    def __init__(self, lowlevel, runtime=None):
+    def __init__(self, lowlevel, runtime):
         self._lock = lowlevel.make_mutex()
         self._guard = threading.Lock()
         self._owner = None
@@ -146,52 +130,29 @@ class OmpNestLock:
         if self._destroyed:
             raise OmpRuntimeError("lock used after omp_destroy_nest_lock")
 
-    def _dispatch_acquired(self, wait_time: float) -> None:
-        tool = _tool_of(self._runtime)
-        if tool is not None:
-            tool.mutex_acquired(self._runtime.get_thread_num(),
-                                "nest_lock", id(self), wait_time)
-        tracer = _tracer_of(self._runtime)
-        if tracer is not None:
-            tracer.record("mutex_acquired",
-                          self._runtime.get_thread_num(), "nest_lock",
-                          id(self), wait_time, *caller_site())
-
-    def set(self) -> None:
+    def _take(self, blocking: bool) -> int:
+        """Acquire (or, non-blocking, try to); the new nesting count,
+        0 when a non-blocking attempt found the lock held."""
         self._check()
         me = threading.get_ident()
         with self._guard:
             if self._owner == me:
                 self._count += 1
-                self._dispatch_acquired(0.0)
-                return
-        tool = _tool_of(self._runtime)
-        diag = _diag_of(self._runtime)
-        if tool is None and diag is None \
-                and _tracer_of(self._runtime) is None:
-            self._lock.acquire()
-        elif not self._lock.acquire(blocking=False):
-            if tool is not None:
-                tool.mutex_acquire(self._runtime.get_thread_num(),
-                                   "nest_lock", id(self))
-            begin = time.perf_counter()
-            if diag is not None:
-                record = diag.block_enter("nest_lock", id(self))
-                record.sleeping = True
-                try:
-                    self._lock.acquire()
-                finally:
-                    diag.block_exit()
-            else:
-                self._lock.acquire()
-            self._dispatch_acquired(time.perf_counter() - begin)
-        else:
-            self._dispatch_acquired(0.0)
-        if diag is not None:
-            diag.resource_acquired(id(self))
+                tool = self._runtime.tool
+                if tool is not None:
+                    tool.mutex_acquired(self._runtime.get_thread_num(),
+                                        "nest_lock", id(self), 0.0)
+                return self._count
+        if not acquire(self._runtime, self._lock, "nest_lock",
+                       id(self), id(self), blocking):
+            return 0
         with self._guard:
             self._owner = me
             self._count = 1
+        return 1
+
+    def set(self) -> None:
+        self._take(True)
 
     def unset(self) -> None:
         self._check()
@@ -203,39 +164,12 @@ class OmpNestLock:
             self._count -= 1
             if self._count == 0:
                 self._owner = None
-                diag = _diag_of(self._runtime)
-                if diag is not None:
-                    diag.resource_released(id(self))
-                self._lock.release()
-                tracer = _tracer_of(self._runtime)
-                if tracer is not None:
-                    tracer.record("mutex_released",
-                                  self._runtime.get_thread_num(),
-                                  "nest_lock", id(self))
-                tool = _tool_of(self._runtime)
-                if tool is not None:
-                    tool.mutex_released(self._runtime.get_thread_num(),
-                                        "nest_lock", id(self))
+                release(self._runtime, self._lock, "nest_lock",
+                        id(self), id(self))
 
     def test(self) -> int:
         """Acquire if possible; return the new nesting count, else 0."""
-        self._check()
-        me = threading.get_ident()
-        with self._guard:
-            if self._owner == me:
-                self._count += 1
-                self._dispatch_acquired(0.0)
-                return self._count
-        if self._lock.acquire(blocking=False):
-            with self._guard:
-                self._owner = me
-                self._count = 1
-            diag = _diag_of(self._runtime)
-            if diag is not None:
-                diag.resource_acquired(id(self))
-            self._dispatch_acquired(0.0)
-            return 1
-        return 0
+        return self._take(False)
 
     def destroy(self) -> None:
         self._destroyed = True

@@ -33,14 +33,11 @@ class TaskNode:
     """One explicit task: function, state machine, completion event."""
 
     __slots__ = ("fn", "state", "event", "team", "dep_lock",
-                 "dep_done", "successors", "deps_remaining", "site")
+                 "dep_done", "successors", "deps_remaining")
 
     def __init__(self, fn, team, lowlevel):
         self.fn = fn
         self.team = team
-        #: Submission call site, set only when the sampler is armed
-        #: (the profiler's directive label for this task).
-        self.site = None
         self.state = lowlevel.make_counter(FREE)
         self.event = lowlevel.make_event()
         # Dependence bookkeeping (inert unless depend clauses are used).
@@ -71,12 +68,6 @@ class TaskNode:
             self.successors.clear()
         self.state.store(DONE)
         self.event.set()
-        team = self.team
-        if team is not None:
-            tool = team.runtime.tool
-            if tool is not None:
-                tool.task_complete(team.runtime.get_thread_num(),
-                                   id(self))
         return ready
 
     @property

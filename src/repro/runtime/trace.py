@@ -1,14 +1,16 @@
 """Runtime event tracing.
 
-When enabled, the runtime records a timestamped event per interesting
+When started, the tracer records a timestamped event per interesting
 transition — region fork/join, loop chunk dispatch, task lifecycle,
 barrier arrival/release — into a bounded in-memory buffer.  The tracer
 answers the questions the paper's figures raise ("which thread got the
 hub nodes?", "how many chunks did dynamic hand out?") and gives the
 test suite a precise view of scheduling decisions.
 
-Tracing is off by default and costs one attribute read per hook when
-disabled.
+The tracer is a tool (:class:`repro.ompt.hooks.ToolHooks`):
+``start()`` attaches it to its runtime, ``stop()`` detaches it, and
+every event is one tool callback translated into a
+:class:`TraceEvent`.  A stopped tracer costs the runtime nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import sys
 import threading
 import time
 from collections import Counter, defaultdict
+
+from repro.ompt.hooks import ToolHooks
 
 #: The installed package root (``.../repro``): frames inside it are
 #: runtime internals, never the user site a trace event should name.
@@ -31,8 +35,10 @@ def caller_site() -> tuple[str, int]:
     Walks outward until it leaves the ``repro`` package, so the result
     is the generated ``<omp4py:...>`` frame (resolvable to user
     coordinates via :mod:`repro.diagnostics.origin`) or the user script
-    that called the runtime API directly.  Only called when tracing is
-    armed — the disarmed paths never pay for the frame walk.
+    that called the runtime API directly.  It works from inside a tool
+    callback (the dispatch frames are package frames too), which is
+    where it is called: a runtime with no tool attached never pays for
+    the frame walk.
     """
     try:
         frame = sys._getframe(1)
@@ -106,11 +112,21 @@ class TraceLog(list):
         self.anchor = anchor
 
 
-class Tracer:
-    """Bounded, thread-safe event buffer."""
+#: ``implicit_task`` endpoint -> trace event kind.
+_IMPLICIT_TASK_KINDS = {"begin": "itask_begin", "join": "join_enter",
+                        "end": "itask_end"}
 
-    def __init__(self, capacity: int = 100_000):
+
+class Tracer(ToolHooks):
+    """Bounded, thread-safe event buffer, fed by tool callbacks.
+
+    ``runtime`` is the runtime ``start()`` attaches to; a standalone
+    ``Tracer()`` only buffers what :meth:`record` is handed.
+    """
+
+    def __init__(self, capacity: int = 100_000, runtime=None):
         self.capacity = capacity
+        self.runtime = runtime
         self._lock = threading.Lock()
         self._events: list[TraceEvent] = []
         self.enabled = False
@@ -127,8 +143,12 @@ class Tracer:
             self.dropped = 0
             self.anchor = (time.time(), time.perf_counter())
             self.enabled = True
+        if self.runtime is not None:
+            self.runtime.attach_tool(self)
 
     def stop(self) -> TraceLog:
+        if self.runtime is not None:
+            self.runtime.detach_tool(self)
         with self._lock:
             self.enabled = False
             return TraceLog(self._events, self.dropped, self.anchor)
@@ -149,6 +169,71 @@ class Tracer:
                 self._events.append(event)
             else:
                 self.dropped += 1
+
+    # -- tool callbacks: one TraceEvent each -----------------------------
+    # What a callback does not carry comes from the thread's own frame.
+
+    def parallel_begin(self, thread, team_size):
+        self.record("region_fork", thread, team_size,
+                    self.runtime.current_frame().forked.region_id,
+                    *caller_site())
+
+    def parallel_end(self, thread, team_size):
+        self.record("region_join", thread, team_size,
+                    self.runtime.current_frame().forked.region_id)
+
+    def implicit_task(self, thread, endpoint, team_size):
+        self.record(_IMPLICIT_TASK_KINDS[endpoint], thread,
+                    self.runtime.current_frame().team.region_id)
+
+    def work(self, thread, wstype, low, high):
+        if wstype == "loop":
+            self.record("chunk", thread, low, high)
+
+    def task_create(self, thread, task_id):
+        self.record("task_submit", thread, task_id,
+                    self.runtime.current_frame().task_id, *caller_site())
+
+    def task_schedule(self, thread, task_id):
+        self.record("task_start", thread, task_id)
+
+    def task_steal(self, thread, task_id, victim):
+        self.record("task_steal", thread, task_id, victim)
+
+    def task_complete(self, thread, task_id):
+        self.record("task_finish", thread, task_id)
+
+    def sync_region(self, thread, kind, endpoint, wait_time):
+        frame = self.runtime.current_frame()
+        if kind == "barrier":
+            if endpoint == "enter":
+                self.record("barrier_enter", thread,
+                            frame.team.region_id, *caller_site())
+            else:
+                self.record("barrier_release", thread, wait_time,
+                            frame.team.region_id)
+        elif kind == "taskwait":
+            if endpoint == "enter":
+                self.record("taskwait_enter", thread, frame.task_id)
+            else:
+                self.record("taskwait_release", thread, wait_time,
+                            frame.task_id)
+        elif endpoint == "release":  # kind == "ordered"
+            self.record("ordered_wait", thread, wait_time,
+                        *caller_site())
+
+    def mutex_acquired(self, thread, kind, handle, wait_time):
+        self.record("mutex_acquired", thread, kind, handle, wait_time,
+                    *caller_site())
+
+    def mutex_released(self, thread, kind, handle):
+        self.record("mutex_released", thread, kind, handle)
+
+    def plan(self, thread, event, payload):
+        if event == "execute":
+            self.record("plan_execute", thread, payload["source"],
+                        payload["partitions"], payload["colors"],
+                        payload["conflict_edges"], *caller_site())
 
 
 class TraceSummary:

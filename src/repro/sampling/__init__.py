@@ -7,11 +7,11 @@ records, and tags each sample with the innermost active OpenMP
 directive — resolved through the transform origin registry, so folded
 stacks read ``user_file:line → <omp parallel @ file:line> → frames``.
 
-Arming follows the house observability pattern: the ``@omp`` decorator
-arms it from the environment (:mod:`repro.sampling.auto`), tests and
-the profile CLI arm it programmatically, and the disarmed cost at every
-instrumented runtime site is one attribute read (``runtime.sampler``)
-plus a ``None`` branch.
+Arming goes through :mod:`repro.arming` like every other consumer of
+the runtime's events: the ``@omp`` decorator arms it from the
+environment, the profile and explain CLIs programmatically.  A running
+sampler is a tool on the runtime's one event channel
+(``runtime.tool``), so a disarmed one costs the runtime nothing.
 """
 
 from repro.sampling.sampler import FoldedStore, Sampler

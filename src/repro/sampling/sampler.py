@@ -2,15 +2,14 @@
 
 Two kinds of state meet here:
 
-* **Directive stacks** — the runtime's instrumented sites
-  (``parallel_run`` members, ``for_init``/``for_end``, explicit task
-  execution) push and pop ``<omp kind @ file:line>`` markers on a
-  per-thread stack via :meth:`Sampler.region_enter` /
-  :meth:`Sampler.region_exit` / the loop variants.  Each thread only
-  ever writes its own stack, so the hot-path cost is an attribute read,
-  a list append, and a truncate — no locks.  Region exit truncates to a
-  depth marker captured at entry, so an exception that skips an inner
-  ``for_end`` can never leak markers past its region.
+* **Directive stacks** — the sampler is a tool
+  (:class:`~repro.ompt.hooks.ToolHooks`): the ``implicit_task``,
+  ``loop`` and ``task_schedule``/``task_complete`` callbacks push and
+  pop ``<omp kind @ file:line>`` markers on a per-thread stack.  Each
+  thread only ever writes its own stack, so a callback costs a list
+  append or a truncate — no locks.  Leaving a region truncates to its
+  own marker, so an exception that skips an inner ``for_end`` can
+  never leak markers past its region.
 
 * **Samples** — the sampler thread wakes every ``interval`` seconds,
   snapshots every thread's frame, classifies it as ``cpu`` (running
@@ -36,6 +35,8 @@ import time
 from collections import Counter, deque
 
 from repro.diagnostics.origin import resolve
+from repro.ompt.hooks import ToolHooks
+from repro.runtime.trace import caller_site
 
 #: The installed package root (``.../repro``): frames inside it are
 #: runtime internals, never user code a sample should be charged to.
@@ -170,12 +171,13 @@ class FoldedStore:
                 for frame, count in hot.most_common(limit)]
 
 
-class Sampler:
+class Sampler(ToolHooks):
     """One runtime's sampling profiler.
 
-    ``start()`` arms ``runtime.sampler`` (making the runtime's
-    instrumented sites maintain directive stacks) and spawns the daemon
-    sampling thread; ``stop()`` reverses both.  When the runtime has no
+    ``start()`` attaches the sampler as a tool (its callbacks maintain
+    the directive stacks), publishes it as ``runtime.sampler`` and
+    spawns the daemon sampling thread; ``stop()`` reverses all three.
+    When the runtime has no
     :class:`~repro.diagnostics.state.DiagnosticsState`, ``start()``
     creates one — the blocking records are the on-CPU/waiting
     classifier — and ``stop()`` removes it again iff it still owns it.
@@ -196,6 +198,10 @@ class Sampler:
                                  max_samples=max_samples)
         #: thread ident -> directive-marker stack [(kind, label), ...].
         self._active: dict[int, list] = {}
+        #: region id -> fork site, task id -> submit site: noted on the
+        #: encountering thread, read when a member / the task starts.
+        self._region_sites: dict[int, tuple] = {}
+        self._task_sites: dict[int, tuple] = {}
         #: thread ident -> deque of the last N folded-stack strings —
         #: the doctor's "what was the stuck thread executing" evidence.
         self._recent: dict[int, deque] = {}
@@ -208,7 +214,37 @@ class Sampler:
         self.anchor: tuple[float, float] | None = None
         self.ticks = 0
 
-    # -- directive tracking (runtime hot paths; owner-thread only) ------
+    # -- directive tracking (tool callbacks; owner-thread only) ---------
+
+    def parallel_begin(self, thread, team_size):
+        region = self.runtime.current_frame().forked.region_id
+        self._region_sites[region] = caller_site()
+
+    def parallel_end(self, thread, team_size):
+        region = self.runtime.current_frame().forked.region_id
+        self._region_sites.pop(region, None)
+
+    def implicit_task(self, thread, endpoint, team_size):
+        if endpoint == "begin":
+            region = self.runtime.current_frame().team.region_id
+            self.region_enter("parallel", self._region_sites.get(region))
+        elif endpoint == "end":
+            self._leave("parallel")
+
+    def loop(self, thread, endpoint):
+        if endpoint == "begin":
+            self.loop_enter(caller_site())
+        else:
+            self.loop_exit()
+
+    def task_create(self, thread, task_id):
+        self._task_sites[task_id] = caller_site()
+
+    def task_schedule(self, thread, task_id):
+        self.region_enter("task", self._task_sites.pop(task_id, None))
+
+    def task_complete(self, thread, task_id):
+        self._leave("task")
 
     def region_enter(self, kind: str, site) -> int:
         """Push a directive marker; returns the pre-push depth so the
@@ -231,13 +267,16 @@ class Sampler:
         self.region_enter("for", site)
 
     def loop_exit(self) -> None:
-        """Pop the innermost ``for`` marker (worksharing loops end in
-        their own ``for_end`` call, not a scoped block)."""
+        self._leave("for")
+
+    def _leave(self, kind: str) -> None:
+        """Truncate to the innermost ``kind`` marker, taking with it
+        any inner markers an exception skipped past."""
         stack = self._active.get(threading.get_ident())
         if not stack:
             return
         for index in range(len(stack) - 1, -1, -1):
-            if stack[index][0] == "for":
+            if stack[index][0] == kind:
                 del stack[index:]
                 return
 
@@ -255,6 +294,7 @@ class Sampler:
             self._created_diag = DiagnosticsState()
             self.runtime.diag = self._created_diag
         self.runtime.sampler = self
+        self.runtime.attach_tool(self)
         self.anchor = (time.time(), time.perf_counter())
         self._stop.clear()
         self._thread = threading.Thread(
@@ -266,6 +306,7 @@ class Sampler:
     def stop(self) -> "Sampler":
         if self._thread is None:
             return self
+        self.runtime.detach_tool(self)
         if getattr(self.runtime, "sampler", None) is self:
             self.runtime.sampler = None
         self._stop.set()

@@ -169,13 +169,12 @@ def worker_entry(conn, config: dict) -> None:
         # The server coordinates shutdown over the pipe; a terminal
         # Ctrl-C must not take the fleet down mid-job.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from repro.diagnostics import auto as diagnostics_auto
     interval = config.get("watchdog_interval")
     if interval:
+        from repro.arming import arm
         for runtime in _runtimes():
-            diagnostics_auto.arm(
-                runtime, watchdog_interval=float(interval),
-                report_path=config.get("report_path"), flight=False)
+            arm(runtime, watchdog_interval=float(interval),
+                report_path=config.get("report_path"))
     runner = _JobRunner(config)
     try:
         _warm(config)

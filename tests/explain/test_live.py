@@ -129,19 +129,19 @@ class TestMetricsPortKnob:
 
 class TestAutoInstrumentWiring:
     def test_port_knob_arms_tracer_tool_and_server(self, monkeypatch):
-        from repro.ompt import auto
-        monkeypatch.setattr(auto.env, "trace_spec", lambda: None)
-        monkeypatch.setattr(auto.env, "metrics_spec", lambda: None)
-        monkeypatch.setattr(auto.env, "metrics_port", lambda: 0)
+        from repro import arming
+        monkeypatch.setattr(arming.env, "trace_spec", lambda: None)
+        monkeypatch.setattr(arming.env, "metrics_spec", lambda: None)
+        monkeypatch.setattr(arming.env, "metrics_port", lambda: 0)
         try:
-            auto.auto_instrument(pure_runtime)
+            arming.arm_from_env(pure_runtime)
             assert pure_runtime.tracer.enabled
-            assert auto.active_tool(pure_runtime) is not None
-            server = auto.active_server(pure_runtime)
+            assert arming.armed(pure_runtime).tool is not None
+            server = arming.armed(pure_runtime).server
             assert server is not None and server.port > 0
             status, _body = fetch(server.url + "/healthz")
             assert status == 200
         finally:
-            auto.deactivate(pure_runtime)
-        assert auto.active_server(pure_runtime) is None
+            arming.disarm(pure_runtime)
+        assert arming.armed(pure_runtime).server is None
         assert not pure_runtime.tracer.enabled

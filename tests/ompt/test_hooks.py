@@ -92,6 +92,7 @@ class TestDispatcher:
         dispatcher.parallel_begin(0, 4)
         dispatcher.parallel_end(0, 4)
         dispatcher.implicit_task(1, "begin", 4)
+        dispatcher.loop(1, "begin")
         dispatcher.work(1, "loop", 0, 10)
         dispatcher.task_create(0, 7)
         dispatcher.task_schedule(1, 7)
@@ -197,6 +198,47 @@ class TestParallelRegionCallbacks:
         syncs = [args for name, args in tool.calls
                  if name == "sync_region" and args[1] == "taskwait"]
         assert [args[2] for args in syncs] == ["enter", "release"]
+
+    def test_taskwait_duration_is_the_same_for_tracer_and_tool(self, rt,
+                                                               tool):
+        """One timestamp pair per site: the trace event and the tool
+        callback carry the same measured wait."""
+        def region():
+            rt.task_submit(lambda: None)
+            rt.task_wait()
+
+        rt.tracer.start()
+        try:
+            rt.parallel_run(region, num_threads=1)
+        finally:
+            events = rt.tracer.stop()
+        (traced,) = [event.detail[0] for event in events
+                     if event.kind == "taskwait_release"]
+        (reported,) = [args[3] for name, args in tool.calls
+                       if name == "sync_region"
+                       and args[1:3] == ("taskwait", "release")]
+        assert traced == reported
+
+    def test_ordered_wait_reaches_tools(self, rt, tool):
+        def region():
+            bounds = rt.for_bounds([0, 4, 1])
+            rt.for_init(bounds, "static", 1, ordered=True)
+            while rt.for_next(bounds):
+                rt.ordered_start(bounds, bounds[0])
+                rt.ordered_end(bounds, bounds[0])
+            rt.for_end(bounds)
+
+        rt.parallel_run(region, num_threads=2)
+        syncs = [args for name, args in tool.calls
+                 if name == "sync_region" and args[1] == "ordered"]
+        enters = [args for args in syncs if args[2] == "enter"]
+        releases = [args for args in syncs if args[2] == "release"]
+        assert len(enters) == len(releases) == 4
+        assert all(args[3] is None for args in enters)
+        assert all(args[3] >= 0.0 for args in releases)
+        loops = [args for name, args in tool.calls if name == "loop"]
+        assert sorted(loops) == [(0, "begin"), (0, "end"),
+                                 (1, "begin"), (1, "end")]
 
 
 class TestMutexCallbacks:

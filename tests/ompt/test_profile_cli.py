@@ -199,16 +199,37 @@ class TestEnvKnobs:
         assert report["per_thread"]["chunks"]
 
     def test_auto_instrument_is_idempotent(self, monkeypatch):
-        from repro.ompt import auto
-        monkeypatch.setattr(auto.env, "trace_spec", lambda: "1")
-        monkeypatch.setattr(auto.env, "metrics_spec", lambda: None)
+        from repro import arming
+        monkeypatch.setattr(arming.env, "trace_spec", lambda: "1")
+        monkeypatch.setattr(arming.env, "metrics_spec", lambda: None)
         try:
-            auto.auto_instrument(pure_runtime)
-            auto.auto_instrument(pure_runtime)
+            arming.arm_from_env(pure_runtime)
+            arming.arm_from_env(pure_runtime)
             assert pure_runtime.tracer.enabled
         finally:
-            auto.deactivate(pure_runtime)
+            arming.disarm(pure_runtime)
         assert not pure_runtime.tracer.enabled
+
+    def test_disarm_leaves_a_hand_started_tracer_running(self,
+                                                         monkeypatch):
+        """disarm() undoes what arm() did: a metrics-only arm never
+        started the tracer, so it must not stop the user's."""
+        from repro import arming
+        monkeypatch.setattr(arming.env, "trace_spec", lambda: None)
+        monkeypatch.setattr(arming.env, "metrics_spec", lambda: "1")
+        pure_runtime.tracer.start()
+        try:
+            arming.arm_from_env(pure_runtime)
+            tool = arming.armed(pure_runtime).tool
+            assert tool is not None
+            arming.disarm(pure_runtime)
+            assert pure_runtime.tracer.enabled
+            assert arming.armed(pure_runtime).tool is None
+            pure_runtime.parallel_run(lambda: None, num_threads=2)
+        finally:
+            events = pure_runtime.tracer.stop()
+        assert [event.kind for event in events].count("region_fork") == 1
+        assert pure_runtime.tool is None
 
     def test_spec_parsing(self, monkeypatch):
         from repro import env

@@ -103,6 +103,39 @@ class TestBlockingRecords:
         assert id(lock) not in diag.owners
         rt.destroy_lock(lock)
 
+    def test_contended_nest_lock_record_names_the_team_thread(self, rt,
+                                                               diag):
+        """Every mutex kind takes the one acquire path, so a thread
+        stuck on a nest lock reports its team thread number like one
+        stuck on a simple lock (it used to report -1)."""
+        lock = rt.init_nest_lock()
+        held = threading.Event()
+        seen = []
+
+        def waiting_records():
+            return [record for records in list(diag.blocked.values())
+                    for record in records
+                    if record.kind == "nest_lock" and record.sleeping]
+
+        def region():
+            if rt.get_thread_num() == 0:
+                rt.set_nest_lock(lock)
+                held.set()
+                _wait_until(waiting_records)
+                seen.extend((record.thread_num, record.resource)
+                            for record in waiting_records())
+                rt.unset_nest_lock(lock)
+            else:
+                assert held.wait(5.0)
+                rt.set_nest_lock(lock)
+                rt.unset_nest_lock(lock)
+
+        rt.parallel_run(region, num_threads=2)
+        assert seen == [(1, id(lock))]
+        assert not any(diag.blocked.values())
+        assert id(lock) not in diag.owners
+        rt.destroy_nest_lock(lock)
+
     def test_progress_counter_moves_with_work(self, rt, diag):
         before = diag.progress
         rt.parallel_run(lambda: rt.barrier(), num_threads=2)

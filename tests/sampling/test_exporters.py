@@ -2,7 +2,7 @@
 
 import json
 
-from repro.ompt.auto import _rank_path
+from repro.arming import _rank_path
 from repro.ompt.exporters import (merge_chrome_traces,
                                   validate_chrome_trace)
 from repro.sampling.exporters import (chrome_trace_samples,

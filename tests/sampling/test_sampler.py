@@ -186,28 +186,28 @@ class TestEnvKnobs:
 
 class TestAutoSample:
     def test_env_knob_arms_and_deactivates(self, monkeypatch):
-        from repro.sampling import auto
+        from repro import arming
         monkeypatch.setenv("OMP4PY_PROFILE", "1")
         monkeypatch.setenv("OMP4PY_PROFILE_HZ", "100")
-        auto.auto_sample(pure_runtime)
+        arming.arm_from_env(pure_runtime)
         try:
-            sampler = auto.active_sampler(pure_runtime)
+            sampler = arming.armed(pure_runtime).sampler
             assert sampler is not None
             assert sampler.running
             assert sampler.interval == pytest.approx(0.01)
             assert pure_runtime.sampler is sampler
-            auto.auto_sample(pure_runtime)  # idempotent
-            assert auto.active_sampler(pure_runtime) is sampler
+            arming.arm_from_env(pure_runtime)  # idempotent
+            assert arming.armed(pure_runtime).sampler is sampler
         finally:
-            auto.deactivate(pure_runtime)
-        assert auto.active_sampler(pure_runtime) is None
+            arming.disarm(pure_runtime)
+        assert arming.armed(pure_runtime).sampler is None
         assert pure_runtime.sampler is None
 
     def test_unset_knob_is_a_no_op(self, monkeypatch):
-        from repro.sampling import auto
+        from repro import arming
         monkeypatch.delenv("OMP4PY_PROFILE", raising=False)
-        auto.auto_sample(pure_runtime)
-        assert auto.active_sampler(pure_runtime) is None
+        arming.arm_from_env(pure_runtime)
+        assert arming.armed(pure_runtime).sampler is None
 
 
 class TestReports:
