@@ -87,8 +87,8 @@ def arm(runtime, *, trace: bool = False, metrics: bool = False,
     Arming is per runtime and additive: what an earlier ``arm`` already
     switched on is left as it is, so repeating a call is a no-op.
     ``port`` implies ``trace`` and ``metrics``; ``flight`` or
-    ``watchdog_interval`` install the blocking-record state the
-    wait-for graph is built from.
+    ``watchdog_interval`` attach the blocking-record tool the wait-for
+    graph is built from.
     """
     entry = _active.setdefault(id(runtime), Armed(runtime))
     if (trace or port is not None) and not runtime.tracer.enabled:
@@ -112,9 +112,9 @@ def arm(runtime, *, trace: bool = False, metrics: bool = False,
                   f"{server.url}/metrics (explain at /explain)",
                   file=sys.stderr)
             entry.server = server
-    if (flight or watchdog_interval is not None) and runtime.diag is None:
-        from repro.diagnostics.state import DiagnosticsState
-        entry.diag = runtime.diag = DiagnosticsState()
+    if (flight or watchdog_interval is not None) and entry.diag is None:
+        from repro.diagnostics.state import install
+        entry.diag = install(runtime)
     if flight and entry.recorder is None:
         from repro.diagnostics.flight import FlightRecorder
         entry.recorder = (FlightRecorder(flight_capacity)
@@ -148,8 +148,9 @@ def disarm(runtime) -> None:
         entry.watchdog.stop()
     if entry.recorder is not None:
         runtime.detach_tool(entry.recorder)
-    if entry.diag is not None and runtime.diag is entry.diag:
-        runtime.diag = None
+    if entry.diag is not None:
+        from repro.diagnostics.state import uninstall
+        uninstall(runtime, entry.diag)
     if entry.server is not None:
         entry.server.stop()
     if entry.tool is not None:

@@ -9,10 +9,9 @@ attribute-read-when-disabled cost discipline:
   per-thread ring buffers of the last N sync/work events: a tool on
   the runtime's one event channel (:mod:`repro.ompt.hooks`).
 * :class:`~repro.diagnostics.state.DiagnosticsState` +
-  :mod:`~repro.diagnostics.waitgraph` — blocking records written at
-  every event-driven wait site (the mutex ones by the one shared
-  acquire, :func:`repro.runtime.locks.acquire`), assembled into a
-  wait-for graph with cycle detection.
+  :mod:`~repro.diagnostics.waitgraph` — a second tool on that channel
+  keeping a blocking record for every thread inside a wait, assembled
+  into a wait-for graph with cycle detection.
 * :class:`~repro.diagnostics.watchdog.Watchdog` — a daemon thread that
   notices lost progress and emits a structured *deadlock* or *stall*
   report.

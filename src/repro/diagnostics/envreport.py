@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import os
 
-#: ``OMP4PY_*`` knobs worth echoing in verbose/diagnostic output.
-_DIAG_KNOBS = ("OMP4PY_TRACE", "OMP4PY_METRICS", "OMP4PY_FLIGHT",
-               "OMP4PY_WATCHDOG", "OMP4PY_MODE", "OMP4PY_LINT",
-               "OMP4PY_HOT_TEAMS", "OMP4PY_POOL_IDLE_TIMEOUT",
-               "OMP4PY_BACKEND")
+from repro import env
 
 
 def _places_text(runtime) -> str:
@@ -59,7 +55,8 @@ def icv_snapshot(runtime, verbose: bool = False) -> dict:
                 f"workers={state['workers']} idle={state['idle']} "
                 f"spawned={state['spawned']} reused={state['reused']} "
                 f"trimmed={state['trimmed']}")
-        for knob in _DIAG_KNOBS:
+        # How this process was configured and armed: every knob set.
+        for knob in env.KNOBS:
             value = os.environ.get(knob)
             if value is not None:
                 snapshot[knob] = value

@@ -1,23 +1,26 @@
 """Blocking records: what every runtime thread is currently waiting on.
 
-PR 3 made every wait in the runtime event-driven, which means the
-runtime *knows*, at each wait site, exactly which resource the thread
-is about to sleep on — a barrier, a lock holder, a child task, a task
-dependence, an ordered ticket, a copyprivate broadcast.  This module is
-where that knowledge is surfaced: each wait site records a
-:class:`BlockRecord` on entry and clears it on exit, and the lock paths
-record ownership, so the watchdog can assemble a wait-for graph from a
-consistent-enough snapshot of these tables.
+Every wait in the runtime is event-driven, which means the runtime
+*knows*, at each wait site, exactly which resource the thread is about
+to sleep on — a barrier, a lock holder, a child task, a task
+dependence, an ordered ticket, a copyprivate broadcast — and says so on
+its one event channel (:mod:`repro.ompt.hooks`).
+:class:`DiagnosticsState` is the tool that listens: a ``sync_region``,
+a region's join barrier or a contended ``mutex_acquire`` enters a
+:class:`BlockRecord` and its release pops it, ``wait`` marks the record
+asleep around each blocking call, and the mutex, team and task
+callbacks keep the ownership, membership and task tables, so the
+watchdog can assemble a wait-for graph from a consistent-enough
+snapshot of them.
 
-Cost discipline matches the tracer and the tool interface: every
-instrumented site reads one attribute (``runtime.diag``) and branches
-on ``None``.  When armed, all tables are only ever written by the
-thread the entry belongs to (or by the single submitting/finishing
-thread for task entries), so plain dict stores under the GIL suffice —
-no locks on any hot path.  The watchdog reads racily and re-validates:
-a torn snapshot can only delay a verdict by one tick, never invent a
-cycle, because edges are drawn only from records whose ``sleeping``
-flag is set (see :mod:`repro.diagnostics.waitgraph`).
+It costs what any tool costs: nothing while detached.  While attached,
+all tables are only ever written by the thread the entry belongs to (or
+by the single submitting/finishing thread for task entries), so plain
+dict stores under the GIL suffice — no locks on any hot path.  The
+watchdog reads racily and re-validates: a torn snapshot can only delay
+a verdict by one tick, never invent a cycle, because edges are drawn
+only from records whose ``sleeping`` flag is set (see
+:mod:`repro.diagnostics.waitgraph`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,12 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.ompt.hooks import ToolHooks
 from repro.runtime.trace import caller_site
+
+#: ``mutex_*`` kinds (also the block-record kinds whose resource has an
+#: owner).
+MUTEX_KINDS = frozenset({"lock", "nest_lock", "critical", "atomic"})
 
 
 class BlockRecord:
@@ -34,8 +42,10 @@ class BlockRecord:
     ``kind`` is ``barrier``, ``taskwait``, ``dependence``, ``lock``,
     ``nest_lock``, ``critical``, ``atomic``, ``ordered`` or
     ``copyprivate``; ``resource`` identifies the waited-on object
-    (``id()`` of the barrier/lock/slot, or a critical-section key).
-    ``sleeping`` is flipped by the owning thread around the actual
+    (``id()`` of the barrier/lock/slot, or a critical-section key) and
+    ``detail`` is what the wait-for graph follows from it (the object
+    slept on; for a mutex, its name).  ``sleeping`` is flipped by the
+    owning thread's ``wait`` callbacks around the actual
     ``cond.wait``/``event.wait``/blocking-acquire call: the wait-for
     graph draws out-edges only from sleeping records, which is what
     keeps a barrier waiter that is busy draining tasks from ever
@@ -91,24 +101,26 @@ class TeamInfo:
         self.departed: set[int] = set()
 
 
-class DiagnosticsState:
+class DiagnosticsState(ToolHooks):
     """All blocking/ownership tables of one runtime, plus the progress
-    counter the watchdog polls."""
+    counter the watchdog polls — kept current by the tool callbacks of
+    the ``runtime`` it is attached to (:func:`install`)."""
 
-    def __init__(self):
+    def __init__(self, runtime=None):
+        self.runtime = runtime
         #: ident -> stack of BlockRecords (innermost wait last).  A
         #: thread helping with tasks inside a barrier can block again
         #: on a lock inside the task body; both records coexist.
         self.blocked: dict[int, list[BlockRecord]] = {}
         #: resource key -> owning thread ident (omp locks, criticals,
-        #: atomic, nest locks, ordered regions).
+        #: atomic, nest locks).
         self.owners: dict = {}
         #: id(team) -> TeamInfo for every live team.
         self.teams: dict[int, TeamInfo] = {}
-        #: id(node) -> (node, executing ident) for running tasks.
+        #: task id -> (id(team), executing ident) for running tasks.
         self.task_running: dict[int, tuple] = {}
-        #: id(node) -> (node, tuple of predecessor nodes) for tasks
-        #: deferred on unsatisfied dependences.
+        #: task id -> (id(team), predecessor tasks) for tasks deferred
+        #: on dependences and not started yet.
         self.task_waiting: dict[int, tuple] = {}
         #: Bumped whenever any thread unblocks or completes a task.
         #: Benign-racy ``+= 1`` under the GIL: the watchdog only needs
@@ -120,7 +132,7 @@ class DiagnosticsState:
     # -- blocking records (owner-thread writes only) --------------------
 
     def block_enter(self, kind: str, resource, team=None,
-                    thread_num: int = -1, detail=None) -> BlockRecord:
+                    thread_num: int = -1, detail=None) -> None:
         ident = threading.get_ident()
         # Generated omp4py code (mapped back through the origin
         # registry at report time) or the user's own script; nothing
@@ -135,7 +147,6 @@ class DiagnosticsState:
             stack = []
             self.blocked[ident] = stack
         stack.append(record)
-        return record
 
     def block_exit(self) -> None:
         ident = threading.get_ident()
@@ -144,51 +155,91 @@ class DiagnosticsState:
             stack.pop()
         self.progress += 1
 
+    def sync_region(self, thread, kind, endpoint, wait_time):
+        if endpoint != "enter":
+            self.block_exit()
+            return
+        frame = self.runtime.current_frame()
+        # A barrier is known on arrival (the graph counts arrivals);
+        # every other wait names its resource when it first sleeps.
+        self.block_enter(
+            kind, id(frame.team.barrier) if kind == "barrier" else None,
+            team=frame.team, thread_num=thread)
+
+    def wait(self, thread, endpoint, target):
+        stack = self.blocked.get(threading.get_ident())
+        if not stack:
+            return
+        record = stack[-1]
+        if endpoint == "begin":
+            if record.kind not in MUTEX_KINDS:
+                # A mutex record is complete from ``mutex_acquire``.
+                record.resource = id(target)
+                record.detail = target
+            record.sleeping = True
+        elif record.kind in MUTEX_KINDS:
+            self.block_exit()  # got it: ``mutex_acquired`` follows
+        else:
+            record.sleeping = False
+
     # -- team membership -------------------------------------------------
 
-    def team_begin(self, team) -> None:
-        self.teams[id(team)] = TeamInfo(id(team), team.size)
+    def parallel_begin(self, thread, team_size):
+        team = self.runtime.current_frame().forked
+        self.teams[id(team)] = TeamInfo(id(team), team_size)
 
-    def team_end(self, team) -> None:
-        self.teams.pop(id(team), None)
+    def parallel_end(self, thread, team_size):
+        self.teams.pop(id(self.runtime.current_frame().forked), None)
         self.progress += 1
 
-    def thread_enter(self, team, thread_num: int) -> None:
-        ident = threading.get_ident()
+    def implicit_task(self, thread, endpoint, team_size):
+        team = self.runtime.current_frame().team
         info = self.teams.get(id(team))
-        if info is not None:
-            info.members[thread_num] = ident
-        self.thread_names[ident] = threading.current_thread().name
+        if endpoint == "begin":
+            ident = threading.get_ident()
+            if info is not None:
+                info.members[thread] = ident
+            self.thread_names[ident] = threading.current_thread().name
+        elif endpoint == "join":
+            self.block_enter("barrier", id(team.barrier), team=team,
+                             thread_num=thread)
+        else:
+            # Past the join barrier: a member that left can never
+            # arrive at any further barrier of this team.
+            self.block_exit()
+            if info is not None:
+                info.departed.add(thread)
 
-    def thread_exit(self, team, thread_num: int) -> None:
-        info = self.teams.get(id(team))
-        if info is not None:
-            info.departed.add(thread_num)
-        self.progress += 1
+    # -- lock ownership ----------------------------------------------------
 
-    # -- lock / region ownership ----------------------------------------
+    def mutex_acquire(self, thread, kind, handle):
+        # A named construct labels its wait-for node by name, an
+        # anonymous lock by its address.
+        self.block_enter(kind, mutex_key(kind, handle), thread_num=thread,
+                         detail=handle if isinstance(handle, str) else None)
 
-    def resource_acquired(self, key) -> None:
-        self.owners[key] = threading.get_ident()
+    def mutex_acquired(self, thread, kind, handle, wait_time):
+        self.owners[mutex_key(kind, handle)] = threading.get_ident()
 
-    def resource_released(self, key) -> None:
-        self.owners.pop(key, None)
+    def mutex_released(self, thread, kind, handle):
+        # Still under the lock (see ``mutex_released`` in the hooks), so
+        # this cannot race the next owner's ``mutex_acquired``.
+        self.owners.pop(mutex_key(kind, handle), None)
         self.progress += 1
 
     # -- tasking ---------------------------------------------------------
 
-    def task_started(self, node) -> None:
-        self.task_running[id(node)] = (node, threading.get_ident())
+    def task_dependences(self, thread, task_id, predecessors):
+        team = self.runtime.current_frame().team
+        self.task_waiting[task_id] = (id(team), tuple(predecessors))
 
-    def task_finished(self, node) -> None:
-        self.task_running.pop(id(node), None)
-        self.progress += 1
+    def task_schedule(self, thread, task_id):
+        self.task_waiting.pop(task_id, None)
+        team = self.runtime.current_frame().team
+        self.task_running[task_id] = (id(team), threading.get_ident())
 
-    def task_deferred(self, node, predecessors) -> None:
-        self.task_waiting[id(node)] = (node, tuple(predecessors))
-
-    def task_released(self, node) -> None:
-        self.task_waiting.pop(id(node), None)
+    def task_complete(self, thread, task_id):
+        self.task_running.pop(task_id, None)
         self.progress += 1
 
     # -- snapshots ---------------------------------------------------------
@@ -212,6 +263,33 @@ class DiagnosticsState:
         )
 
 
+def mutex_key(kind: str, handle):
+    """Resource key of a mutex: a lock object's address, or the
+    ``(kind, name)`` of a named construct (``critical``, ``atomic``)."""
+    return (kind, handle) if isinstance(handle, str) else handle
+
+
+def install(runtime) -> DiagnosticsState | None:
+    """Attach a fresh :class:`DiagnosticsState` to ``runtime`` and
+    publish it as ``runtime.diag`` — unless one is installed already,
+    which is then left to whoever installed it (``None`` is returned).
+    The watchdog, the sampler and :func:`repro.arming.arm` all arm the
+    blocking records through here and hand what they got back to
+    :func:`uninstall`."""
+    if runtime.diag is not None:
+        return None
+    runtime.diag = DiagnosticsState(runtime)
+    runtime.attach_tool(runtime.diag)
+    return runtime.diag
+
+
+def uninstall(runtime, state: DiagnosticsState | None) -> None:
+    """Undo the :func:`install` call that returned ``state``."""
+    if state is not None and runtime.diag is state:
+        runtime.detach_tool(state)
+        runtime.diag = None
+
+
 class StateSnapshot:
     """Frozen view of a :class:`DiagnosticsState` for one analysis."""
 
@@ -228,11 +306,3 @@ class StateSnapshot:
         self.thread_names = thread_names
         self.progress = progress
         self.taken_at = time.perf_counter()
-
-    def oldest_wait_age(self) -> float:
-        """Age of the longest-standing innermost wait, in seconds."""
-        oldest = self.taken_at
-        for records in self.blocked.values():
-            if records:
-                oldest = min(oldest, records[-1].since)
-        return self.taken_at - oldest

@@ -5,7 +5,8 @@ Nodes are ``("thread", ident)``, ``("barrier", id)``, ``("lock", key)``,
 proceed until*:
 
 * a sleeping thread → the resource its innermost block record names;
-* a lock/ordered region → the thread that currently owns it;
+* a lock → the thread that currently owns it; an ordered region → the
+  team member inside it (``LoopSlot.ordered_holder``);
 * a barrier → every team member that has not arrived (threads that
   already left the region make the barrier *unsatisfiable* — recorded
   separately, and treated as fatal as a cycle) and every incomplete
@@ -33,12 +34,10 @@ imbalanced, but at least one exit path exists.
 from __future__ import annotations
 
 from repro.diagnostics.origin import format_location
+from repro.diagnostics.state import MUTEX_KINDS
 
 #: Node kinds that represent waitable resources (vs. threads).
 RESOURCE_KINDS = ("barrier", "lock", "task", "ordered", "copyprivate")
-
-#: Block-record kinds whose resource participates in ownership edges.
-_LOCK_LIKE = frozenset({"lock", "nest_lock", "critical", "atomic"})
 
 
 class WaitGraph:
@@ -189,7 +188,7 @@ def _thread_edges(graph: WaitGraph, snapshot, thread_node, record,
     if kind == "barrier":
         barrier_node = _barrier_node(graph, snapshot, record, arrivals)
         graph.add_edge(thread_node, barrier_node)
-    elif kind in _LOCK_LIKE:
+    elif kind in MUTEX_KINDS:
         lock_node = graph.add_node(("lock", record.resource),
                                    mutex_kind=kind,
                                    label=record.detail)
@@ -210,19 +209,22 @@ def _thread_edges(graph: WaitGraph, snapshot, thread_node, record,
             if running is not None and running[1] == record.ident:
                 continue
             graph.add_edge(thread_node,
-                           _task_node(graph, snapshot, child))
+                           _task_node(graph, snapshot, id(child)))
     elif kind == "dependence":
         predecessor = record.detail
         if predecessor is not None and not predecessor.done:
             graph.add_edge(thread_node,
-                           _task_node(graph, snapshot, predecessor))
+                           _task_node(graph, snapshot, id(predecessor)))
     elif kind == "ordered":
         ordered_node = graph.add_node(("ordered", record.resource))
         graph.add_edge(thread_node, ordered_node)
-        holder = snapshot.owners.get(("ordered", record.resource))
-        if holder is not None and holder != record.ident:
-            graph.add_edge(ordered_node,
-                           _plain_thread(graph, snapshot, holder))
+        slot = record.detail
+        team_info = snapshot.teams.get(record.team_id)
+        if slot is not None and team_info is not None:
+            holder = team_info.members.get(slot.ordered_holder)
+            if holder is not None and holder != record.ident:
+                graph.add_edge(ordered_node,
+                               _plain_thread(graph, snapshot, holder))
     elif kind == "copyprivate":
         graph.add_edge(thread_node,
                        graph.add_node(("copyprivate", record.resource)))
@@ -260,30 +262,31 @@ def _barrier_node(graph: WaitGraph, snapshot, record, arrivals) -> tuple:
         else:
             graph.add_edge(barrier_node, member_node)
     # The release predicate also requires every team task to be done.
-    for node, _ident in list(snapshot.task_running.values()) + \
-            list(snapshot.task_waiting.values()):
-        if id(node.team) == record.team_id and not node.done:
-            graph.add_edge(barrier_node,
-                           _task_node(graph, snapshot, node))
+    for table in (snapshot.task_running, snapshot.task_waiting):
+        for task_id, (team_id, _) in table.items():
+            if team_id == record.team_id:
+                graph.add_edge(barrier_node,
+                               _task_node(graph, snapshot, task_id))
     return barrier_node
 
 
-def _task_node(graph: WaitGraph, snapshot, node) -> tuple:
-    task_node = ("task", id(node))
+def _task_node(graph: WaitGraph, snapshot, task_id: int) -> tuple:
+    task_node = ("task", task_id)
     if task_node in graph.meta:
         return task_node
-    running = snapshot.task_running.get(id(node))
-    waiting = snapshot.task_waiting.get(id(node))
+    running = snapshot.task_running.get(task_id)
+    # Predecessors a deferred task still waits for (none left: it was
+    # released and sits unclaimed in a deque).
+    pending = [predecessor for predecessor
+               in snapshot.task_waiting.get(task_id, (None, ()))[1]
+               if not predecessor.done]
     state = ("running" if running else
-             "deferred" if waiting else "runnable")
+             "deferred" if pending else "runnable")
     graph.add_node(task_node, state=state)
     if running is not None:
         graph.add_edge(task_node,
                        _plain_thread(graph, snapshot, running[1]))
-    elif waiting is not None:
-        _waiting_node, predecessors = waiting
-        for predecessor in predecessors:
-            if not predecessor.done:
-                graph.add_edge(task_node,
-                               _task_node(graph, snapshot, predecessor))
+    for predecessor in pending:
+        graph.add_edge(task_node,
+                       _task_node(graph, snapshot, id(predecessor)))
     return task_node

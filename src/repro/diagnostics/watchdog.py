@@ -33,7 +33,7 @@ import threading
 import time
 
 from repro.diagnostics.envreport import icv_snapshot
-from repro.diagnostics.state import DiagnosticsState
+from repro.diagnostics.state import install, uninstall
 from repro.diagnostics.waitgraph import build_wait_graph
 
 DEFAULT_INTERVAL = 5.0
@@ -62,6 +62,9 @@ class Watchdog:
         self.reports: list[dict] = []
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
+        #: The diagnostics state ``start()`` installed (``None`` when
+        #: the runtime already had one), for ``stop()`` to remove.
+        self._installed = None
         self._deadlock_reported = False
         self._stall_reported = False
 
@@ -70,8 +73,7 @@ class Watchdog:
     def start(self) -> "Watchdog":
         if self._thread is not None:
             return self
-        if self.runtime.diag is None:
-            self.runtime.diag = DiagnosticsState()
+        self._installed = install(self.runtime)
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._run, name=f"omp-watchdog-{self.runtime.name}",
@@ -85,6 +87,8 @@ class Watchdog:
         if thread is not None:
             thread.join(timeout=self.interval * 4)
             self._thread = None
+        uninstall(self.runtime, self._installed)
+        self._installed = None
 
     # -- polling loop -----------------------------------------------------
 

@@ -11,33 +11,14 @@ Two families of variables are honoured, mirroring the paper:
   pool's fork/join points, ``passive`` parks immediately — see
   :mod:`repro.runtime.pool`), ``OMP_PLACES`` and ``OMP_PROC_BIND``
   (thread affinity — see :mod:`repro.affinity` and docs/affinity.md).
-* ``OMP4PY_*`` — defaults for the ``omp`` decorator arguments
-  (``OMP4PY_CACHE``, ``OMP4PY_DUMP``, ``OMP4PY_DEBUG``, ``OMP4PY_COMPILE``,
-  ``OMP4PY_FORCE``, ``OMP4PY_MODE``, ``OMP4PY_LINT``), plus the
-  observability knobs — every one of them armed by
-  :mod:`repro.arming` on each runtime the ``@omp`` decorator binds (see
-  docs/observability.md) — ``OMP4PY_TRACE`` and ``OMP4PY_METRICS``,
-  ``OMP4PY_METRICS_PORT`` serving live ``/metrics`` (Prometheus),
-  ``/explain`` (DAG summary) and ``/profile`` (sampling profile) over
-  HTTP while the workload runs (:mod:`repro.explain.live`), the
-  sampling-profiler knobs ``OMP4PY_PROFILE`` (truthy, or an output
-  path for the folded stacks) and ``OMP4PY_PROFILE_HZ`` (sampling
-  rate, default 200 Hz — see :mod:`repro.sampling`), and the hang
-  diagnostics knobs ``OMP4PY_FLIGHT`` (flight recorder: truthy,
-  a ring capacity, an output path, or ``capacity:path``),
-  ``OMP4PY_WATCHDOG`` (stall watchdog: truthy for the default
-  interval, an interval in seconds, or ``interval:report-path``) and
-  ``OMP4PY_WATCHDOG_EXIT`` (terminate with the doctor exit code on a
-  deadlock verdict — see :mod:`repro.diagnostics`), and the
-  hot-team pool knobs ``OMP4PY_HOT_TEAMS`` (``0`` restores the
-  spawn-per-region fork/join path) and ``OMP4PY_POOL_IDLE_TIMEOUT``
-  (seconds a parked pool worker waits for work before trimming itself),
-  and ``OMP4PY_BACKEND`` (``auto``/``gil``/``nogil`` — the execution
-  backend selecting projected vs measured wall-time accounting; see
-  :mod:`repro.runtime.gilstate` and docs/projection.md), and the
-  serving knobs ``OMP4PY_SERVE_PORT``, ``OMP4PY_SERVE_WORKERS`` and
-  ``OMP4PY_SERVE_QUEUE`` — defaults for ``python -m repro.serve``
-  (see :mod:`repro.serve` and docs/serving.md).
+* ``OMP4PY_*`` — listed once, in :data:`KNOBS`: the defaults for the
+  ``omp`` decorator arguments (:func:`decorator_default`), the
+  observability and hang-diagnostics knobs that :mod:`repro.arming`
+  arms on each runtime the ``@omp`` decorator binds (see
+  docs/observability.md), the hot-team pool and execution-backend
+  knobs (:mod:`repro.runtime.pool`, :mod:`repro.runtime.gilstate`) and
+  the ``python -m repro.serve`` defaults.  The function reading a knob
+  documents its grammar; README's environment table has a row for each.
 """
 
 from __future__ import annotations
@@ -49,6 +30,22 @@ from repro.errors import OmpError
 
 #: Scheduling kinds accepted by ``OMP_SCHEDULE`` and ``schedule(...)``.
 SCHEDULE_KINDS = ("static", "dynamic", "guided", "auto", "runtime")
+
+#: Every ``OMP4PY_*`` variable this module reads, once: what a
+#: diagnostic report echoes (:mod:`repro.diagnostics.envreport`) and
+#: what README's environment table documents.
+KNOBS = (
+    # decorator-argument defaults
+    "OMP4PY_CACHE", "OMP4PY_DUMP", "OMP4PY_DEBUG", "OMP4PY_COMPILE",
+    "OMP4PY_FORCE", "OMP4PY_MODE", "OMP4PY_LINT",
+    # observability and hang diagnostics
+    "OMP4PY_TRACE", "OMP4PY_METRICS", "OMP4PY_METRICS_PORT",
+    "OMP4PY_PROFILE", "OMP4PY_PROFILE_HZ",
+    "OMP4PY_FLIGHT", "OMP4PY_WATCHDOG", "OMP4PY_WATCHDOG_EXIT",
+    # pool, backend, serving
+    "OMP4PY_HOT_TEAMS", "OMP4PY_POOL_IDLE_TIMEOUT", "OMP4PY_BACKEND",
+    "OMP4PY_SERVE_PORT", "OMP4PY_SERVE_WORKERS", "OMP4PY_SERVE_QUEUE",
+)
 
 _TRUE_STRINGS = frozenset({"1", "true", "yes", "on"})
 _FALSE_STRINGS = frozenset({"0", "false", "no", "off"})

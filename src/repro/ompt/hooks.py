@@ -10,8 +10,10 @@ This is the runtime's only event channel: every instrumented site
 reads one attribute (``runtime.tool``) and branches on ``None``, so a
 runtime with no tool attached pays a single attribute read per event
 site.  The tracer (:class:`repro.runtime.trace.Tracer`), the metrics
-tool, the flight recorder and the sampler's directive markers are all
-tools; multiple attached tools are fanned out through
+tool, the flight recorder, the sampler's directive markers and the
+hang diagnostics' blocking records
+(:class:`repro.diagnostics.state.DiagnosticsState`) are all tools;
+multiple attached tools are fanned out through
 :class:`ToolDispatcher`.  A callback that needs more than its
 arguments (region id, parent task, call site) reads it from the
 runtime it is attached to: callbacks fire on the thread concerned, so
@@ -40,18 +42,25 @@ callback             fired when
 ``work``             a worksharing unit is dispatched: one loop chunk,
                      one claimed section, or the selected single
 ``task_create``      an explicit task is submitted
+``task_dependences`` a submitted task was deferred behind unfinished
+                     predecessor tasks (fires after its ``task_create``)
 ``task_schedule``    an explicit task starts executing
 ``task_steal``       an explicit task was claimed from another thread's
                      deque (fires just before its ``task_schedule``)
 ``task_complete``    an explicit task's body returned (fires before
                      its waiters and successors are released)
-``sync_region``      barrier/taskwait/ordered enter and release; the
-                     release carries the measured wait time in seconds
+``sync_region``      barrier/taskwait/ordered/dependence/copyprivate
+                     enter and release; the release carries the
+                     measured wait time in seconds
+``wait``             brackets every blocking call inside the two rows
+                     around it: the thread is about to sleep on an
+                     object (``begin``) or woke up again (``end``)
 ``mutex_acquire``    a mutex was *not* immediately available and the
                      thread is about to block on it
 ``mutex_acquired``   a mutex was obtained (wait time is 0.0 for
                      uncontended acquisitions)
-``mutex_released``   a mutex was released
+``mutex_released``   the owner is dropping a mutex (fires just before
+                     the unlock)
 ``plan``             inspector–executor plan activity: a plan was
                      built, served from the plan cache, or executed
                      (see :mod:`repro.plan`)
@@ -126,6 +135,19 @@ class ToolHooks:
     def task_create(self, thread: int, task_id: int) -> None:
         """An explicit task was submitted by ``thread``."""
 
+    def task_dependences(self, thread: int, task_id: int,
+                         predecessors) -> None:
+        """The task ``thread`` just submitted is deferred until every
+        task in ``predecessors`` completes.
+
+        ``predecessors`` holds the runtime's task objects: ``id()`` of
+        one is the ``task_id`` the other task callbacks carry, and its
+        ``done`` attribute tells whether it has completed since.  Not
+        fired for a task without ``depend`` predecessors, nor for an
+        undeferred (``if(false)``) one, whose encountering thread
+        waits in a ``"dependence"`` sync region instead.
+        """
+
     def task_schedule(self, thread: int, task_id: int) -> None:
         """An explicit task begins execution on ``thread``."""
 
@@ -144,13 +166,31 @@ class ToolHooks:
 
     def sync_region(self, thread: int, kind: str, endpoint: str,
                     wait_time: float | None) -> None:
-        """Barrier, taskwait or ordered-region boundary.
+        """Boundary of a construct that waits for other threads.
 
-        ``kind`` is ``"barrier"``, ``"taskwait"`` or ``"ordered"`` (the
-        wait for an iteration's turn in an ``ordered`` region);
-        ``endpoint`` is ``"enter"`` (``wait_time is None``) or
-        ``"release"`` (``wait_time`` is the seconds spent inside,
-        including any tasks executed while waiting).
+        ``kind`` is ``"barrier"``, ``"taskwait"``, ``"ordered"`` (the
+        wait for an iteration's turn in an ``ordered`` region),
+        ``"dependence"`` (an undeferred task's encountering thread
+        waiting for the task's ``depend`` predecessors) or
+        ``"copyprivate"`` (a ``single copyprivate`` receiver waiting
+        for the broadcast); ``endpoint`` is ``"enter"`` (``wait_time
+        is None``) or ``"release"`` (``wait_time`` is the seconds spent
+        inside, including any tasks executed while waiting).  The join
+        barrier of a region is reported by ``implicit_task`` instead.
+        """
+
+    def wait(self, thread: int, endpoint: str, target) -> None:
+        """``thread`` is about to block (``endpoint == "begin"``) or
+        has just woken up (``"end"``).
+
+        Fires in pairs on the blocking thread, inside a sync region, a
+        region's join barrier or a contended ``mutex_acquire``, around
+        each single blocking call — a waiter that is busy executing
+        tasks or re-checking its predicate is between pairs.
+        ``target`` is the runtime object slept on: the team's
+        ``Barrier``, the list of incomplete child tasks (taskwait),
+        the predecessor task (dependence), the loop's ``LoopSlot``
+        (ordered), the ``SharedSlot`` (copyprivate) or the mutex.
         """
 
     def mutex_acquire(self, thread: int, kind: str, handle) -> None:
@@ -167,7 +207,9 @@ class ToolHooks:
         (0.0 when the acquisition was uncontended)."""
 
     def mutex_released(self, thread: int, kind: str, handle) -> None:
-        """``thread`` released the mutex."""
+        """``thread`` is releasing the mutex.  Fires before the unlock,
+        so every tool sees a release ahead of the next owner's
+        ``mutex_acquired``."""
 
     # -- inspector–executor plans -----------------------------------------
 
@@ -186,87 +228,36 @@ class ToolHooks:
 #: Every dispatchable callback name, in catalogue order.
 CALLBACK_NAMES = ("thread_begin", "thread_end", "thread_idle",
                   "parallel_begin", "parallel_end", "implicit_task",
-                  "loop", "work", "task_create", "task_schedule",
-                  "task_steal", "task_complete", "sync_region",
-                  "mutex_acquire", "mutex_acquired", "mutex_released",
-                  "plan")
+                  "loop", "work", "task_create", "task_dependences",
+                  "task_schedule", "task_steal", "task_complete",
+                  "sync_region", "wait", "mutex_acquire",
+                  "mutex_acquired", "mutex_released", "plan")
 
 
 class ToolDispatcher(ToolHooks):
-    """Fans every callback out to a tuple of attached tools.
+    """Fans every callback out to the attached tools that implement it.
 
     Built by :meth:`repro.runtime.engine.OmpRuntime.attach_tool` when
     more than one tool is attached; a single tool is bound directly so
-    the common case has no indirection.
+    the common case has no indirection.  The fan-outs are derived from
+    :data:`CALLBACK_NAMES` — a callback in the catalogue cannot be
+    missing here — and skip the tools that inherit the no-op, so a tool
+    pays nothing for the events it ignores.  Callbacks are dispatched
+    positionally, as the runtime calls them.
     """
 
     def __init__(self, tools):
         self.tools = tuple(tools)
+        for name in CALLBACK_NAMES:
+            ignored = getattr(ToolHooks, name)
+            bound = [getattr(tool, name) for tool in self.tools]
+            setattr(self, name, _fan_out([
+                callback for callback in bound
+                if getattr(callback, "__func__", None) is not ignored]))
 
-    def thread_begin(self, ttype, ident):
-        for tool in self.tools:
-            tool.thread_begin(ttype, ident)
 
-    def thread_end(self, ttype, ident):
-        for tool in self.tools:
-            tool.thread_end(ttype, ident)
-
-    def thread_idle(self, ident, endpoint):
-        for tool in self.tools:
-            tool.thread_idle(ident, endpoint)
-
-    def parallel_begin(self, thread, team_size):
-        for tool in self.tools:
-            tool.parallel_begin(thread, team_size)
-
-    def parallel_end(self, thread, team_size):
-        for tool in self.tools:
-            tool.parallel_end(thread, team_size)
-
-    def implicit_task(self, thread, endpoint, team_size):
-        for tool in self.tools:
-            tool.implicit_task(thread, endpoint, team_size)
-
-    def loop(self, thread, endpoint):
-        for tool in self.tools:
-            tool.loop(thread, endpoint)
-
-    def work(self, thread, wstype, low, high):
-        for tool in self.tools:
-            tool.work(thread, wstype, low, high)
-
-    def task_create(self, thread, task_id):
-        for tool in self.tools:
-            tool.task_create(thread, task_id)
-
-    def task_schedule(self, thread, task_id):
-        for tool in self.tools:
-            tool.task_schedule(thread, task_id)
-
-    def task_steal(self, thread, task_id, victim):
-        for tool in self.tools:
-            tool.task_steal(thread, task_id, victim)
-
-    def task_complete(self, thread, task_id):
-        for tool in self.tools:
-            tool.task_complete(thread, task_id)
-
-    def sync_region(self, thread, kind, endpoint, wait_time):
-        for tool in self.tools:
-            tool.sync_region(thread, kind, endpoint, wait_time)
-
-    def mutex_acquire(self, thread, kind, handle):
-        for tool in self.tools:
-            tool.mutex_acquire(thread, kind, handle)
-
-    def mutex_acquired(self, thread, kind, handle, wait_time):
-        for tool in self.tools:
-            tool.mutex_acquired(thread, kind, handle, wait_time)
-
-    def mutex_released(self, thread, kind, handle):
-        for tool in self.tools:
-            tool.mutex_released(thread, kind, handle)
-
-    def plan(self, thread, event, payload):
-        for tool in self.tools:
-            tool.plan(thread, event, payload)
+def _fan_out(callbacks):
+    def dispatch(*args):
+        for callback in callbacks:
+            callback(*args)
+    return dispatch

@@ -304,7 +304,7 @@ class MetricsTool(ToolHooks):
         with self._lock:
             self.registry.histogram(
                 "omp_sync_wait_seconds",
-                "Time spent inside barriers/taskwaits, per thread",
+                "Time spent inside sync regions, per kind and thread",
                 kind=kind, thread=thread).observe(wait_time)
 
     def mutex_acquire(self, thread, kind, handle):

@@ -21,7 +21,7 @@ from repro.runtime.context import TaskFrame
 from repro.runtime.locks import OmpLock, OmpNestLock
 from repro.runtime.stats import StatsCollector
 from repro.runtime.tasking import TaskNode
-from repro.runtime.team import BACKOFF_MIN, Team, next_backoff
+from repro.runtime.team import BACKOFF_MIN, Team, next_backoff, park
 from repro.runtime.trace import Tracer
 
 #: Process-wide parallel-region ids: the key the explain DAG builder
@@ -103,11 +103,10 @@ class OmpRuntime:
         #: Event tracer (:mod:`repro.runtime.trace`): a tool that
         #: ``tracer.start()`` attaches and ``tracer.stop()`` detaches.
         self.tracer = Tracer(runtime=self)
-        #: Hang-diagnosis state (:mod:`repro.diagnostics.state`):
-        #: ``None`` when disarmed.  Every event-driven wait site reads
-        #: this one attribute and, when armed, records what it is about
-        #: to block on — the raw material of the watchdog's wait-for
-        #: graph.
+        #: The installed hang-diagnosis state
+        #: (:mod:`repro.diagnostics.state`), for the watchdog, the
+        #: doctor and the sampler to look up; it keeps its blocking
+        #: records as an attached tool, so no site reads this.
         self.diag = None
         #: The running sampling profiler (:mod:`repro.sampling`), for
         #: the doctor and the live ``/profile`` route to look up; it
@@ -180,9 +179,6 @@ class OmpRuntime:
         tool = self.tool
         if tool is not None:
             tool.parallel_begin(frame.thread_num, size)
-        diag = self.diag
-        if diag is not None:
-            diag.team_begin(team)
         copyin_values = [(key, self._tp_dict().get(key, _TP_MISSING))
                          for key in copyin]
         binder = self._binder
@@ -195,8 +191,6 @@ class OmpRuntime:
                                    frame.nthreads_var))
             if tool is not None:
                 tool.implicit_task(index, "begin", size)
-            if diag is not None:
-                diag.thread_enter(team, index)
             begin = time.thread_time()
             try:
                 for key, value in copyin_values:
@@ -215,10 +209,6 @@ class OmpRuntime:
                     team.barrier.wait(self._run_one_task, index)
                 except BaseException as error:  # noqa: BLE001
                     team.record_error(index, error)
-                if diag is not None:
-                    # Past the join barrier: a member that left can
-                    # never arrive at any further barrier of this team.
-                    diag.thread_exit(team, index)
                 team.cpu_times[index] = time.thread_time() - begin
                 if tool is not None:
                     tool.implicit_task(index, "end", size)
@@ -233,8 +223,6 @@ class OmpRuntime:
             member(0)
             for worker in workers:
                 worker.join()
-        if diag is not None:
-            diag.team_end(team)
         if tool is not None:
             tool.parallel_end(frame.thread_num, size)
         frame.forked = None
@@ -370,7 +358,7 @@ class OmpRuntime:
         thread = bounds[2].thread_num
         tool.sync_region(thread, "ordered", "enter", None)
         begin = time.perf_counter()
-        worksharing.ordered_start(bounds, index)
+        worksharing.ordered_start(bounds, index, tool)
         tool.sync_region(thread, "ordered", "release",
                          time.perf_counter() - begin)
 
@@ -405,7 +393,16 @@ class OmpRuntime:
         worksharing.copyprivate_set(state, payload)
 
     def copyprivate_get(self, state):
-        return worksharing.copyprivate_get(state)
+        tool = self.tool
+        if tool is None:
+            return worksharing.copyprivate_get(state)
+        thread = self.get_thread_num()
+        tool.sync_region(thread, "copyprivate", "enter", None)
+        begin = time.perf_counter()
+        payload = worksharing.copyprivate_get(state, tool, thread)
+        tool.sync_region(thread, "copyprivate", "release",
+                         time.perf_counter() - begin)
+        return payload
 
     def master_begin(self) -> bool:
         return self.current_frame().thread_num == 0
@@ -430,25 +427,23 @@ class OmpRuntime:
             tool.sync_region(frame.thread_num, "barrier", "release",
                              time.perf_counter() - begin)
 
-    # critical/atomic test for "nothing armed" themselves: going
-    # through locks.acquire/release for the bare lock costs the
-    # disarmed pair a third more (critical) to two thirds more (atomic).
+    # critical/atomic test for "no tool" themselves: going through
+    # locks.acquire/release for the bare lock costs the disarmed pair
+    # a third more (critical) to two thirds more (atomic).
 
     def critical_enter(self, name: str = "") -> None:
         lock = self._critical_lock(name)
-        if self.tool is None and self.diag is None:
+        if self.tool is None:
             lock.acquire()
         else:
-            locks.acquire(self, lock, "critical", name,
-                          ("critical", name))
+            locks.acquire(self, lock, "critical", name)
 
     def critical_exit(self, name: str = "") -> None:
         lock = self._critical_lock(name)
-        if self.tool is None and self.diag is None:
+        if self.tool is None:
             lock.release()
         else:
-            locks.release(self, lock, "critical", name,
-                          ("critical", name))
+            locks.release(self, lock, "critical", name)
 
     def _critical_lock(self, name: str):
         lock = self._criticals.get(name)
@@ -459,18 +454,16 @@ class OmpRuntime:
         return lock
 
     def atomic_enter(self) -> None:
-        if self.tool is None and self.diag is None:
+        if self.tool is None:
             self._atomic_mutex.acquire()
         else:
-            locks.acquire(self, self._atomic_mutex, "atomic", "atomic",
-                          ("atomic", id(self)))
+            locks.acquire(self, self._atomic_mutex, "atomic", "atomic")
 
     def atomic_exit(self) -> None:
-        if self.tool is None and self.diag is None:
+        if self.tool is None:
             self._atomic_mutex.release()
         else:
-            locks.release(self, self._atomic_mutex, "atomic", "atomic",
-                          ("atomic", id(self)))
+            locks.release(self, self._atomic_mutex, "atomic", "atomic")
 
     def mutex_lock(self) -> None:
         """Team mutex used by generated reduction epilogues."""
@@ -512,32 +505,9 @@ class OmpRuntime:
             # team tasks instead of blocking — which also keeps a
             # single-thread team live when the predecessor is still
             # sitting unclaimed in a deque.
-            diag = self.diag
-            for predecessor in predecessors:
-                backoff = BACKOFF_MIN
-                record = None
-                if diag is not None and not predecessor.done:
-                    record = diag.block_enter(
-                        "dependence", id(predecessor), team=team,
-                        thread_num=frame.thread_num, detail=predecessor)
-                try:
-                    while not predecessor.done:
-                        if team.broken:
-                            return
-                        if self._run_one_task(team, frame.thread_num):
-                            backoff = BACKOFF_MIN
-                            continue
-                        # Backoff fallback: completion sets the event,
-                        # so the timeout only bounds breakage detection.
-                        if record is not None:
-                            record.sleeping = True
-                        predecessor.event.wait(timeout=backoff)
-                        if record is not None:
-                            record.sleeping = False
-                        backoff = next_backoff(backoff)
-                finally:
-                    if record is not None:
-                        diag.block_exit()
+            if predecessors and not self._await_predecessors(
+                    frame, predecessors):
+                return
             team.pending.fetch_add(1)
             frame.children.append(node)
             node.claim()
@@ -548,11 +518,11 @@ class OmpRuntime:
         if predecessors:
             from repro.runtime.tasking import WAITING
             node.state.store(WAITING)
-            diag = self.diag
-            if diag is not None:
-                # Registered before add_successor so a predecessor
-                # finishing concurrently releases an already-known task.
-                diag.task_deferred(node, predecessors)
+            if tool is not None:
+                # Before add_successor, so the task is announced as
+                # deferred ahead of any thread scheduling it.
+                tool.task_dependences(frame.thread_num, id(node),
+                                      predecessors)
             # +1 keeps the count from reaching zero before this thread
             # finishes registering with every predecessor.
             node.deps_remaining.store(len(predecessors) + 1)
@@ -565,15 +535,39 @@ class OmpRuntime:
                 return  # a predecessor's completion will release it
         self._release_task(node, frame.thread_num)
 
+    def _await_predecessors(self, frame: TaskFrame, predecessors) -> bool:
+        """An undeferred task's dependence wait: help with team tasks
+        until every predecessor is done.  ``False`` when the team broke
+        meanwhile (the region is being torn down; the task is dropped).
+        """
+        team = frame.team
+        thread = frame.thread_num
+        tool = self.tool
+        if tool is not None:
+            tool.sync_region(thread, "dependence", "enter", None)
+            begin = time.perf_counter()
+        for predecessor in predecessors:
+            backoff = BACKOFF_MIN
+            while not (predecessor.done or team.broken):
+                if self._run_one_task(team, thread):
+                    backoff = BACKOFF_MIN
+                    continue
+                # Backoff fallback: completion sets the event, so the
+                # timeout only bounds breakage detection.
+                park(tool, thread, predecessor, predecessor.event.wait,
+                     backoff)
+                backoff = next_backoff(backoff)
+        if tool is not None:
+            tool.sync_region(thread, "dependence", "release",
+                             time.perf_counter() - begin)
+        return not team.broken
+
     def _release_task(self, node: TaskNode, thread_num: int) -> None:
         """Make a (possibly formerly WAITING) task claimable by pushing
         it onto ``thread_num``'s deque, then signal any sleeping
         waiters (the push must be visible before the poke)."""
         from repro.runtime.tasking import FREE, WAITING
         node.state.compare_exchange(WAITING, FREE)
-        diag = self.diag
-        if diag is not None:
-            diag.task_released(node)
         node.team.scheduler.push(thread_num, node)
         node.team.barrier.poke()
 
@@ -611,45 +605,30 @@ class OmpRuntime:
         if tool is not None:
             tool.sync_region(frame.thread_num, "taskwait", "enter", None)
             begin = time.perf_counter()
-        diag = self.diag
-        record = None
         backoff = BACKOFF_MIN
-        try:
-            while not team.broken:
-                incomplete = [c for c in frame.children if not c.done]
-                if not incomplete:
-                    break
-                progressed = False
-                for child in incomplete:
-                    if child.claim():
-                        self._execute_task_node(child)
-                        progressed = True
-                if progressed:
-                    backoff = BACKOFF_MIN
-                    continue
-                # Children are running elsewhere or waiting on
-                # dependences: a taskwait is a scheduling point, so help
-                # with any team task before sleeping on a child's
-                # completion event.  The timeout is the bounded-backoff
-                # safety net (breakage, or a child released onto another
-                # thread's deque mid-sleep).
-                if self._run_one_task(team, frame.thread_num):
-                    backoff = BACKOFF_MIN
-                    continue
-                if diag is not None:
-                    if record is None:
-                        record = diag.block_enter(
-                            "taskwait", id(frame), team=team,
-                            thread_num=frame.thread_num)
-                    record.detail = tuple(incomplete)
-                    record.sleeping = True
-                incomplete[0].event.wait(timeout=backoff)
-                if record is not None:
-                    record.sleeping = False
-                backoff = next_backoff(backoff)
-        finally:
-            if record is not None:
-                diag.block_exit()
+        while not team.broken:
+            incomplete = [c for c in frame.children if not c.done]
+            if not incomplete:
+                break
+            progressed = False
+            for child in incomplete:
+                if child.claim():
+                    self._execute_task_node(child)
+                    progressed = True
+            if progressed:
+                backoff = BACKOFF_MIN
+                continue
+            # Children are running elsewhere or waiting on dependences:
+            # a taskwait is a scheduling point, so help with any team
+            # task before sleeping on a child's completion event.  The
+            # timeout is the bounded-backoff safety net (breakage, or a
+            # child released onto another thread's deque mid-sleep).
+            if self._run_one_task(team, frame.thread_num):
+                backoff = BACKOFF_MIN
+                continue
+            park(tool, frame.thread_num, incomplete,
+                 incomplete[0].event.wait, backoff)
+            backoff = next_backoff(backoff)
         if tool is not None:
             tool.sync_region(frame.thread_num, "taskwait", "release",
                              time.perf_counter() - begin)
@@ -705,9 +684,6 @@ class OmpRuntime:
         tool = self.tool
         if tool is not None:
             tool.task_schedule(frame.thread_num, id(node))
-        diag = self.diag
-        if diag is not None:
-            diag.task_started(node)
         try:
             node.fn()
         except BaseException as error:  # noqa: BLE001 - raised at join
@@ -718,8 +694,6 @@ class OmpRuntime:
                 # Before finish() wakes waiters, so a trace orders a
                 # task's end ahead of the taskwait it releases.
                 tool.task_complete(frame.thread_num, id(node))
-            if diag is not None:
-                diag.task_finished(node)
             ready = node.finish()
             node.team.pending.fetch_add(-1)
             for successor in ready:

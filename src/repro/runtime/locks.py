@@ -9,10 +9,10 @@ OpenMP specification.
 ``critical``, ``atomic``, :class:`OmpLock` and :class:`OmpNestLock` all
 take and drop their mutex through :func:`acquire` / :func:`release`,
 which dispatch the ``mutex_acquire``/``mutex_acquired``/
-``mutex_released`` tool callbacks (:mod:`repro.ompt.hooks`) and keep
-the diagnostics ownership and block records
-(:mod:`repro.diagnostics.state`); with neither armed they cost two
-attribute reads.
+``mutex_released`` tool callbacks (:mod:`repro.ompt.hooks`) — the hang
+diagnostics' ownership and block records
+(:mod:`repro.diagnostics.state`) are one consumer of them; with no tool
+attached they cost one attribute read.
 """
 
 from __future__ import annotations
@@ -21,64 +21,44 @@ import threading
 import time
 
 from repro.errors import OmpRuntimeError
+from repro.runtime.team import park
 
 
-def acquire(runtime, lock, kind: str, handle, key,
+def acquire(runtime, lock, kind: str, handle,
             blocking: bool = True) -> bool:
     """Take ``lock`` for the ``kind`` construct named ``handle``.
 
-    ``key`` is the diagnostics resource key.  The contended path
-    (``mutex_acquire``, a block record, a timed wait) only runs when a
-    non-blocking attempt fails; the block record is entered *before*
-    the blocking acquire so the watchdog sees the thread as waiting on
-    ``key`` for as long as it sleeps.  ``blocking=False`` is the
+    The contended path (``mutex_acquire``, a timed blocking acquire)
+    only runs when a non-blocking attempt fails; ``mutex_acquire`` fires
+    *before* the thread blocks, so a tool sees it as waiting on
+    ``handle`` for as long as it sleeps.  ``blocking=False`` is the
     ``omp_test_lock`` form: a failed attempt returns ``False`` and
     reports nothing.
     """
     tool = runtime.tool
-    diag = runtime.diag
-    if tool is None and diag is None:
+    if tool is None:
         return lock.acquire(blocking)
     thread = runtime.get_thread_num()
     wait = 0.0
     if not lock.acquire(blocking=False):
         if not blocking:
             return False
-        if tool is not None:
-            tool.mutex_acquire(thread, kind, handle)
+        tool.mutex_acquire(thread, kind, handle)
         begin = time.perf_counter()
-        if diag is None:
-            lock.acquire()
-        else:
-            # A named construct labels its wait-for node by name, an
-            # anonymous lock by its address (the key).
-            record = diag.block_enter(
-                kind, key, thread_num=thread,
-                detail=handle if isinstance(handle, str) else None)
-            record.sleeping = True
-            try:
-                lock.acquire()
-            finally:
-                diag.block_exit()
+        park(tool, thread, lock, lock.acquire)
         wait = time.perf_counter() - begin
-    if diag is not None:
-        diag.resource_acquired(key)
-    if tool is not None:
-        tool.mutex_acquired(thread, kind, handle, wait)
+    tool.mutex_acquired(thread, kind, handle, wait)
     return True
 
 
-def release(runtime, lock, kind: str, handle, key) -> None:
-    """Drop ``lock``.  Ownership is cleared *before* the unlock so a
-    racing acquirer's ownership write can never be clobbered by this
-    release."""
-    diag = runtime.diag
-    if diag is not None:
-        diag.resource_released(key)
-    lock.release()
+def release(runtime, lock, kind: str, handle) -> None:
+    """Drop ``lock``.  ``mutex_released`` fires *before* the unlock, so
+    a tool tracking ownership has forgotten this owner by the time a
+    racing acquirer can announce itself."""
     tool = runtime.tool
     if tool is not None:
         tool.mutex_released(runtime.get_thread_num(), kind, handle)
+    lock.release()
 
 
 class OmpLock:
@@ -97,16 +77,16 @@ class OmpLock:
 
     def set(self) -> None:
         self._check()
-        acquire(self._runtime, self._lock, "lock", id(self), id(self))
+        acquire(self._runtime, self._lock, "lock", id(self))
 
     def unset(self) -> None:
         self._check()
-        release(self._runtime, self._lock, "lock", id(self), id(self))
+        release(self._runtime, self._lock, "lock", id(self))
 
     def test(self) -> bool:
         self._check()
         return acquire(self._runtime, self._lock, "lock", id(self),
-                       id(self), blocking=False)
+                       blocking=False)
 
     def destroy(self) -> None:
         self._destroyed = True
@@ -144,7 +124,7 @@ class OmpNestLock:
                                         "nest_lock", id(self), 0.0)
                 return self._count
         if not acquire(self._runtime, self._lock, "nest_lock",
-                       id(self), id(self), blocking):
+                       id(self), blocking):
             return 0
         with self._guard:
             self._owner = me
@@ -164,8 +144,7 @@ class OmpNestLock:
             self._count -= 1
             if self._count == 0:
                 self._owner = None
-                release(self._runtime, self._lock, "nest_lock",
-                        id(self), id(self))
+                release(self._runtime, self._lock, "nest_lock", id(self))
 
     def test(self) -> int:
         """Acquire if possible; return the new nesting count, else 0."""

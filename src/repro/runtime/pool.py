@@ -23,10 +23,11 @@ Design, in the same event-driven idiom as the PR 3 barrier:
 * A worker whose wake stays unset for ``OMP4PY_POOL_IDLE_TIMEOUT``
   seconds removes itself from the idle list and retires (the *trim*),
   so bursty programs do not hold threads forever.
-* Parked workers hold **no** runtime locks and write **no**
-  diagnostics blocking records: they are invisible to the wait-for
-  graph and the stall watchdog by construction, exactly like an idle
-  thread in a native runtime's thread pool.
+* Parked workers hold **no** runtime locks and emit **no** ``wait``
+  or sync event, so the hang diagnostics keep no blocking record for
+  them: they are invisible to the wait-for graph and the stall
+  watchdog by construction, exactly like an idle thread in a native
+  runtime's thread pool.
 
 The pool is per-runtime (the pure and native runtimes each own one,
 created lazily) and shared by every team the runtime forks, including

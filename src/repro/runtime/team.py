@@ -39,6 +39,25 @@ def next_backoff(backoff: float) -> float:
     return backoff if backoff < BACKOFF_MAX else BACKOFF_MAX
 
 
+def park(tool, thread_num: int, target, block, *timeout):
+    """Put the calling thread to sleep in ``block(*timeout)``.
+
+    Every blocking call of the runtime — barrier, taskwait, dependence,
+    ordered and copyprivate waits, contended mutexes — goes through
+    here, the one place that tells ``tool`` (``runtime.tool``, or
+    ``None``) a thread is asleep on ``target``: ``wait`` "begin" fires
+    before the thread blocks and "end" when it is running again,
+    however ``block`` returned.
+    """
+    if tool is None:
+        return block(*timeout)
+    tool.wait(thread_num, "begin", target)
+    try:
+        return block(*timeout)
+    finally:
+        tool.wait(thread_num, "end", target)
+
+
 class Barrier:
     """Generation-counted barrier that drains the team's task deques."""
 
@@ -88,55 +107,40 @@ class Barrier:
                 cond.notify_all()
                 return
         scheduler = team.scheduler
-        diag = team.runtime.diag
-        record = None
-        if diag is not None:
-            record = diag.block_enter("barrier", id(self), team=team,
-                                      thread_num=thread_num,
-                                      detail=my_generation)
+        tool = team.runtime.tool
         backoff = BACKOFF_MIN
-        try:
-            while True:
-                if team.broken:
-                    with cond:
-                        cond.notify_all()
-                    return
-                if run_task(team, thread_num):
-                    backoff = BACKOFF_MIN
-                    continue
+        while True:
+            if team.broken:
                 with cond:
-                    # Register as a sleeper *before* the re-checks:
-                    # pokers mutate the scheduler/pending state before
-                    # reading ``waiters``, so observing zero sleepers
-                    # there implies this re-check sees their state
-                    # change (see ``poke``).
-                    self.waiters += 1
-                    try:
-                        if self.generation != my_generation:
-                            return
-                        if (self.count >= team.size
-                                and team.pending.load() == 0):
-                            self.generation += 1
-                            self.count = 0
-                            cond.notify_all()
-                            return
-                        if not scheduler.has_work():
-                            # Signalled by poke (new task, task
-                            # completion) or by the releasing arrival;
-                            # the timeout is the bounded-backoff safety
-                            # net only.
-                            if record is not None:
-                                record.sleeping = True
-                            cond.wait(timeout=backoff
-                                      if self.use_fallback else None)
-                            if record is not None:
-                                record.sleeping = False
-                    finally:
-                        self.waiters -= 1
-                backoff = next_backoff(backoff)
-        finally:
-            if record is not None:
-                diag.block_exit()
+                    cond.notify_all()
+                return
+            if run_task(team, thread_num):
+                backoff = BACKOFF_MIN
+                continue
+            with cond:
+                # Register as a sleeper *before* the re-checks: pokers
+                # mutate the scheduler/pending state before reading
+                # ``waiters``, so observing zero sleepers there implies
+                # this re-check sees their state change (see ``poke``).
+                self.waiters += 1
+                try:
+                    if self.generation != my_generation:
+                        return
+                    if (self.count >= team.size
+                            and team.pending.load() == 0):
+                        self.generation += 1
+                        self.count = 0
+                        cond.notify_all()
+                        return
+                    if not scheduler.has_work():
+                        # Signalled by poke (new task, task completion)
+                        # or by the releasing arrival; the timeout is
+                        # the bounded-backoff safety net only.
+                        park(tool, thread_num, self, cond.wait,
+                             backoff if self.use_fallback else None)
+                finally:
+                    self.waiters -= 1
+            backoff = next_backoff(backoff)
 
     def poke(self) -> None:
         """Wake barrier waiters after a task submission or completion.

@@ -218,9 +218,10 @@ class Tracer(ToolHooks):
             else:
                 self.record("taskwait_release", thread, wait_time,
                             frame.task_id)
-        elif endpoint == "release":  # kind == "ordered"
+        elif kind == "ordered" and endpoint == "release":
             self.record("ordered_wait", thread, wait_time,
                         *caller_site())
+        # "dependence" and "copyprivate" waits have no TraceEvent kind.
 
     def mutex_acquired(self, thread, kind, handle, wait_time):
         self.record("mutex_acquired", thread, kind, handle, wait_time,
@@ -341,20 +342,6 @@ class TraceSummary:
                 wait = event.detail[0]
                 if isinstance(wait, (int, float)):
                     waits[event.thread] += wait
-        return dict(waits)
-
-    def mutex_waits(self) -> dict[tuple, float]:
-        """Total measured mutex wait time per ``(kind, handle)``.
-
-        Only ``mutex_acquired`` events (which carry the wait measured
-        on the contended acquire path) contribute.
-        """
-        waits: defaultdict[tuple, float] = defaultdict(float)
-        for event in self.events:
-            if event.kind == "mutex_acquired" and len(event.detail) >= 3:
-                kind, handle, wait = event.detail[:3]
-                if isinstance(wait, (int, float)):
-                    waits[(kind, handle)] += wait
         return dict(waits)
 
     def timeline(self, width: int = 60) -> str:

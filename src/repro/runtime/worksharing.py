@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 
 from repro.errors import OmpRuntimeError
-from repro.runtime.team import BACKOFF_MIN, next_backoff
+from repro.runtime.team import BACKOFF_MIN, next_backoff, park
 
 
 def trip_count(start: int, stop: int, step: int) -> int:
@@ -36,11 +36,15 @@ def trip_count(start: int, stop: int, step: int) -> int:
 class LoopSlot:
     """Shared state of one worksharing-loop instance."""
 
-    __slots__ = ("counter", "ordered_next", "ordered_cond")
+    __slots__ = ("counter", "ordered_next", "ordered_holder",
+                 "ordered_cond")
 
     def __init__(self, lowlevel):
         self.counter = lowlevel.make_counter(0)
         self.ordered_next = 0
+        #: Team thread number inside the ordered region right now, else
+        #: ``None`` — who a thread waiting for its turn is waiting for.
+        self.ordered_holder = None
         self.ordered_cond = threading.Condition()
 
 
@@ -200,7 +204,7 @@ def loop_is_last(bounds) -> bool:
     return bounds[2].is_last
 
 
-def ordered_start(bounds, linear_index: int) -> None:
+def ordered_start(bounds, linear_index: int, tool=None) -> None:
     """Block until it is this iteration's turn in the ordered region."""
     info: LoopInfo = bounds[2]
     slot: LoopSlot = info.slot
@@ -208,41 +212,24 @@ def ordered_start(bounds, linear_index: int) -> None:
         raise OmpRuntimeError(
             "ordered region requires a loop with the ordered clause")
     team = info.team
-    diag = team.runtime.diag if team is not None else None
-    record = None
     with slot.ordered_cond:
         backoff = BACKOFF_MIN
-        try:
-            while slot.ordered_next != linear_index:
-                if team is not None and team.broken:
-                    return  # a peer died; the region is being torn down
-                if diag is not None and record is None:
-                    record = diag.block_enter(
-                        "ordered", id(slot), team=team,
-                        thread_num=info.thread_num, detail=linear_index)
-                # ordered_end notifies the condition; the timeout is the
-                # bounded-backoff breakage check only (record_error
-                # cannot reach per-slot condition variables).
-                if record is not None:
-                    record.sleeping = True
-                slot.ordered_cond.wait(timeout=backoff)
-                if record is not None:
-                    record.sleeping = False
-                backoff = next_backoff(backoff)
-        finally:
-            if record is not None:
-                diag.block_exit()
-    if diag is not None:
-        diag.resource_acquired(("ordered", id(slot)))
+        while slot.ordered_next != linear_index:
+            if team is not None and team.broken:
+                return  # a peer died; the region is being torn down
+            # ordered_end notifies the condition; the timeout is the
+            # bounded-backoff breakage check only (record_error cannot
+            # reach per-slot condition variables).
+            park(tool, info.thread_num, slot, slot.ordered_cond.wait,
+                 backoff)
+            backoff = next_backoff(backoff)
+        slot.ordered_holder = info.thread_num
 
 
 def ordered_end(bounds, linear_index: int) -> None:
-    info: LoopInfo = bounds[2]
-    slot: LoopSlot = info.slot
-    diag = (info.team.runtime.diag if info.team is not None else None)
-    if diag is not None:
-        diag.resource_released(("ordered", id(slot)))
+    slot: LoopSlot = bounds[2].slot
     with slot.ordered_cond:
+        slot.ordered_holder = None
         slot.ordered_next = linear_index + 1
         slot.ordered_cond.notify_all()
 
@@ -365,24 +352,15 @@ def copyprivate_set(state: SectionsState, payload) -> None:
     state.slot.payload_event.set()
 
 
-def copyprivate_get(state: SectionsState):
+def copyprivate_get(state: SectionsState, tool=None, thread_num: int = 0):
     team = state.team
-    diag = team.runtime.diag if team is not None else None
-    record = None
-    if diag is not None and not state.slot.payload_event.is_set():
-        record = diag.block_enter("copyprivate", id(state.slot),
-                                  team=team)
-        record.sleeping = True
-    try:
-        backoff = BACKOFF_MIN
-        # copyprivate_set sets the event; the timeout is the
-        # bounded-backoff breakage check only (the publisher may have
-        # died without setting).
-        while not state.slot.payload_event.wait(timeout=backoff):
-            if team is not None and team.broken:
-                return None  # the publishing thread died
-            backoff = next_backoff(backoff)
-        return state.slot.payload
-    finally:
-        if record is not None:
-            diag.block_exit()
+    slot = state.slot
+    backoff = BACKOFF_MIN
+    # copyprivate_set sets the event; the timeout is the bounded-backoff
+    # breakage check only (the publisher may have died without setting).
+    while not slot.payload_event.is_set():
+        if team is not None and team.broken:
+            return None  # the publishing thread died
+        park(tool, thread_num, slot, slot.payload_event.wait, backoff)
+        backoff = next_backoff(backoff)
+    return slot.payload

@@ -35,6 +35,7 @@ import time
 from collections import Counter, deque
 
 from repro.diagnostics.origin import resolve
+from repro.diagnostics.state import install, uninstall
 from repro.ompt.hooks import ToolHooks
 from repro.runtime.trace import caller_site
 
@@ -179,9 +180,9 @@ class Sampler(ToolHooks):
     spawns the daemon sampling thread; ``stop()`` reverses all three.
     When the runtime has no
     :class:`~repro.diagnostics.state.DiagnosticsState`, ``start()``
-    creates one — the blocking records are the on-CPU/waiting
-    classifier — and ``stop()`` removes it again iff it still owns it.
-    Both are idempotent.
+    installs one — the blocking records are the on-CPU/waiting
+    classifier — and ``stop()`` removes that one again.  Both are
+    idempotent.
     """
 
     def __init__(self, runtime, interval: float = DEFAULT_INTERVAL, *,
@@ -208,7 +209,7 @@ class Sampler(ToolHooks):
         self._recent_limit = recent
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
-        self._created_diag = None
+        self._installed_diag = None
         #: ``(time.time(), time.perf_counter())`` at ``start()`` — the
         #: same epoch anchor the tracer records, for cross-run merging.
         self.anchor: tuple[float, float] | None = None
@@ -289,10 +290,7 @@ class Sampler(ToolHooks):
     def start(self) -> "Sampler":
         if self._thread is not None:
             return self
-        if self.runtime.diag is None:
-            from repro.diagnostics.state import DiagnosticsState
-            self._created_diag = DiagnosticsState()
-            self.runtime.diag = self._created_diag
+        self._installed_diag = install(self.runtime)
         self.runtime.sampler = self
         self.runtime.attach_tool(self)
         self.anchor = (time.time(), time.perf_counter())
@@ -313,10 +311,8 @@ class Sampler(ToolHooks):
         thread = self._thread
         self._thread = None
         thread.join(timeout=max(1.0, self.interval * 10))
-        if self._created_diag is not None \
-                and self.runtime.diag is self._created_diag:
-            self.runtime.diag = None
-        self._created_diag = None
+        uninstall(self.runtime, self._installed_diag)
+        self._installed_diag = None
         return self
 
     # -- the sampling loop ----------------------------------------------

@@ -95,10 +95,12 @@ class TestDispatcher:
         dispatcher.loop(1, "begin")
         dispatcher.work(1, "loop", 0, 10)
         dispatcher.task_create(0, 7)
+        dispatcher.task_dependences(0, 7, [object()])
         dispatcher.task_schedule(1, 7)
         dispatcher.task_steal(1, 7, 0)
         dispatcher.task_complete(1, 7)
         dispatcher.sync_region(0, "barrier", "release", 0.5)
+        dispatcher.wait(0, "begin", object())
         dispatcher.mutex_acquire(0, "critical", "c")
         dispatcher.mutex_acquired(0, "critical", "c", 0.1)
         dispatcher.mutex_released(0, "critical", "c")

@@ -215,3 +215,50 @@ class TestRuntimeIntegration:
             in registry.collect() if name == "omp_iterations_total")
         assert total_iterations == 20
         assert tool.pending_tasks() == 0
+
+    def test_dependence_and_copyprivate_waits_are_observed(self):
+        """The two waits no tool used to hear of: an ``if(false)`` task
+        behind a ``depend`` predecessor and a ``copyprivate`` receiver
+        land in ``omp_sync_wait_seconds`` and the flight recorder ring,
+        while the tracer — which has no ``TraceEvent`` kind for them —
+        records nothing extra."""
+        from repro.diagnostics.flight import FlightRecorder
+        rt = pure_runtime
+        tool, recorder = MetricsTool(), FlightRecorder()
+        token = object()
+
+        def region():
+            if rt.get_thread_num() == 0:
+                rt.task_submit(lambda: None, depends_out=(token,))
+                rt.task_submit(lambda: None, if_=False,
+                               depends_in=(token,))
+            state = rt.single_begin()
+            if state.selected:
+                rt.copyprivate_set(state, ("payload",))
+            assert rt.copyprivate_get(state) == ("payload",)
+            rt.single_end(state)
+
+        rt.attach_tool(tool)
+        rt.attach_tool(recorder)
+        rt.tracer.start()
+        try:
+            rt.parallel_run(region, num_threads=2)
+        finally:
+            events = rt.tracer.stop()
+            rt.detach_tool(recorder)
+            rt.detach_tool(tool)
+        observed = {}
+        for name, labels, instrument in tool.registry.collect():
+            if name == "omp_sync_wait_seconds":
+                observed[labels["kind"]] = (observed.get(labels["kind"], 0)
+                                            + instrument.count)
+        assert observed["dependence"] == 1
+        assert observed["copyprivate"] == 2
+        noted = {event["kind"] for ring in recorder.dump().values()
+                 for event in ring["events"]}
+        assert {"dependence_enter", "dependence_release",
+                "copyprivate_enter", "copyprivate_release"} <= noted
+        assert {event.kind for event in events} <= {
+            "region_fork", "region_join", "itask_begin", "itask_end",
+            "join_enter", "task_submit", "task_start", "task_finish",
+            "task_steal", "barrier_enter", "barrier_release"}

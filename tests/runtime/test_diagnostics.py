@@ -19,7 +19,8 @@ from repro.cruntime import cruntime
 from repro.diagnostics.envreport import format_display_env, icv_snapshot
 from repro.diagnostics.flight import FlightRecorder
 from repro.diagnostics.origin import format_location, register_origin, resolve
-from repro.diagnostics.state import BlockRecord, DiagnosticsState, TeamInfo
+from repro.diagnostics.state import (BlockRecord, DiagnosticsState,
+                                     TeamInfo, install, uninstall)
 from repro.diagnostics.waitgraph import build_wait_graph
 from repro.diagnostics.watchdog import (DEADLOCK_EXIT_CODE, Watchdog,
                                         build_report, format_report)
@@ -35,10 +36,10 @@ def rt(request):
 @pytest.fixture
 def diag(rt):
     """Arm diagnostics state on the (singleton) runtime, disarm after."""
-    prior = rt.diag
-    rt.diag = DiagnosticsState()
-    yield rt.diag
-    rt.diag = prior
+    state = install(rt)
+    assert state is not None, "a previous test left diagnostics armed"
+    yield state
+    uninstall(rt, state)
 
 
 def _wait_until(predicate, timeout=8.0, step=0.02):
@@ -140,6 +141,134 @@ class TestBlockingRecords:
         before = diag.progress
         rt.parallel_run(lambda: rt.barrier(), num_threads=2)
         assert diag.progress > before
+
+    @staticmethod
+    def _sleeping(diag, kind):
+        return [record for records in list(diag.blocked.values())
+                for record in records
+                if record.kind == kind and record.sleeping]
+
+    def test_copyprivate_receiver_record_names_the_team_thread(self, rt,
+                                                               diag):
+        """A ``single copyprivate`` whose publisher is held: the
+        receiver's record carries its team thread number (it used to
+        say -1) and its report line names the real member."""
+        seen = []
+
+        def region():
+            state = rt.single_begin()
+            if state.selected:
+                _wait_until(lambda: self._sleeping(diag, "copyprivate"))
+                seen.extend(self._sleeping(diag, "copyprivate"))
+                graph = build_wait_graph(diag.snapshot())
+                seen.extend(graph.describe_node(node)
+                            for node in graph.edges if node[0] == "thread")
+                rt.copyprivate_set(state, ("payload",))
+            else:
+                seen.append(rt.get_thread_num())
+            assert rt.copyprivate_get(state) == ("payload",)
+            rt.single_end(state)
+
+        rt.parallel_run(region, num_threads=2)
+        receiver, record, text = sorted(seen, key=lambda item: str(type(item)))
+        assert record.thread_num == receiver
+        assert f"team thread {receiver}) waiting in copyprivate" in text
+        assert not any(diag.blocked.values())
+
+    def test_undeferred_dependence_wait_points_at_the_predecessor(self, rt,
+                                                                  diag):
+        """An ``if(false)`` task behind a running ``depend``
+        predecessor: the encountering thread's record leads, through
+        the predecessor task, to the thread executing it."""
+        token = object()
+        started = threading.Event()
+        edges = {}
+
+        def predecessor():
+            # Runs on thread 1, which drains tasks at the barrier.
+            started.set()
+            _wait_until(lambda: self._sleeping(diag, "dependence"))
+            edges.update(build_wait_graph(diag.snapshot()).edges)
+
+        def region():
+            if rt.get_thread_num() == 0:
+                rt.task_submit(predecessor, depends_out=(token,))
+                assert started.wait(10.0)
+                rt.task_submit(lambda: None, if_=False,
+                               depends_in=(token,))
+            rt.barrier()
+
+        rt.parallel_run(region, num_threads=2)
+        (waiter,) = [node for node, out in edges.items()
+                     if node[0] == "thread" and out
+                     and out[0][0] == "task"]
+        (task,) = edges[waiter]
+        (executor,) = edges[task]
+        assert executor[0] == "thread" and executor != waiter
+        assert not any(diag.blocked.values())
+        assert not diag.task_running and not diag.task_waiting
+
+    def test_ordered_waiter_points_at_the_member_inside(self, rt, diag):
+        """A thread waiting for its ``ordered`` turn waits for the team
+        member that is inside the ordered region."""
+        inside = threading.Event()
+        edges = {}
+        idents = {}
+
+        def region():
+            me = rt.get_thread_num()
+            idents[me] = threading.get_ident()
+            bounds = rt.for_bounds([0, 2, 1])
+            rt.for_init(bounds, "static", 1, ordered=True)
+            while rt.for_next(bounds):
+                rt.ordered_start(bounds, bounds[0])
+                if me == 0:
+                    inside.set()
+                    _wait_until(lambda: self._sleeping(diag, "ordered"))
+                    edges.update(build_wait_graph(diag.snapshot()).edges)
+                rt.ordered_end(bounds, bounds[0])
+            rt.for_end(bounds)
+
+        rt.parallel_run(region, num_threads=2)
+        assert inside.is_set()
+        (ordered,) = edges[("thread", idents[1])]
+        assert ordered[0] == "ordered"
+        assert edges[ordered] == [("thread", idents[0])]
+        assert not any(diag.blocked.values())
+
+
+# -- who installs the state, and who removes it ---------------------------
+
+
+class TestInstallers:
+    def test_hand_started_watchdog_removes_what_it_installed(self, rt):
+        assert rt.diag is None and rt.tool is None
+        watchdog = Watchdog(rt, 5.0, stream=io.StringIO()).start()
+        assert rt.tool is rt.diag is not None
+        watchdog.stop()
+        assert rt.diag is None and rt.tool is None
+        # No wait site writes block records any more.
+        rt.parallel_run(lambda: rt.barrier(), num_threads=2)
+
+    def test_watchdog_leaves_a_foreign_state_alone(self, rt, diag):
+        Watchdog(rt, 5.0, stream=io.StringIO()).start().stop()
+        assert rt.diag is diag and rt.tool is diag
+
+    def test_arm_and_disarm_are_attach_and_detach_of_one_tool(self, rt):
+        from repro.arming import arm, disarm
+        entry = arm(rt, watchdog_interval=5.0)
+        try:
+            assert entry.diag is rt.diag is rt.tool
+            assert arm(rt, flight=True).diag is entry.diag  # additive
+        finally:
+            disarm(rt)
+        assert rt.diag is None and rt.tool is None
+
+    def test_disarm_leaves_a_foreign_state_alone(self, rt, diag):
+        from repro.arming import arm, disarm
+        assert arm(rt, watchdog_interval=5.0).diag is None
+        disarm(rt)
+        assert rt.diag is diag and rt.tool is diag
 
 
 # -- wait-for graph (synthetic snapshots) -----------------------------------

@@ -117,13 +117,13 @@ class TestLifecycle:
         assert not sampler.running
 
     def test_does_not_steal_foreign_diag(self):
-        from repro.diagnostics.state import DiagnosticsState
-        foreign = DiagnosticsState()
-        pure_runtime.diag = foreign
+        from repro.diagnostics.state import install, uninstall
+        foreign = install(pure_runtime)
         sampler = Sampler(pure_runtime, interval=0.01).start()
         sampler.stop()
         assert pure_runtime.diag is foreign
-        pure_runtime.diag = None
+        assert pure_runtime.tool is foreign
+        uninstall(pure_runtime, foreign)
 
     def test_samples_arrive_while_running(self):
         sampler = Sampler(pure_runtime, interval=0.002).start()
