@@ -37,6 +37,7 @@ import atexit
 import contextlib
 import dataclasses
 import json
+import os
 import signal
 import sys
 import threading
@@ -68,6 +69,10 @@ class Armed:
 #: semantics).
 _active: dict[int, Armed] = {}
 _signal_installed = False
+
+# A forked child's runtimes start cold (``runtime.engine``): the tools
+# are detached and their threads gone, so nothing is armed there.
+os.register_at_fork(after_in_child=_active.clear)
 
 
 def armed(runtime) -> Armed:
@@ -206,7 +211,7 @@ def arm_from_env(runtime) -> None:
     if metrics not in (None, "1"):
         _at_exit("metrics", metrics, _write_metrics, runtime, entry.tool)
     if entry.server is not None:
-        atexit.register(entry.server.stop)
+        _at_exit_here(entry.server.stop)
     if profile not in (None, "1"):
         _at_exit("samples", profile, _write_samples, entry.sampler)
     if flight is not None and flight.path:
@@ -261,6 +266,18 @@ def _on_sigusr1(_signum, _frame) -> None:
 # Exit-time artifact writers
 
 
+def _at_exit_here(fn) -> None:
+    """``atexit`` for the process that armed only: the tools belong to
+    it, and a forked child that exits normally must neither overwrite
+    its artifacts nor stop servers whose threads it never had."""
+    armed_in = os.getpid()
+
+    def run() -> None:
+        if os.getpid() == armed_in:
+            fn()
+    atexit.register(run)
+
+
 def _at_exit(what: str, path: str, write, *args) -> None:
     """Run ``write(*args, path)`` at interpreter exit.  Best effort:
     the process is going away, so an unwritable path is reported on
@@ -271,12 +288,11 @@ def _at_exit(what: str, path: str, write, *args) -> None:
         except OSError as error:  # pragma: no cover - exit-time
             print(f"omp4py: cannot write {what} to {path}: {error}",
                   file=sys.stderr)
-    atexit.register(run)
+    _at_exit_here(run)
 
 
 def _rank_path(path: str, rank: int) -> str:
     """``trace.json`` → ``trace.rank<k>.json`` (suffix-preserving)."""
-    import os
     stem, extension = os.path.splitext(path)
     return f"{stem}.rank{rank}{extension}"
 

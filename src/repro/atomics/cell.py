@@ -8,6 +8,7 @@ only on hash collisions) and allocation-free after import.
 
 from __future__ import annotations
 
+import os
 import threading
 from array import array
 
@@ -15,6 +16,17 @@ _NUM_STRIPES = 64
 _STRIPES = tuple(threading.Lock() for _ in range(_NUM_STRIPES))
 _COUNTER = iter(range(10**18))
 _COUNTER_LOCK = threading.Lock()
+
+
+def _reinit_after_fork() -> None:
+    # Cells keep their stripe for life, so the locks are re-initialised
+    # in place: one a vanished thread held at the fork would otherwise
+    # stay locked in the child.
+    for lock in (*_STRIPES, _COUNTER_LOCK):
+        lock._at_fork_reinit()
+
+
+os.register_at_fork(after_in_child=_reinit_after_fork)
 
 
 def _next_stripe() -> threading.Lock:

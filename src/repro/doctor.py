@@ -124,15 +124,17 @@ def _format_serve_state(state: dict) -> str:
     lines.append(f"  workers (restarts_total="
                  f"{state.get('restarts_total')}):")
     for worker in state.get("workers", []):
-        pool = worker.get("pool") or {}
+        pools = " ".join(
+            f"{name}[workers={pool.get('workers')} "
+            f"idle={pool.get('idle')} reused={pool.get('reused')}]"
+            for name, pool in (worker.get("pools") or {}).items())
         job = worker.get("job")
         busy = (f" running {job['app']} x{job['batch']} "
                 f"for {job['running_s']}s" if job else "")
         lines.append(
             f"    #{worker['id']} pid={worker['pid']} "
             f"{worker['state']}{busy} backend={worker.get('backend')} "
-            f"pool[workers={pool.get('workers')} "
-            f"idle={pool.get('idle')} reused={pool.get('reused')}] "
+            f"pools: {pools or None} "
             f"restarts={worker['restarts']} "
             f"last_app={worker.get('last_app')}")
         report = worker.get("last_report")

@@ -11,8 +11,10 @@ runtime is an independent initial thread to the other.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
+import weakref
 
 from repro import env
 from repro.errors import OmpRuntimeError
@@ -28,6 +30,27 @@ from repro.runtime.trace import Tracer
 #: uses to group fork/join, implicit-task, and barrier events of one
 #: region instance (0 = the implicit serial region).
 _REGION_IDS = itertools.count(1)
+
+#: Every live runtime, for the one at-fork hook below.
+_RUNTIMES: "weakref.WeakSet[OmpRuntime]" = weakref.WeakSet()
+
+
+def _reset_after_fork() -> None:
+    """Start every runtime cold in a forked child.
+
+    Only the forking thread exists there: the parent's parked pool
+    workers, team members and tool threads (watchdog, sampler, metrics
+    server) are gone, and a lock another thread held at the fork stays
+    locked for good.  Re-initialising drops the pool, the contexts and
+    the attached tools and makes fresh locks, as a native OpenMP
+    runtime re-initialises itself in a fork child; ICVs return to
+    their environment defaults.
+    """
+    for runtime in list(_RUNTIMES):
+        runtime.__init__(runtime.lowlevel)
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 class _Undefined:
@@ -57,6 +80,7 @@ class OmpRuntime:
     """One OMP4Py runtime: contexts, teams, worksharing, tasking, API."""
 
     def __init__(self, lowlevel):
+        _RUNTIMES.add(self)
         self.lowlevel = lowlevel
         self.name = lowlevel.name
         self._tls = threading.local()

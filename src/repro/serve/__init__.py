@@ -22,8 +22,8 @@ See docs/serving.md for the architecture and the wire protocol.
 import importlib
 
 #: Public name -> submodule.  Resolved on first access (PEP 562): a
-#: spawned worker imports ``repro.serve.worker`` through this package
-#: and must not load the HTTP front door it never runs.
+#: client that only attaches segments (``repro.serve.shm``) imports
+#: through this package and must not load the HTTP front door.
 _EXPORTS = {"AdmissionQueue": "admission", "QueueFull": "admission",
             "ServeRequest": "protocol", "result_digest": "protocol",
             "ServeServer": "server",

@@ -8,15 +8,17 @@ current job, shared segments are unlinked).  Defaults come from the
 
 ``--port-file`` writes the bound port to a file once listening — the
 integration tests and the CI smoke job use it with ``--port 0`` to
-avoid port races.
+avoid port races.  ``fleet ready`` is the first line on stdout, written
+once the port file exists and a worker is idle; ``serving on …``
+follows it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
-import threading
 
 from repro import env
 from repro.errors import OmpError
@@ -76,6 +78,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _await_signal_on() -> int:
+    """Route SIGINT/SIGTERM to a pipe and return its read end; a
+    blocking ``os.read`` on it is the wait.
+
+    The handler must not take a lock: it runs on the main thread, in
+    the middle of whatever that thread is doing, and an ``Event.set``
+    there deadlocks against the ``Event.wait`` it interrupts when the
+    signal lands while ``wait`` holds the event's lock.  The
+    interpreter's wakeup fd needs none — the C-level handler writes
+    the signal number to it — and the Python-level handler only has
+    to exist so that the default action does not end the process.
+    """
+    read_end, write_end = os.pipe()
+    os.set_blocking(write_end, False)
+    signal.set_wakeup_fd(write_end, warn_on_full_buffer=False)
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: None)
+    return read_end
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -95,20 +117,23 @@ def main(argv: list[str] | None = None) -> int:
                          job_timeout=args.timeout,
                          max_retries=args.retries,
                          debug_apps=args.debug_apps)
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    server.start(wait_ready=False)
-    if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as handle:
-            handle.write(str(server.port))
-    print(f"serving on {server.url} "
-          f"({workers} workers, queue={queue}, "
-          f"tenants={','.join(sorted(tenants))})", flush=True)
-    server.fleet.wait_ready()
-    print("fleet ready", flush=True)
+    # The server has forked its nursery by now: neither the handlers
+    # nor the wakeup fd below are inherited by the fleet.
+    stop = _await_signal_on()
     try:
-        stop.wait()
+        server.start(wait_ready=False)
+        if args.port_file:
+            with open(args.port_file, "w", encoding="utf-8") as handle:
+                handle.write(str(server.port))
+        server.fleet.wait_ready()
+        # First, and alone in its write: a reader that waits for this
+        # line with select() and one readline() must not find it
+        # buffered behind another.
+        print("fleet ready", flush=True)
+        print(f"serving on {server.url} "
+              f"({workers} workers, queue={queue}, "
+              f"tenants={','.join(sorted(tenants))})", flush=True)
+        os.read(stop, 1)
     finally:
         print("shutting down", flush=True)
         server.stop()

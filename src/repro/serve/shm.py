@@ -12,12 +12,16 @@ Resource-tracker discipline (the satellite fix): on CPython ≤ 3.12
 *attaching* a segment registers it with a ``resource_tracker`` too,
 and what that does depends on whose tracker the attacher talks to:
 
-* a **spawned worker** inherits the server's tracker fd
-  (``_pid is None`` in the child, per CPython's own comment), so its
-  attach-register is a no-op set-add — but an unregister would strip
-  the *server's* registration, producing tracker ``KeyError`` noise at
-  release and losing crash cleanup.  Workers must leave the tracker
-  alone.
+* a **forked worker** (the fleet's, through its nursery) shares the
+  server's tracker: the fd *and* the tracker pid are copied by the
+  fork, so from the stdlib's fields alone it looks like a process
+  with a tracker of its own.  Its attach-register is a no-op set-add —
+  but an unregister would strip the *server's* registration,
+  producing tracker ``KeyError`` noise at release and losing crash
+  cleanup.  Workers must leave the tracker alone.  An at-fork hook
+  here records that the fork happened with a tracker already running.
+* a **spawned child** inherits the tracker fd as well (``_pid is
+  None`` there, per CPython's own comment) and is the same case.
 * an **independent process** (a client attaching by handle) gets its
   own tracker, which then believes it owns the segment: its exit
   unlinks data the server still serves and prints ``leaked
@@ -95,13 +99,28 @@ def _tracker_name(shm: shared_memory.SharedMemory) -> str:
     return getattr(shm, "_name", shm.name)
 
 
+#: This process was forked from one whose tracker was already running.
+_forked_under_tracker = False
+
+
+def _note_fork() -> None:
+    global _forked_under_tracker
+    _forked_under_tracker = getattr(
+        resource_tracker._resource_tracker, "_fd", None) is not None
+
+
+os.register_at_fork(after_in_child=_note_fork)
+
+
 def _tracker_is_inherited() -> bool:
-    # A spawned child receives the parent's tracker fd with no tracker
-    # pid of its own (multiprocessing.spawn.spawn_main); registering or
-    # unregistering from here mutates the *parent's* bookkeeping.
+    # Registering or unregistering from here mutates an ancestor's
+    # bookkeeping: a forked child keeps the tracker fd it was forked
+    # with; a spawned one receives it with no tracker pid of its own
+    # (multiprocessing.spawn.spawn_main).
     tracker = resource_tracker._resource_tracker
     return getattr(tracker, "_fd", None) is not None \
-        and getattr(tracker, "_pid", None) is None
+        and (_forked_under_tracker
+             or getattr(tracker, "_pid", None) is None)
 
 
 def attach_unregister(shm: shared_memory.SharedMemory) -> bool:

@@ -1,11 +1,15 @@
 """Worker-process entry point: the fleet's kernel execution engine.
 
-Each worker is a spawned process holding one warm OMP4Py runtime.  At
-startup it attaches its response slab, arms the stall watchdog on both
-runtimes (a hung kernel writes a structured ``omp4py-doctor-report/1``
-to the worker's report file instead of stalling silently — the
-supervisor collects it after the kill), runs one tiny ``pi`` region so
-the hot-team pool is populated *before* the first request, and only
+Each worker is a process forked by the fleet's nursery
+(:mod:`repro.serve.fleet`), holding both OMP4Py runtimes warm.  This
+module imports at the top everything a worker needs up to and including
+its first transform, so that the fork hands it over loaded; nothing
+here transforms or arms anything at import.  At startup a worker
+attaches its response slab, arms the stall watchdog on both runtimes
+(a hung kernel writes a structured ``omp4py-doctor-report/1`` to the
+worker's report file instead of stalling silently — the supervisor
+collects it after the kill), forks one empty region per runtime so
+both hot-team pools are populated *before* the first request, and only
 then reports ready.  Kernels compile on demand: the first request for
 an (app, mode) pair transforms that variant, later ones reuse it.
 
@@ -23,47 +27,55 @@ on hosts with fewer cores than workers.
 from __future__ import annotations
 
 import os
-import signal
 import time
 import traceback
 
+import numpy as np
 
-def _apply_config_env(config: dict) -> None:
-    # Before repro imports: the runtime snapshots several knobs at
-    # module import.  Workers never re-export metrics/trace servers.
+# Loaded for the fork, not for a name: what arming the watchdog, the
+# first region and the first transform would otherwise import in
+# every worker.
+import repro.apps  # noqa: F401
+import repro.diagnostics.watchdog  # noqa: F401
+import repro.runtime.pool  # noqa: F401
+import repro.transform.constructs  # noqa: F401
+from repro.arming import arm
+from repro.cruntime import cruntime
+from repro.runtime import pure_runtime
+from repro.serve.catalog import build_inputs, execute
+from repro.serve.protocol import overrides_key, result_digest
+from repro.serve.shm import ArrayHandle, AttachedArrays
+
+RUNTIMES = (pure_runtime, cruntime)
+
+
+def _drop_observability_env() -> None:
+    # The server's environment is the worker's: left in place, these
+    # would arm a tracer, a sampler or a second metrics endpoint on
+    # the worker's first transform.
     for noisy in ("OMP4PY_METRICS_PORT", "OMP4PY_TRACE",
                   "OMP4PY_PROFILE", "OMP4PY_WATCHDOG",
                   "OMP4PY_FLIGHT"):
         os.environ.pop(noisy, None)
-    for key, value in (config.get("env") or {}).items():
-        os.environ[str(key)] = str(value)
-
-
-def _runtimes():
-    from repro.cruntime import cruntime
-    from repro.runtime import pure_runtime
-    return (pure_runtime, cruntime)
 
 
 def _warm(config: dict) -> None:
-    """Populate the hot-team pool.
+    """Populate both hot-team pools.
 
-    A tiny ``pi`` run forks one real region at the largest tenant
-    budget, so the hot-team pool already holds parked workers when the
-    first request lands (respawned workers come back warm the same
-    way).
+    One empty region per runtime at the largest tenant budget: served
+    requests default to Hybrid, whose runtime owns a pool of its own,
+    so both must hold parked workers when the first request lands
+    (respawned workers come back warm the same way).
     """
-    from repro.apps import get_app
-    from repro.modes import Mode
     warm_threads = max(1, int(config.get("warm_threads", 2)))
-    get_app("pi").variant(Mode.PURE)(threads=warm_threads, n=2000)
+    for runtime in RUNTIMES:
+        runtime.parallel_run(lambda: None, num_threads=warm_threads)
 
 
 class _JobRunner:
     """Per-process execution state: attachments, caches, slab."""
 
     def __init__(self, config: dict):
-        from repro.serve.shm import ArrayHandle, AttachedArrays
         self.attached = AttachedArrays()
         self.slab = None
         self.slab_floats = 0
@@ -77,8 +89,6 @@ class _JobRunner:
         self.last_app: str | None = None
 
     def _rebuild_fields(self, job: dict, fields: list) -> dict:
-        from repro.serve.catalog import build_inputs
-        from repro.serve.protocol import overrides_key
         key = (job["app"], job["profile"],
                overrides_key(job.get("overrides") or {}))
         inputs = self.rebuilt.get(key)
@@ -92,7 +102,6 @@ class _JobRunner:
 
     def _materialize(self, job: dict) -> dict:
         """Kernel kwargs for one request (fresh copies per call)."""
-        from repro.serve.shm import ArrayHandle
         kwargs = dict(job.get("scalars") or {})
         for field, doc in (job.get("arrays") or {}).items():
             kwargs[field] = self.attached.materialize(
@@ -106,7 +115,6 @@ class _JobRunner:
         """Flatten a numeric result into the response slab."""
         if self.slab is None:
             return None
-        import numpy as np
         try:
             flat = np.asarray(result, dtype=np.float64).ravel()
         except (ValueError, TypeError):
@@ -118,11 +126,9 @@ class _JobRunner:
         return {"n": int(flat.size), "shape": list(shape)}
 
     def run(self, job: dict) -> dict:
-        from repro.serve.catalog import execute
-        from repro.serve.protocol import result_digest
         places = job.get("places")
         proc_bind = job.get("proc_bind", "close")
-        for runtime in _runtimes():
+        for runtime in RUNTIMES:
             runtime.set_affinity(places, proc_bind)
         self.last_app = job["app"]
         results = []
@@ -154,25 +160,19 @@ class _JobRunner:
 
 
 def _state_payload(runner: _JobRunner) -> dict:
-    from repro.runtime import pure_runtime
-    pool = pure_runtime._pool
     return {"pid": os.getpid(),
             "backend": pure_runtime.backend.value,
-            "pool": pool.snapshot() if pool is not None else None,
+            "pools": {runtime.name: runtime.pool().snapshot()
+                      for runtime in RUNTIMES},
             "last_app": runner.last_app}
 
 
 def worker_entry(conn, config: dict) -> None:
-    """Process target: serve jobs from ``conn`` until shutdown."""
-    _apply_config_env(config)
-    if hasattr(signal, "SIGINT"):
-        # The server coordinates shutdown over the pipe; a terminal
-        # Ctrl-C must not take the fleet down mid-job.
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    """Process body: serve jobs from ``conn`` until shutdown or EOF."""
+    _drop_observability_env()
     interval = config.get("watchdog_interval")
     if interval:
-        from repro.arming import arm
-        for runtime in _runtimes():
+        for runtime in RUNTIMES:
             arm(runtime, watchdog_interval=float(interval),
                 report_path=config.get("report_path"))
     runner = _JobRunner(config)
@@ -184,7 +184,7 @@ def worker_entry(conn, config: dict) -> None:
         conn.send({"op": "ready", "worker_id": config.get("worker_id"),
                    **_state_payload(runner)})
     except (BrokenPipeError, OSError):
-        # The supervisor is gone (shutdown raced the spawn): exit
+        # The supervisor is gone (shutdown raced the fork): exit
         # quietly instead of tracebacking into the server's stderr.
         runner.attached.close_all()
         return
@@ -205,9 +205,7 @@ def worker_entry(conn, config: dict) -> None:
                            "worker_id": config.get("worker_id"),
                            **_state_payload(runner)})
             elif op == "shutdown":
-                conn.send({"op": "bye",
-                           "worker_id": config.get("worker_id")})
-                break
+                break  # the fleet reads the exit as EOF on the pipe
     except (BrokenPipeError, OSError):
         pass
     finally:

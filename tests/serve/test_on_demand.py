@@ -1,10 +1,12 @@
 """Workers report ready with a warm pool and compile kernels on demand.
 
 A real fleet is started with the worker entry point wrapped by a probe
-that, at the moment the worker sends ``ready``, writes down which
-(app, mode) variants exist in that process.  Readiness must not wait
-for variants nobody asked for; the first request of every mode, and a
-request retried onto a respawned worker, must still verify.
+that writes down which (app, mode) variants exist in that process when
+it is forked and again at the moment it sends ``ready``.  Readiness
+must not wait for any variant: a ready worker holds what the fork
+handed it (nothing, under ``python -m repro.serve``; whatever earlier
+tests compiled, here) and not one more.  The first request of every
+mode, and a request retried onto a respawned worker, must still verify.
 """
 
 from __future__ import annotations
@@ -20,21 +22,28 @@ from repro.serve.shm import leaked_segments
 from repro.serve.worker import worker_entry
 
 
+def _compiled_variants() -> dict:
+    from repro.apps import get_app, list_apps
+    # Keys are ``Mode`` members, or plain strings for extra variants.
+    compiled = {app: sorted(str(getattr(mode, "value", mode))
+                            for mode in get_app(app)._variants)
+                for app in list_apps()}
+    return {app: modes for app, modes in compiled.items() if modes}
+
+
 def _probed_worker(conn, config):
     """``worker_entry`` behind a pipe end that records, next to the
-    worker's report file, the variants compiled when ``ready`` is sent."""
+    worker's report file, the variants compiled at the fork and when
+    ``ready`` is sent."""
+    forked_with = _compiled_variants()
 
     class Probe:
         def send(self, message):
             if message.get("op") == "ready":
-                from repro.apps import get_app, list_apps
-                compiled = {app: sorted(mode.value
-                                        for mode in get_app(app)._variants)
-                            for app in list_apps()}
                 with open(config["report_path"] + ".ready", "w",
                           encoding="utf-8") as handle:
-                    json.dump({app: modes for app, modes in compiled.items()
-                               if modes}, handle)
+                    json.dump({"forked": forked_with,
+                               "ready": _compiled_variants()}, handle)
             conn.send(message)
 
         def recv(self):
@@ -64,15 +73,21 @@ def server(tmp_path_factory):
     assert leaked_segments() == []
 
 
-def _ready_variants(server, worker_id: int) -> dict:
+def _compiled_nothing_before_ready(server, worker_id: int) -> bool:
     path = server.report_dir / f"worker-{worker_id}.json.ready"
-    return json.loads(path.read_text(encoding="utf-8"))
+    seen = json.loads(path.read_text(encoding="utf-8"))
+    return seen["ready"] == seen["forked"]
 
 
 def test_ready_arrives_before_any_other_variant_exists(server):
     assert server.fleet.idle_workers() == 2
     for worker_id in (0, 1):
-        assert _ready_variants(server, worker_id) == {"pi": ["pure"]}
+        assert _compiled_nothing_before_ready(server, worker_id)
+    for worker in server.fleet.snapshot():
+        # Both runtimes' pools are warm: warm_threads - 1 parked each.
+        assert {name: pool["idle"]
+                for name, pool in worker["pools"].items()} \
+            == {"runtime": 3, "cruntime": 3}
 
 
 @pytest.mark.parametrize("mode", ["pure", "hybrid"])  # the served modes
@@ -110,7 +125,7 @@ def test_retry_onto_a_respawned_worker_compiles_on_demand(server):
     deadline = time.monotonic() + 60
     while server.fleet.idle_workers() < 2 and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert _ready_variants(server, victim) == {"pi": ["pure"]}
+    assert _compiled_nothing_before_ready(server, victim)
     # Both workers, the respawned one included, serve an app neither
     # compiled at start-up.
     replies = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -95,6 +96,24 @@ def test_inherited_tracker_is_left_alone(registry, monkeypatch):
         assert attach_unregister(shm) is False
     finally:
         shm.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_leaves_the_shared_tracker_alone(registry):
+    # A real fork copies the tracker's fd *and* its pid, so the child
+    # looks like the owner of a private tracker — and the segment's
+    # name embeds the parent's pid, not the child's.  It is still the
+    # parent's tracker: an unregister would strip the registration.
+    handle = registry.create_array(np.zeros(64))
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            shm = shared_memory.SharedMemory(name=handle.segment)
+            code = 0 if attach_unregister(shm) is False else 2
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def test_independent_attacher_unregisters():
