@@ -17,8 +17,8 @@ move, tens of thousands of acquisitions per search); wordcount's
 baseline merge is a single acquisition per thread, so its planned
 variant is roughly neutral and the combined ratio is honest about
 that.  With ``--check`` the gate takes the best combined ratio over up
-to three attempts (stopping at the first pass), the same
-loaded-runner guard as ``bench_region_overhead.py``.
+to three attempts (stopping at the first pass), a guard against a
+loaded runner.
 
 Usage::
 
@@ -173,19 +173,18 @@ def best_of(attempts: int, min_ratio: float, *, threads: int,
     return best
 
 
-def smoke_records(threads: int = 4, repeats: int = 3,
-                  ) -> tuple[list[str], list[dict]]:
-    """Entry point for ``reproduce.py --smoke``: per-variant records
-    for ``BENCH_smoke.json`` plus the 1.5x combined-ratio verdict."""
+def smoke_failures(threads: int = 4, repeats: int = 3) -> list[str]:
+    """Entry point for ``reproduce.py --smoke``: the 1.5x
+    combined-ratio verdict."""
     result = best_of(3, 1.5, threads=threads, repeats=repeats)
     line = (f"plan: combined bfs+wordcount "
             f"{result['combined_ratio']:.2f}x over critical baseline "
             f"at {threads} threads")
     print(f"[reproduce] {line}")
     failures: list[str] = []
-    # Same caveat as the region-overhead gate: an armed tracer taxes
-    # every barrier/critical event and skews both sides, so armed runs
-    # record the measurement but skip the verdict.
+    # An armed tracer taxes every barrier/critical event and skews
+    # both sides, so armed runs print the measurement but skip the
+    # verdict.
     if pure_runtime.tracer.enabled:
         print("[reproduce] plan: ratio gate skipped (tracer armed)")
     elif result["combined_ratio"] < 1.5:
@@ -193,16 +192,7 @@ def smoke_records(threads: int = 4, repeats: int = 3,
             f"plan: planned bfs+wordcount only "
             f"{result['combined_ratio']:.2f}x over the critical "
             f"baseline (need >= 1.5x)")
-    records = []
-    for app in result["apps"]:
-        records.append({"kernel": f"plan/{app['app']}-critical",
-                        "wall_s": app["critical_s"],
-                        "threads": threads, "mode": "pure"})
-        records.append({"kernel": f"plan/{app['app']}-planned",
-                        "wall_s": app["planned_s"],
-                        "threads": threads, "mode": "pure",
-                        "ratio_vs_critical": app["ratio"]})
-    return failures, records
+    return failures
 
 
 def main(argv=None) -> int:

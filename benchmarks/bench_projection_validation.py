@@ -2,9 +2,8 @@
 
 Thin driver over :mod:`repro.analysis.validate` in the same shape as
 the other ``benchmarks/`` scripts: a CLI with ``--check`` for CI, a
-JSON artifact, and ``smoke_records()`` for ``reproduce.py --smoke`` so
-every smoke run persists the projected-vs-measured error table into
-``BENCH_smoke.json``.
+JSON artifact, and ``smoke_failures()`` for ``reproduce.py --smoke`` so
+every smoke run prints the projected-vs-measured error table.
 
 On a free-threaded interpreter (or under ``OMP4PY_BACKEND=nogil``)
 this is the paper's central comparison: the projection model's output
@@ -31,35 +30,21 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
 from repro.analysis import validate  # noqa: E402
 
 
-def smoke_records(threads: int = 2, profile: str = "test",
-                  repeats: int = 2) -> tuple[list[str], list[dict]]:
-    """Entry point for ``reproduce.py --smoke``.
-
-    Returns ``(failures, records)``: one ``BENCH_smoke.json`` kernel
-    per validation row, and a failure for every row beyond the bound.
-    """
+def smoke_failures(threads: int = 2, profile: str = "test",
+                   repeats: int = 2) -> list[str]:
+    """Entry point for ``reproduce.py --smoke``: a failure for every
+    validation row beyond the bound."""
     rows = validate.run_validation(threads=threads, profile=profile,
                                    repeats=repeats)
     failures: list[str] = []
-    records: list[dict] = []
     for row in rows:
         print(f"[reproduce] projection-validate {row.line()}")
-        records.append({
-            "kernel": f"projection-validate/{row.app}",
-            "wall_s": row.wall_s,
-            "threads": row.threads,
-            "mode": "pure",
-            "backend": row.backend,
-            "check": row.kind,
-            "model_projected_s": row.model_projected_s,
-            "projection_error": row.error,
-        })
         if not row.passed:
             failures.append(
                 f"projection-validate {row.app}@{row.threads}thr "
                 f"({row.kind}): error {row.error * 100:.1f}% exceeds "
                 f"the {row.bound * 100:.0f}% bound")
-    return failures, records
+    return failures
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ Usage::
 
 ``--chaos`` kills one worker process mid-run and asserts every
 accepted request still completes and no shared-memory segment leaks.
-``smoke_records()`` is the ``reproduce.py --smoke`` entry point.
+``smoke_failures()`` is the ``reproduce.py --smoke`` entry point.
 """
 
 from __future__ import annotations
@@ -204,33 +204,8 @@ def check_result(result: dict, *, min_scale: float,
     return failures
 
 
-def to_records(result: dict) -> list[dict]:
-    """BENCH_smoke.json records (wall_s = seconds per request)."""
-    baseline = result["baseline"]
-    fleet = result["fleet"]
-    return [
-        {"kernel": "serve/baseline",
-         "wall_s": (1.0 / baseline["measured_rps"]
-                    if baseline["measured_rps"] else 0.0),
-         "threads": 1, "mode": "pure", "workers": 1,
-         "rps": baseline["measured_rps"]},
-        {"kernel": "serve/mixed",
-         "wall_s": (1.0 / fleet["measured_rps"]
-                    if fleet["measured_rps"] else 0.0),
-         "threads": 1, "mode": "pure",
-         "workers": result["workers"],
-         "clients": result["clients"],
-         "rps": fleet["measured_rps"],
-         "capacity_rps": result["capacity_rps"],
-         "scale": result["scale"],
-         "p99_s": result["p99_s"],
-         "shed": result["shed"],
-         "worker_restarts": result["worker_restarts"]},
-    ]
-
-
-def smoke_records(workers: int = 2, clients: int = 4,
-                  requests: int = 24) -> tuple[list[str], list[dict]]:
+def smoke_failures(workers: int = 2, clients: int = 4,
+                   requests: int = 24) -> list[str]:
     """Entry point for ``reproduce.py --smoke``: a small fleet pass.
 
     The smoke gate is correctness plus a conservative scaling floor
@@ -239,9 +214,7 @@ def smoke_records(workers: int = 2, clients: int = 4,
     """
     result = run_bench(workers=workers, clients=clients,
                        requests=requests, baseline_requests=10)
-    failures = check_result(result, min_scale=workers / 2.0,
-                            max_p99=10.0)
-    return failures, to_records(result)
+    return check_result(result, min_scale=workers / 2.0, max_p99=10.0)
 
 
 def main(argv=None) -> int:
@@ -273,14 +246,10 @@ def main(argv=None) -> int:
         from repro.runtime.gilstate import current_backend
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        records = to_records(result)
         payload_path = out_dir / "BENCH_serving.json"
-        payload = {"schema": "omp4py-bench-smoke/1",
-                   "python": platform.python_version(),
+        payload = {"python": platform.python_version(),
                    "platform": platform.platform(),
                    "backend": current_backend().value,
-                   "total_wall_s": sum(r["wall_s"] for r in records),
-                   "kernels": records,
                    "serving": result}
         payload_path.write_text(json.dumps(payload, indent=2) + "\n",
                                 encoding="utf-8")

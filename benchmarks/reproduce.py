@@ -28,7 +28,7 @@ from repro.analysis import report  # noqa: E402
 
 
 def run_command(out_dir: pathlib.Path, name: str,
-                argv: list[str]) -> float:
+                argv: list[str]) -> None:
     print(f"[reproduce] {name}: report {' '.join(argv)}")
     begin = time.perf_counter()
     buffer = io.StringIO()
@@ -40,12 +40,10 @@ def run_command(out_dir: pathlib.Path, name: str,
     print(text)
     print(f"[reproduce] {name} done in {elapsed:.1f}s -> "
           f"{out_dir / f'{name}.txt'}\n")
-    return elapsed
 
 
 def run_task_bench(out_dir: pathlib.Path, threads: int = 4,
-                   profile: str = "test",
-                   ) -> tuple[list[str], list[dict]]:
+                   profile: str = "test") -> list[str]:
     """Task-scheduler microbenchmark: qsort and bfs under the metrics
     tool.
 
@@ -54,8 +52,7 @@ def run_task_bench(out_dir: pathlib.Path, threads: int = 4,
     steal/local-hit attribution, and returns a failure for any
     task-count violation: a wrong result, tasks created but never
     executed (or vice versa), executions not attributed as exactly one
-    local hit or steal, or tasks that never completed.  Also returns
-    one machine-readable record per kernel for ``BENCH_smoke.json``.
+    local hit or steal, or tasks that never completed.
     """
     from repro.apps.base import get_app
     from repro.modes import Mode
@@ -64,7 +61,6 @@ def run_task_bench(out_dir: pathlib.Path, threads: int = 4,
 
     failures: list[str] = []
     lines: list[str] = []
-    records: list[dict] = []
     for name in ("qsort", "bfs"):
         spec = get_app(name)
         reference = spec.sequential(**spec.inputs(profile))
@@ -90,23 +86,13 @@ def run_task_bench(out_dir: pathlib.Path, threads: int = 4,
         executed = counter_total("omp_tasks_executed_total")
         steals = counter_total("omp_task_steals_total")
         local = counter_total("omp_task_local_hits_total")
-        incomplete = len(tool._tasks)
+        incomplete = tool.pending_tasks()
         line = (f"{name}: {elapsed:.3f}s at {threads} threads | tasks "
                 f"created={created:.0f} executed={executed:.0f} "
                 f"local={local:.0f} steals={steals:.0f} "
                 f"incomplete={incomplete}")
         lines.append(line)
         print(f"[reproduce] task-bench {line}")
-        records.append({
-            "kernel": f"task-bench/{name}",
-            "wall_s": elapsed,
-            "threads": threads,
-            "mode": "pure",
-            "tasks_created": int(created),
-            "tasks_executed": int(executed),
-            "local_hits": int(local),
-            "steals": int(steals),
-        })
         if not spec.verify(result, reference):
             failures.append(f"task-bench {name}: wrong result")
         if created != executed:
@@ -123,91 +109,7 @@ def run_task_bench(out_dir: pathlib.Path, threads: int = 4,
                 f"task-bench {name}: {incomplete} tasks never completed")
     (out_dir / "task_bench.txt").write_text("\n".join(lines) + "\n",
                                             encoding="utf-8")
-    return failures, records
-
-
-def measure_cold_path() -> dict:
-    """The cold-path layer of the ledger: what a script and a serving
-    fleet pay before they compute anything.
-
-    ``transform_ms`` is the sum over the nine apps x four modes of one
-    fresh ``transform`` each, best of 5 passes; ``fleet_ready_s`` is a
-    two-worker ``ServeServer`` from construction until every worker has
-    reported ready, best of 3 starts.
-    """
-    from repro.apps import get_app, list_apps
-    from repro.decorator import transform
-    from repro.modes import Mode
-    from repro.serve import ServeServer
-
-    sources = [(get_app(app).source(mode), mode)
-               for app in list_apps() for mode in Mode]
-    passes = []
-    for _ in range(5):
-        begin = time.perf_counter()
-        for source, mode in sources:
-            transform(source, mode)
-        passes.append(time.perf_counter() - begin)
-    starts = []
-    for _ in range(3):
-        begin = time.perf_counter()
-        server = ServeServer(workers=2, tenants={"default": 2})
-        try:
-            server.start()
-            deadline = begin + 60.0
-            while server.fleet.idle_workers() < 2:
-                if time.perf_counter() > deadline:
-                    raise TimeoutError("fleet not ready within 60 s")
-                time.sleep(0.002)
-            starts.append(time.perf_counter() - begin)
-        finally:
-            server.stop()
-    return {"transform_ms": 1e3 * min(passes),
-            "fleet_ready_s": min(starts)}
-
-
-def write_bench_json(out_dir: pathlib.Path, records: list[dict],
-                     cold_path: dict) -> None:
-    """Write the machine-readable smoke summary ``BENCH_smoke.json``.
-
-    CI uploads this as an artifact and ``benchmarks/check_overhead.py``
-    compares two of them to gate diagnostics overhead at <2%.
-    ``cold_path`` (see :func:`measure_cold_path`) lands as top-level
-    fields, outside the per-kernel walls and their total.
-    """
-    import json
-    import os
-    import platform
-
-    from repro.runtime.gilstate import current_backend
-
-    payload = {
-        "schema": "omp4py-bench-smoke/1",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        # Wall times under gil vs nogil backends are not comparable
-        # (projection vs true parallelism), so the delta tool refuses
-        # cross-backend comparisons.
-        "backend": current_backend().value,
-        # Overhead comparisons only make sense between runs with the
-        # same diagnostics arming, so record the knobs in the file.
-        "diagnostics": {
-            "OMP4PY_FLIGHT": os.environ.get("OMP4PY_FLIGHT"),
-            "OMP4PY_WATCHDOG": os.environ.get("OMP4PY_WATCHDOG"),
-            "OMP4PY_TRACE": os.environ.get("OMP4PY_TRACE"),
-            "OMP4PY_METRICS": os.environ.get("OMP4PY_METRICS"),
-            "OMP4PY_METRICS_PORT": os.environ.get(
-                "OMP4PY_METRICS_PORT"),
-            "OMP4PY_PROFILE": os.environ.get("OMP4PY_PROFILE"),
-            "OMP4PY_PROFILE_HZ": os.environ.get("OMP4PY_PROFILE_HZ"),
-        },
-        "total_wall_s": sum(r["wall_s"] for r in records),
-        "kernels": records,
-        **cold_path,
-    }
-    path = out_dir / "BENCH_smoke.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"[reproduce] wrote {path}")
+    return failures
 
 
 def run_smoke(out_dir: pathlib.Path) -> None:
@@ -215,8 +117,8 @@ def run_smoke(out_dir: pathlib.Path) -> None:
 
     Uses the ``test`` profile, two thread counts, and a single app per
     sweep so the whole pass stays in CI-budget territory while still
-    driving every figure's harness end to end.  Writes a per-kernel
-    timing summary to ``BENCH_smoke.json`` for the CI overhead gate.
+    driving every figure's harness end to end.  Pass/fail only: speed
+    numbers come from ``benchmarks/e2e``.
     """
     tiny = ["--profile", "test", "--threads", "1,2", "--repeats", "1"]
     plan = [
@@ -229,93 +131,45 @@ def run_smoke(out_dir: pathlib.Path) -> None:
         ("headline", ["headline", *tiny, "--apps", "pi"]),
     ]
     failures = []
-    records: list[dict] = []
     for name, argv in plan:
         try:
-            elapsed = run_command(out_dir, name, argv)
+            run_command(out_dir, name, argv)
         except Exception as error:  # noqa: BLE001 - smoke verdict
             failures.append(f"{name}: {type(error).__name__}: {error}")
             continue
-        records.append({"kernel": name, "wall_s": elapsed,
-                        "threads": "1,2", "mode": "harness"})
         produced = out_dir / f"{name}.txt"
         if not produced.exists() or not produced.read_text(
                 encoding="utf-8").strip():
             failures.append(f"{name}: produced no output")
     try:
-        task_failures, task_records = run_task_bench(out_dir)
-        failures.extend(task_failures)
-        records.extend(task_records)
+        failures.extend(run_task_bench(out_dir))
     except Exception as error:  # noqa: BLE001 - smoke verdict
         failures.append(f"task-bench: {type(error).__name__}: {error}")
     try:
-        import bench_region_overhead
-        region_failures, region_records = \
-            bench_region_overhead.smoke_records()
-        failures.extend(region_failures)
-        records.extend(region_records)
-    except Exception as error:  # noqa: BLE001 - smoke verdict
-        failures.append(
-            f"region-overhead: {type(error).__name__}: {error}")
-    try:
         import bench_projection_validation
-        proj_failures, proj_records = \
-            bench_projection_validation.smoke_records()
-        failures.extend(proj_failures)
-        records.extend(proj_records)
+        failures.extend(bench_projection_validation.smoke_failures())
     except Exception as error:  # noqa: BLE001 - smoke verdict
         failures.append(
             f"projection-validate: {type(error).__name__}: {error}")
     try:
         import bench_plan
-        plan_failures, plan_records = bench_plan.smoke_records()
-        failures.extend(plan_failures)
-        records.extend(plan_records)
+        failures.extend(bench_plan.smoke_failures())
     except Exception as error:  # noqa: BLE001 - smoke verdict
         failures.append(f"plan: {type(error).__name__}: {error}")
     try:
         import bench_serving
-        serve_failures, serve_records = bench_serving.smoke_records()
-        failures.extend(serve_failures)
-        records.extend(serve_records)
+        failures.extend(bench_serving.smoke_failures())
     except Exception as error:  # noqa: BLE001 - smoke verdict
         failures.append(f"serving: {type(error).__name__}: {error}")
-    cold_path = {}
-    try:
-        cold_path = measure_cold_path()
-        print(f"[reproduce] cold path: transform_ms="
-              f"{cold_path['transform_ms']:.1f} fleet_ready_s="
-              f"{cold_path['fleet_ready_s']:.3f}")
-    except Exception as error:  # noqa: BLE001 - smoke verdict
-        failures.append(f"cold-path: {type(error).__name__}: {error}")
-    write_bench_json(out_dir, records, cold_path)
-    try:
-        # Ledger ride-along: append this run to BENCH_history.jsonl
-        # (seeded from the committed ledger on a fresh workspace) and
-        # print the cross-run trend.  Never fails the smoke verdict.
-        import perf_history
-        repo_root = pathlib.Path(__file__).resolve().parent.parent
-        entry = perf_history.record_smoke(
-            out_dir / "BENCH_smoke.json",
-            out_dir / "BENCH_history.jsonl",
-            seed_path=repo_root / "results" / "BENCH_history.jsonl")
-        print(f"[reproduce] perf ledger: recorded {entry['sha'][:12]} "
-              f"({entry['backend']}) in {out_dir}/BENCH_history.jsonl")
-        print(perf_history.format_trend(
-            perf_history.load_history(out_dir / "BENCH_history.jsonl")))
-    except Exception as error:  # noqa: BLE001 - ledger is best-effort
-        print(f"[reproduce] perf ledger skipped: "
-              f"{type(error).__name__}: {error}")
     if failures:
         print("[reproduce] SMOKE FAILURES:")
         for failure in failures:
             print(f"  - {failure}")
         raise SystemExit(1)
     print(f"[reproduce] smoke OK: {len(plan)} figure harnesses, the task "
-          f"microbenchmark, the region-overhead gate, the "
-          f"projection-validation gate, the inspector–executor "
-          f"plan gate, and the serving bench completed "
-          f"(outputs in {out_dir}/)")
+          f"microbenchmark, the projection-validation gate, the "
+          f"inspector–executor plan gate, and the serving bench "
+          f"completed (outputs in {out_dir}/)")
 
 
 def main() -> None:
@@ -348,8 +202,8 @@ def main() -> None:
         return
     if args.task_bench:
         threads = int(args.threads.split(",")[-1])
-        failures, _records = run_task_bench(out_dir, threads=threads,
-                                            profile=args.profile)
+        failures = run_task_bench(out_dir, threads=threads,
+                                  profile=args.profile)
         if failures:
             print("[reproduce] TASK-BENCH FAILURES:")
             for failure in failures:

@@ -23,8 +23,11 @@ def _places_text(runtime) -> str:
 def icv_snapshot(runtime, verbose: bool = False) -> dict:
     """The runtime's current ICVs in ``OMP_DISPLAY_ENV`` key order.
 
-    Values are plain strings; ``runtime`` metadata lives under the
-    ``OMP4PY_*`` keys so JSON consumers never have to parse comments.
+    Values are plain strings.  A verbose snapshot adds ``[omp4py] …``
+    keys (what the runtime reports about itself — not settable, so
+    kept out of the ``OMP4PY_`` namespace) and every ``env.KNOBS``
+    variable that is set, so JSON consumers never have to parse
+    comments.
     """
     kind, chunk = runtime.get_schedule()
     schedule = kind.upper() + (f",{chunk}" if chunk else "")
@@ -41,17 +44,15 @@ def icv_snapshot(runtime, verbose: bool = False) -> dict:
         "OMP_WAIT_POLICY": runtime.get_wait_policy().upper(),
     }
     if verbose:
-        snapshot["OMP4PY_RUNTIME"] = runtime.name
+        snapshot["[omp4py] runtime"] = runtime.name
         backend = getattr(runtime, "backend", None)
         if backend is not None:
-            snapshot["OMP4PY_EXECUTION_BACKEND"] = backend.value
-        snapshot["OMP4PY_NUM_PROCS"] = str(runtime.get_num_procs())
-        snapshot["OMP4PY_HOT_TEAMS"] = str(bool(
-            getattr(runtime, "hot_teams", True))).upper()
+            snapshot["[omp4py] backend"] = backend.value
+        snapshot["[omp4py] num_procs"] = str(runtime.get_num_procs())
         pool = getattr(runtime, "_pool", None)
         if pool is not None:
             state = pool.snapshot()
-            snapshot["OMP4PY_POOL"] = (
+            snapshot["[omp4py] pool"] = (
                 f"workers={state['workers']} idle={state['idle']} "
                 f"spawned={state['spawned']} reused={state['reused']} "
                 f"trimmed={state['trimmed']}")

@@ -43,7 +43,7 @@ KNOBS = (
     "OMP4PY_PROFILE", "OMP4PY_PROFILE_HZ",
     "OMP4PY_FLIGHT", "OMP4PY_WATCHDOG", "OMP4PY_WATCHDOG_EXIT",
     # pool, backend, serving
-    "OMP4PY_HOT_TEAMS", "OMP4PY_POOL_IDLE_TIMEOUT", "OMP4PY_BACKEND",
+    "OMP4PY_POOL_IDLE_TIMEOUT", "OMP4PY_BACKEND",
     "OMP4PY_SERVE_PORT", "OMP4PY_SERVE_WORKERS", "OMP4PY_SERVE_QUEUE",
 )
 
@@ -236,13 +236,6 @@ def backend_spec() -> str:
         raise OmpError(f"OMP4PY_BACKEND must be one of {BACKEND_SPECS}, "
                        f"got {raw!r}")
     return spec
-
-
-def default_hot_teams() -> bool:
-    """``OMP4PY_HOT_TEAMS``: keep region workers parked between regions
-    (the default); ``0`` restores the spawn-per-region fork/join path."""
-    raw = os.environ.get("OMP4PY_HOT_TEAMS")
-    return _parse_bool("OMP4PY_HOT_TEAMS", raw) if raw else True
 
 
 def pool_idle_timeout() -> float:

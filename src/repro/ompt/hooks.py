@@ -30,7 +30,7 @@ callback             fired when
 ``thread_begin``     a runtime-managed native thread starts (fires on
                      the new thread, before its first implicit task)
 ``thread_end``       a runtime-managed native thread retires (pool
-                     trim/shutdown, or a spawn-per-region join)
+                     trim/shutdown)
 ``thread_idle``      a hot-team pool worker parks between regions
                      (``begin``) or is handed its next region (``end``)
 ``parallel_begin``   the encountering thread forks a team
@@ -83,15 +83,14 @@ class ToolHooks:
     def thread_begin(self, ttype: str, ident: int) -> None:
         """A runtime-managed native thread started.
 
-        ``ttype`` is ``"pool-worker"`` for hot-team pool members or
-        ``"region-worker"`` for spawn-per-region threads
-        (``OMP4PY_HOT_TEAMS=0``); ``ident`` is the native
-        ``threading.get_ident()`` value.  Fires on the new thread.
+        ``ttype`` is ``"pool-worker"`` (a hot-team pool member);
+        ``ident`` is the native ``threading.get_ident()`` value.  Fires
+        on the new thread.
         """
 
     def thread_end(self, ttype: str, ident: int) -> None:
-        """A runtime-managed native thread retired (idle trim, pool
-        shutdown, or the join of a spawn-per-region worker)."""
+        """A runtime-managed native thread retired (idle trim or pool
+        shutdown)."""
 
     def thread_idle(self, ident: int, endpoint: str) -> None:
         """A pool worker parked between regions (``endpoint ==

@@ -198,8 +198,8 @@ class MetricsTool(ToolHooks):
         with self._lock:
             self.registry.counter(
                 "omp_pool_trims_total",
-                "Runtime worker threads retired (idle trim, pool "
-                "shutdown, or spawn-per-region join), by thread type",
+                "Runtime worker threads retired (idle trim or pool "
+                "shutdown), by thread type",
                 ttype=ttype).inc()
 
     def thread_idle(self, ident, endpoint):

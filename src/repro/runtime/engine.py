@@ -92,11 +92,6 @@ class OmpRuntime:
         self._max_active_levels = env.default_max_active_levels()
         self._default_nthreads = env.default_num_threads()
         self._wait_policy = env.default_wait_policy()
-        #: ``OMP4PY_HOT_TEAMS``: serve regions from the persistent
-        #: worker pool (:mod:`repro.runtime.pool`); ``False`` restores
-        #: the spawn-per-region fork/join path.  Public so tests and
-        #: benchmarks can flip it per run.
-        self.hot_teams = env.default_hot_teams()
         #: Execution backend (:mod:`repro.runtime.gilstate`): ``GIL``
         #: runtimes serialize Python threads and the analysis stack
         #: projects no-GIL wall time; ``NOGIL`` runtimes (free-threaded
@@ -238,15 +233,12 @@ class OmpRuntime:
                     tool.implicit_task(index, "end", size)
                 stack.pop()
 
-        if size > 1 and self.hot_teams:
+        if size > 1:
             ticket = self.pool().run_helpers(member, size - 1)
             member(0)
             self.pool().wait(ticket)
         else:
-            workers = self._spawn_cold(member, size)
             member(0)
-            for worker in workers:
-                worker.join()
         if tool is not None:
             tool.parallel_end(frame.thread_num, size)
         frame.forked = None
@@ -283,33 +275,6 @@ class OmpRuntime:
                     pool = WorkerPool(self)
                     self._pool = pool
         return pool
-
-    def _spawn_cold(self, member, size: int) -> list[threading.Thread]:
-        """The ``OMP4PY_HOT_TEAMS=0`` path: one fresh thread per helper.
-
-        Fires the same ``thread_begin``/``thread_end`` tool callbacks
-        the pool does, so tools see every runtime-managed thread
-        regardless of which fork/join path served the region.
-        """
-
-        def cold_member(index: int) -> None:
-            tool = self.tool
-            ident = threading.get_ident()
-            if tool is not None:
-                tool.thread_begin("region-worker", ident)
-            try:
-                member(index)
-            finally:
-                tool = self.tool
-                if tool is not None:
-                    tool.thread_end("region-worker", ident)
-
-        workers = [threading.Thread(target=cold_member, args=(index,),
-                                    name=f"omp-{self.name}-{index}")
-                   for index in range(1, size)]
-        for worker in workers:
-            worker.start()
-        return workers
 
     # ------------------------------------------------------------------
     # Worksharing: loops

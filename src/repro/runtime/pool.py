@@ -3,10 +3,10 @@
 Real OpenMP runtimes keep their teams *hot*: the native threads that
 served one parallel region park on a futex and are handed the next
 region's implicit tasks without a pthread_create in between.  This
-module is the reproduction's analogue — it is what turns
-``engine.parallel_run`` from spawn-per-region (a fresh
-``threading.Thread`` per member, the overhead the OMP4Py preprint
-flags for fine-grained regions) into dispatch-per-region.
+module is the reproduction's analogue: every team larger than one that
+``engine.parallel_run`` forks gets its helpers from here, so a region
+costs a dispatch, not a ``threading.Thread`` per member (the overhead
+the OMP4Py preprint flags for fine-grained regions).
 
 Design, in the same event-driven idiom as the PR 3 barrier:
 

@@ -41,6 +41,7 @@ mid-request and asserts no segment leaks or vanishes
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import threading
 from multiprocessing import resource_tracker, shared_memory
@@ -138,6 +139,11 @@ def attach_unregister(shm: shared_memory.SharedMemory) -> bool:
     return True
 
 
+#: One counter per process, not per registry: two registries with the
+#: same tag (two servers in one process) must never mint the same name.
+_SEGMENT_IDS = itertools.count(1)
+
+
 class ShmRegistry:
     """Server-side owner of every shared segment.
 
@@ -145,26 +151,21 @@ class ShmRegistry:
     returns its handle; ``release``/``close_all`` unlink.  The segment
     objects are kept referenced so the mappings stay alive for the
     registry's lifetime, and names embed the owner pid plus a
-    monotonic counter so a crashed run's leftovers are attributable.
+    process-wide monotonic counter so a crashed run's leftovers are
+    attributable.
     """
 
     def __init__(self, tag: str = "srv"):
         self._lock = threading.Lock()
         self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._counter = 0
         self._tag = tag
-
-    def _next_name(self) -> str:
-        self._counter += 1
-        return (f"{SEGMENT_PREFIX}_{self._tag}_{os.getpid()}_"
-                f"{self._counter}")
 
     def create_array(self, array: np.ndarray, *,
                      container: str = "ndarray",
                      read_only: bool = False) -> ArrayHandle:
         array = np.ascontiguousarray(array)
-        with self._lock:
-            name = self._next_name()
+        name = (f"{SEGMENT_PREFIX}_{self._tag}_{os.getpid()}_"
+                f"{next(_SEGMENT_IDS)}")
         shm = shared_memory.SharedMemory(
             create=True, size=max(1, array.nbytes), name=name)
         view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)

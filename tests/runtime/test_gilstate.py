@@ -107,7 +107,7 @@ class TestBackendProperties:
         from repro.runtime import pure_runtime
         pure_runtime.display_env(verbose=True)
         err = capsys.readouterr().err
-        assert "OMP4PY_EXECUTION_BACKEND" in err
+        assert "[omp4py] backend" in err
 
 
 class TestAvailableCpus:

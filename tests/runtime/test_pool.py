@@ -14,6 +14,7 @@ import pytest
 from repro.cruntime import cruntime
 from repro.ompt.hooks import CALLBACK_NAMES, ToolHooks
 from repro.runtime import pure_runtime
+from repro.runtime.engine import OmpRuntime
 from repro.runtime.pool import WorkerPool
 
 
@@ -91,27 +92,17 @@ class TestHotTeamsThroughEngine:
             rt.set_nested(prior)
         assert sorted(ran) == [0, 0, 1, 1]
 
-    def test_hot_teams_off_spawns_per_region(self, rt):
-        """The OMP4PY_HOT_TEAMS=0 escape hatch: regions complete
-        without touching the pool."""
-        spawned_before = rt.pool().spawned_total
-        reused_before = rt.pool().reused_total
-        seen = set()
-        seen_lock = threading.Lock()
-
-        def body():
-            with seen_lock:
-                seen.add(rt.get_thread_num())
-
-        prior = rt.hot_teams
-        rt.hot_teams = False
-        try:
-            rt.parallel_run(body, num_threads=3)
-        finally:
-            rt.hot_teams = prior
-        assert seen == {0, 1, 2}
-        assert rt.pool().spawned_total == spawned_before
-        assert rt.pool().reused_total == reused_before
+    def test_team_of_one_never_creates_the_pool(self, rt):
+        """``num_threads(1)`` and ``if(false)`` regions run on the
+        encountering thread alone: no pool, no worker thread."""
+        fresh = OmpRuntime(type(rt.lowlevel)())
+        sizes = []
+        fresh.parallel_run(lambda: sizes.append(fresh.get_num_threads()),
+                           num_threads=1)
+        fresh.parallel_run(lambda: sizes.append(fresh.get_num_threads()),
+                           num_threads=4, if_=False)
+        assert sizes == [1, 1]
+        assert fresh._pool is None
 
     def test_region_errors_propagate_through_pool(self, rt):
         from repro.errors import OmpRuntimeError
@@ -247,21 +238,6 @@ class TestPoolToolCallbacks:
             assert [args[0] for args in ends] == ["pool-worker"] * 2
         finally:
             rt.detach_tool(tool)
-
-    def test_cold_path_fires_region_worker_events(self, rt):
-        tool = RecordingTool()
-        rt.attach_tool(tool)
-        prior = rt.hot_teams
-        rt.hot_teams = False
-        try:
-            rt.parallel_run(lambda: None, num_threads=3)
-        finally:
-            rt.hot_teams = prior
-            rt.detach_tool(tool)
-        begins = self._calls(tool, "thread_begin")
-        ends = self._calls(tool, "thread_end")
-        assert [args[0] for args in begins] == ["region-worker"] * 2
-        assert [args[0] for args in ends] == ["region-worker"] * 2
 
     def test_pool_counters_in_metrics_registry(self, rt):
         from repro.ompt.metrics import MetricsTool

@@ -142,3 +142,17 @@ def test_close_all_leaves_nothing(registry):
     registry.close_all()
     assert registry.names() == []
     assert not set(names) & set(leaked_segments())
+
+
+def test_two_registries_in_one_process_never_share_a_name():
+    """Two servers in one process both use the default tag."""
+    first, second = ShmRegistry(), ShmRegistry()
+    try:
+        one = first.create_array(np.zeros(8))
+        two = second.create_array(np.ones(8))
+        assert one.segment != two.segment
+        assert first.view(one)[0] == 0.0 and second.view(two)[0] == 1.0
+    finally:
+        first.close_all()
+        second.close_all()
+    assert leaked_segments() == []

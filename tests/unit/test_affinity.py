@@ -197,12 +197,6 @@ class TestEnvKnobs:
         with pytest.raises(OmpError):
             env.default_wait_policy()
 
-    def test_hot_teams_knob(self, monkeypatch):
-        monkeypatch.delenv("OMP4PY_HOT_TEAMS", raising=False)
-        assert env.default_hot_teams() is True
-        monkeypatch.setenv("OMP4PY_HOT_TEAMS", "0")
-        assert env.default_hot_teams() is False
-
     def test_pool_idle_timeout_knob(self, monkeypatch):
         monkeypatch.delenv("OMP4PY_POOL_IDLE_TIMEOUT", raising=False)
         assert env.pool_idle_timeout() == 30.0

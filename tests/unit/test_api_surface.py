@@ -46,8 +46,8 @@ class TestDisplayEnv:
     def test_verbose_adds_runtime_info(self, capsys):
         repro.omp_display_env(verbose=True)
         err = capsys.readouterr().err
-        assert "OMP4PY_RUNTIME" in err
-        assert "OMP4PY_NUM_PROCS" in err
+        assert "[omp4py] runtime" in err
+        assert "[omp4py] num_procs" in err
 
     def test_reflects_icv_changes(self, capsys):
         from repro.cruntime import cruntime
