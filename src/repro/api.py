@@ -50,12 +50,15 @@ def omp(target=None, /, **options):
 
     Decorator options mirror the paper's Section III-F: ``compile``
     (Cython-analogue native compilation — annotations present make it
-    *CompiledDT*), ``mode`` (explicit execution mode), ``cache`` (dump
-    generated sources into a directory), ``dump`` (print generated
-    code), ``debug``, ``force``, ``options`` (extra compiler flags),
-    and ``lint`` (``"warn"``/``"strict"`` — run the static race
-    detector of :mod:`repro.lint` first).  Defaults come from
-    ``OMP4PY_*`` environment variables.
+    *CompiledDT*), ``mode`` (explicit execution mode), ``cache`` (the
+    directory generated code is kept in and reused from; the cache is
+    on without it, under the user's cache directory — see
+    :func:`repro.decorator.transform`), ``dump`` (print generated
+    code), ``debug``, ``force`` (re-transform despite the cache),
+    ``options`` (extra compiler flags), and ``lint``
+    (``"warn"``/``"strict"`` — run the static race detector of
+    :mod:`repro.lint` first).  Defaults come from ``OMP4PY_*``
+    environment variables.
     """
     if isinstance(target, str):
         if options:
@@ -76,8 +79,10 @@ def _decorate(target, options: dict):
         mode = Mode.COMPILED_DT if compile_flag else default_mode()
     dump = options.pop("dump", env.decorator_default("dump", False))
     debug = options.pop("debug", env.decorator_default("debug", False))
-    cache = options.pop("cache", env.decorator_default("cache", None))
-    force = options.pop("force", env.decorator_default("force", False))
+    # ``transform`` reads OMP4PY_CACHE and OMP4PY_FORCE itself: the
+    # cache is on for every caller, not only for the decorator.
+    cache = options.pop("cache", None)
+    force = options.pop("force", False)
     lint = options.pop("lint", env.decorator_default("lint", None))
     extra = options.pop("options", None)
     if options:

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import ast
 
+from repro.cruntime.kernels import HANDLE as KERNEL_HANDLE
 from repro.transform.context import TransformContext
-
-#: Injected module handle for :mod:`repro.compiler.kernels`.
-KERNEL_HANDLE = "__omp_k__"
 
 _SCALAR_TYPES = {"int", "float", "complex", "bool"}
 

@@ -2,12 +2,17 @@
 
 Generated CompiledDT code references this module through the injected
 ``__omp_k__`` handle.  It deliberately re-exports NumPy plus a few
-helpers whose Python spellings do not map one-to-one onto ufuncs.
+helpers whose Python spellings do not map one-to-one onto ufuncs.  It
+lives beside the runtime the code runs on, not in the compiler, so
+that running cached code loads nothing of :mod:`repro.compiler`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: The name this module is injected under.
+HANDLE = "__omp_k__"
 
 #: Re-export so generated code writes ``__omp_k__.np.add.reduce(...)``.
 np = np

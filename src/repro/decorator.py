@@ -1,32 +1,43 @@
-"""The ``@omp`` decorator driver: source → AST → transform → exec.
+"""The ``@omp`` decorator driver: source → AST → transform → compile →
+exec, the first four once per source.
 
 As described in the paper (Section III-A): the decorator extracts the
 target's source with :mod:`inspect`, builds an AST, processes every
 directive, strips the decorator (so the result is not reprocessed),
 compiles the modified tree, and executes it so the transformed object
 replaces the original.
+
+What the pipeline produces up to ``exec`` — the code object and the
+generated source — is kept in a persistent, content-addressed cache
+(the paper's ``cache`` option, on by default: see :func:`transform`),
+so a process that meets a source some earlier process has transformed
+only reads and executes.  The transformer itself
+(:mod:`repro.transform.rewriter`, :mod:`repro.directives`,
+:mod:`repro.compiler`) is imported by the first miss, not by this
+module.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
+import importlib.util
 import inspect
-import itertools
+import marshal
 import os
 import sys
 import textwrap
+import threading
+import types
 
+from repro import env
 from repro.errors import OmpTransformError
 from repro.modes import Mode, default_mode
-from repro.transform import transform_function_def
-from repro.transform.context import TransformContext
-
-_HANDLE_COUNTER = itertools.count()
 
 
 def runtime_for(mode: Mode):
-    """The runtime instance a mode binds as ``__omp__``.
+    """The runtime instance a mode binds as its handle.
 
     The ``OMP4PY_*`` observability knobs (trace, metrics, live
     endpoint, flight recorder, watchdog, sampling profiler) are
@@ -44,11 +55,14 @@ def runtime_for(mode: Mode):
     return runtime
 
 
-def _is_omp_decorator(node: ast.expr) -> bool:
-    target = node.func if isinstance(node, ast.Call) else node
-    if isinstance(target, ast.Attribute):
-        return target.attr == "omp"
-    return isinstance(target, ast.Name) and target.id == "omp"
+def _handle_for(mode: Mode) -> str:
+    """The identifier generated code reaches :func:`runtime_for` by.
+
+    One name per runtime, not per transform: generated code outlives
+    the process that generated it, and variants of one module bound to
+    different runtimes must not meet on a name in its globals.
+    """
+    return "__omp0__" if mode is Mode.PURE else "__omp1__"
 
 
 def _collect_identifiers(tree: ast.AST) -> set[str]:
@@ -64,21 +78,28 @@ def _collect_identifiers(tree: ast.AST) -> set[str]:
     return names
 
 
-def _fetch_source(target) -> tuple[str, tuple[str, int]]:
-    """The target's source text and its origin ``(file, first line)``,
-    from a single :mod:`inspect` lookup (each one tokenises the file)."""
+def _locate(target) -> tuple[list[str], tuple[str, int]]:
+    """The lines of the file that defines ``target`` and the target's
+    origin ``(file, first line)`` — no tokenising: cutting the target's
+    own block out of the lines is left to whoever needs it."""
     try:
-        lines, first_line = inspect.getsourcelines(target)
+        lines, index = inspect.findsource(inspect.unwrap(target))
         source_file = inspect.getsourcefile(target)
     except (TypeError, OSError) as error:
         raise OmpTransformError(
             f"cannot retrieve the source of {target!r}; the omp decorator "
             f"needs file-backed source code") from error
-    return "".join(lines), (source_file or "<unknown>", first_line)
+    return lines, (source_file or "<unknown>", index + 1)
 
 
-def _get_source_tree(target) -> ast.AST:
-    return ast.parse(textwrap.dedent(_fetch_source(target)[0]))
+def _parse_block(lines: list[str]) -> ast.Module:
+    """The tree of the definition that starts at ``lines[0]``."""
+    return ast.parse(textwrap.dedent("".join(inspect.getblock(lines))))
+
+
+def _get_source_tree(target) -> ast.Module:
+    lines, (_file, first_line) = _locate(target)
+    return _parse_block(lines[first_line - 1:])
 
 
 def transform(target, mode: Mode | str | int | None = None, *,
@@ -92,10 +113,19 @@ def transform(target, mode: Mode | str | int | None = None, *,
     namespace (decorator behaviour); otherwise a snapshot namespace is
     used so several mode variants of one function can coexist.
 
-    ``cache`` names a directory of generated sources, keyed by the
-    original source text and mode: a hit skips the whole transformation
-    (the paper's ``cache`` decorator option); ``force`` reprocesses and
-    rewrites regardless.
+    The generated code is looked up in a persistent cache first (the
+    paper's ``cache`` decorator option) and a hit skips the whole
+    transformation; apart from the time and ``__omp_cached__`` the
+    result is the one a miss builds.  ``cache`` names the directory;
+    left out, it is ``OMP4PY_CACHE``, else ``$XDG_CACHE_HOME/omp4py``,
+    else ``~/.cache/omp4py``.  An entry is keyed by everything the
+    generated code depends on (:func:`_entry_path`), so editing the
+    source, changing an argument, upgrading Python or touching the
+    transformer misses; a directory that cannot be written means no
+    cache, silently.  ``force`` (or ``OMP4PY_FORCE``) reprocesses and
+    rewrites regardless, and so does ``debug``, whose point is what
+    the compiler prints on the way.  Nothing is ever evicted: deleting
+    the directory is always safe.
 
     ``lint`` runs the static race/misuse detector (:mod:`repro.lint`)
     over the target first: ``"warn"`` turns findings into warnings,
@@ -124,65 +154,82 @@ def transform(target, mode: Mode | str | int | None = None, *,
     # source file and the def's first line (see repro.diagnostics.origin).
     # The module qualifies the synthetic filename: every app names its
     # kernel ``kernel``.
-    source, origin = _fetch_source(target)
+    lines, origin = _locate(target)
+    first_line = origin[1]
     filename = f"<omp4py:{target.__module__}.{target.__qualname__}>"
     from repro.diagnostics.origin import register_origin
     register_origin(filename, *origin)
 
-    def bind(code, name: str, rt_name: str, needs_kernels: bool,
-             **attributes):
-        """Execute generated code; return what it defines as ``name``."""
-        namespace = globalns if live_globals else dict(globalns)
-        namespace[rt_name] = runtime_for(mode)
-        if needs_kernels:
-            from repro.compiler import kernels
-            from repro.compiler.vectorize import KERNEL_HANDLE
-            namespace[KERNEL_HANDLE] = kernels
-        _MISSING = object()
-        previous = namespace.get(name, _MISSING) if live_globals else None
-        exec(code, namespace)  # noqa: S102 - the whole point of the decorator
-        result = namespace[name]
-        if live_globals:
-            # Don't clobber the module binding here: the decorator
-            # statement itself rebinds the name to our return value, and
-            # a plain ``omp(fn)`` call must leave the original untouched.
-            if previous is _MISSING:
-                del namespace[name]
-            else:
-                namespace[name] = previous
-        try:
-            result.__omp_mode__ = mode
-            result.__omp_origin__ = origin
-            for key, value in attributes.items():
-                setattr(result, key, value)
-        except (AttributeError, TypeError):  # pragma: no cover - exotic
-            pass
-        return result
+    options = options or {}
+    force = force or env.decorator_default("force", False)
+    path = _entry_path(cache, target, mode, lines, first_line, globalns,
+                       options, debug)
+    entry = _load_entry(path) if path and not (force or debug) else None
+    cached = entry is not None
+    if not cached:
+        entry = _generate(lines[first_line - 1:], mode, filename,
+                          target.__module__, globalns, options, debug)
+        if path:
+            _store_entry(path, entry)
+    code, needs_kernels, generated = entry
+    if dump:
+        print(f"# --- omp4py generated code ({mode.value}) ---",
+              file=sys.stderr)
+        print(generated, file=sys.stderr)
 
-    cache_path = _cache_path(cache, target, mode, source) if cache else None
-    if cache_path and not force:
-        cached = _load_cache(cache_path)
-        if cached is not None:
-            code, rt_name, needs_kernels, generated = cached
-            return bind(code, target.__name__, rt_name, needs_kernels,
-                        __omp_source__=generated, __omp_cached__=True)
+    # Execute the generated code; return what it defines.
+    name = target.__name__
+    namespace = globalns if live_globals else dict(globalns)
+    namespace[_handle_for(mode)] = runtime_for(mode)
+    if needs_kernels:
+        from repro.cruntime import kernels
+        namespace[kernels.HANDLE] = kernels
+    _MISSING = object()
+    previous = namespace.get(name, _MISSING) if live_globals else None
+    exec(code, namespace)  # noqa: S102 - the whole point of the decorator
+    result = namespace[name]
+    if live_globals:
+        # Don't clobber the module binding here: the decorator
+        # statement itself rebinds the name to our return value, and
+        # a plain ``omp(fn)`` call must leave the original untouched.
+        if previous is _MISSING:
+            del namespace[name]
+        else:
+            namespace[name] = previous
+    try:
+        result.__omp_mode__ = mode
+        result.__omp_origin__ = origin
+        result.__omp_source__ = generated
+        result.__omp_cached__ = cached
+    except (AttributeError, TypeError):  # pragma: no cover - exotic
+        pass
+    return result
 
-    tree = ast.parse(textwrap.dedent(source))
+
+def _generate(lines: list[str], mode: Mode, filename: str,
+              module_name: str, globalns: dict, options: dict,
+              debug: bool) -> tuple[types.CodeType, bool, str]:
+    """Run the pipeline over the definition that starts at
+    ``lines[0]``: ``(code, needs kernels, generated source)``, which is
+    also what a cache entry holds."""
+    from repro.transform.context import TransformContext
+    from repro.transform.rewriter import transform_function_def
+
+    tree = _parse_block(lines)
     node = tree.body[0]
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
         raise OmpTransformError(
-            f"cannot transform {target!r}: its source is not a plain "
+            f"cannot transform {filename}: its source is not a plain "
             f"def/class statement (lambdas are not supported)")
     node.decorator_list = []
 
-    rt_name = f"__omp{next(_HANDLE_COUNTER)}__"
     ctx = TransformContext(
-        rt_name=rt_name,
+        rt_name=_handle_for(mode),
         module_globals=set(globalns),
         taken_names=_collect_identifiers(tree),
         filename=filename,
-        module_name=target.__module__)
+        module_name=module_name)
 
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         transform_function_def(node, ctx)
@@ -194,58 +241,110 @@ def transform(target, mode: Mode | str | int | None = None, *,
     if mode.compiles_user_code:
         from repro.compiler import optimize
         node = optimize(node, ctx, typed=(mode is Mode.COMPILED_DT),
-                        options=options or {}, debug=debug)
+                        options=options, debug=debug)
 
     # Every node is located by now (see transform_function_def; the
     # compiler passes locate what they add), so no pass is needed here.
     module = ast.Module(body=[node], type_ignores=[])
-    generated = ast.unparse(module)
-    if dump:
-        print(f"# --- omp4py generated code ({mode.value}) ---",
-              file=sys.stderr)
-        print(generated, file=sys.stderr)
-    needs_kernels = getattr(ctx, "needs_kernels", False)
-    if cache_path and (force or not os.path.exists(cache_path)):
-        # The header records what the loader must rebind: the runtime
-        # handle name baked into the generated code and whether the
-        # kernel namespace is referenced.
-        os.makedirs(cache, exist_ok=True)
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            handle.write(f"# omp4py-cache rt={rt_name} "
-                         f"kernels={int(needs_kernels)} mode={mode.value}\n"
-                         + generated)
-
-    code = compile(module, filename=filename, mode="exec")
-    return bind(code, node.name, rt_name, needs_kernels,
-                __omp_source__=generated)
+    return (compile(module, filename=filename, mode="exec"),
+            getattr(ctx, "needs_kernels", False), ast.unparse(module))
 
 
-def _cache_path(cache_dir: str, target, mode: Mode, source: str) -> str:
-    """Key the cache on the original source, so edits invalidate."""
-    digest = hashlib.sha256(
-        f"{target.__qualname__}:{mode.value}:{source}".encode()
-    ).hexdigest()[:16]
-    return os.path.join(cache_dir, f"omp4py_{digest}.py")
+# ----------------------------------------------------------------------
+# The code cache: one file per key, ``MAGIC_NUMBER`` + marshal.  Entries
+# are trusted the way ``__pycache__`` is: the directory is the user's.
+
+#: What ``.pyc`` files start with: an entry written by an interpreter
+#: whose bytecode differs is a miss, not a crash.
+_MAGIC = importlib.util.MAGIC_NUMBER
 
 
-def _load_cache(path: str):
-    """``(code, runtime handle, needs kernels, generated source)`` of a
-    cache entry, or ``None`` when it is missing or corrupted (the
-    caller then retransforms).
+@functools.cache
+def _fingerprint() -> str:
+    """Digest of the sources that decide what gets generated — this
+    module and the transformer packages — so editing or upgrading any
+    of them invalidates every entry.  Content, not mtimes: a fresh
+    checkout of the same commit keeps its hits."""
+    root = os.path.dirname(__file__)
+    paths = [__file__]
+    for package in ("transform", "directives", "compiler"):
+        for folder, _dirs, files in os.walk(os.path.join(root, package)):
+            paths += [os.path.join(folder, name) for name in files
+                      if name.endswith(".py")]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        digest.update(os.path.relpath(path, root).encode())
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
 
-    The whole file is compiled under its own path — the header is a
-    comment — so traceback lines match the file on disk.
+
+def _entry_path(cache: str | None, target, mode: Mode, lines: list[str],
+                first_line: int, globalns: dict, options: dict,
+                debug: bool) -> str | None:
+    """Where the entry of this transformation lives, or ``None`` when
+    there is no cache to keep it in.
+
+    The key covers what the generated code is a function of: the
+    module and qualified name (the code's filename), the text of the
+    defining file and the line the definition starts on (a superset of
+    its source that costs no tokenising), the names the module defines
+    (they decide ``global`` declarations; the handles earlier
+    transforms left there are not the module's), the mode, the
+    compiler arguments, the bytecode flavour, and the transformer
+    itself.
     """
+    directory = cache or env.decorator_default("cache", None)
+    if not directory:
+        base = os.environ.get("XDG_CACHE_HOME") \
+            or os.path.expanduser("~/.cache")
+        if not os.path.isabs(base):  # no home to expand: no cache
+            return None
+        directory = os.path.join(base, "omp4py")
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError:
+        fingerprint = _fingerprint()
+    except OSError:  # a sourceless install
         return None
-    header, _newline, body = text.partition("\n")
+    key = hashlib.sha256(repr((
+        target.__module__, target.__qualname__, first_line, mode.value,
+        sorted(name for name in globalns if not name.startswith("__omp")),
+        sorted(options.items()), debug,
+        sys.implementation.cache_tag, fingerprint)).encode())
+    key.update("".join(lines).encode())
+    return os.path.join(directory, key.hexdigest()[:32] + ".omp4py")
+
+
+def _load_entry(path: str):
+    """``(code, needs kernels, generated source)`` of a cache entry, or
+    ``None`` when it is missing, cut short, garbage or another
+    interpreter's (the caller then retransforms and overwrites it)."""
     try:
-        fields = dict(part.split("=", 1) for part in header.split()
-                      if "=" in part)
-        return (compile(text, filename=path, mode="exec"), fields["rt"],
-                fields.get("kernels") == "1", body)
-    except (KeyError, ValueError, SyntaxError):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if not data.startswith(_MAGIC):
+            return None
+        code, needs_kernels, generated = marshal.loads(data[len(_MAGIC):])
+    except (OSError, ValueError, EOFError, TypeError):
         return None
+    if isinstance(code, types.CodeType) and isinstance(generated, str):
+        return code, bool(needs_kernels), generated
+    return None
+
+
+def _store_entry(path: str, entry: tuple) -> None:
+    """Write an entry so that readers only ever see it whole: a
+    temporary file of this thread's own, then :func:`os.replace`.  A
+    directory that cannot be created or written is not an error."""
+    temp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(temp, "wb") as handle:
+            handle.write(_MAGIC + marshal.dumps(entry))
+        os.replace(temp, path)
+    except OSError:
+        pass
+    finally:
+        try:
+            os.unlink(temp)  # only still there when the above failed
+        except OSError:
+            pass

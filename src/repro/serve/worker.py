@@ -3,15 +3,19 @@
 Each worker is a process forked by the fleet's nursery
 (:mod:`repro.serve.fleet`), holding both OMP4Py runtimes warm.  This
 module imports at the top everything a worker needs up to and including
-its first transform, so that the fork hands it over loaded; nothing
-here transforms or arms anything at import.  At startup a worker
+its first kernel out of the ``@omp`` code cache, so that the fork hands
+it over loaded; nothing here transforms or arms anything at import.
+The transformer is not part of that: a worker imports it for itself if
+and when a request misses the cache.  At startup a worker
 attaches its response slab, arms the stall watchdog on both runtimes
 (a hung kernel writes a structured ``omp4py-doctor-report/1`` to the
 worker's report file instead of stalling silently — the supervisor
 collects it after the kill), forks one empty region per runtime so
 both hot-team pools are populated *before* the first request, and only
 then reports ready.  Kernels compile on demand: the first request for
-an (app, mode) pair transforms that variant, later ones reuse it.
+an (app, mode) pair builds that variant (:func:`repro.decorator.transform`:
+a cache read, or a transformation whose result every later worker
+reads), later ones reuse it.
 
 Per job it: applies the tenant's CPU partition through
 ``OmpRuntime.set_affinity``, materializes inputs — shared-memory
@@ -33,12 +37,11 @@ import traceback
 import numpy as np
 
 # Loaded for the fork, not for a name: what arming the watchdog, the
-# first region and the first transform would otherwise import in
+# first region and the first cached kernel would otherwise import in
 # every worker.
 import repro.apps  # noqa: F401
 import repro.diagnostics.watchdog  # noqa: F401
 import repro.runtime.pool  # noqa: F401
-import repro.transform.constructs  # noqa: F401
 from repro.arming import arm
 from repro.cruntime import cruntime
 from repro.runtime import pure_runtime

@@ -13,8 +13,9 @@ end:
 * :mod:`repro.transform.rewriter` — directive dispatch,
 * :mod:`repro.transform.constructs` — one lowering module per construct
   family.
+
+Importing the package loads none of them: :mod:`repro.decorator` asks
+for :func:`repro.transform.rewriter.transform_function_def` when it
+misses its code cache, and :mod:`repro.api` only needs
+:mod:`repro.transform.api_map`.
 """
-
-from repro.transform.rewriter import transform_function_def
-
-__all__ = ["transform_function_def"]

@@ -22,7 +22,7 @@ def vectorize_source(source: str):
 
 
 def execute(module, name, *args):
-    from repro.compiler import kernels
+    from repro.cruntime import kernels
     from repro.compiler.vectorize import KERNEL_HANDLE
     namespace = {KERNEL_HANDLE: kernels, "math": __import__("math")}
     exec(compile(module, "<vec>", "exec"), namespace)

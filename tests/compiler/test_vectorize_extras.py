@@ -18,7 +18,7 @@ def run_pass(source: str, index: int = 0):
     node = vectorizer.run(tree.body[index])
     module = ast.Module(body=[node], type_ignores=[])
     ast.fix_missing_locations(module)
-    from repro.compiler import kernels
+    from repro.cruntime import kernels
     namespace = {KERNEL_HANDLE: kernels, "math": __import__("math")}
     exec(compile(module, "<vec>", "exec"), namespace)
     return vectorizer, namespace

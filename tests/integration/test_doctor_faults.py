@@ -30,9 +30,7 @@ TIMEOUT = 60
 
 def run_doctor(script: pathlib.Path, report: pathlib.Path,
                extra=()):  # -> subprocess.CompletedProcess
-    env = dict(os.environ,
-               PYTHONPATH=str(REPO / "src"),
-               OMP4PY_RUNTIME="pure")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     env.pop("OMP4PY_WATCHDOG", None)
     env.pop("OMP4PY_FLIGHT", None)
     return subprocess.run(
@@ -145,8 +143,7 @@ class TestSeededFaultsCRuntime:
 
     def test_lock_inversion(self, tmp_path):
         report_path = tmp_path / "report.json"
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
-                   OMP4PY_RUNTIME="cruntime")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "repro.doctor", "run",
              "--watchdog", WATCHDOG, "--report", str(report_path),

@@ -24,7 +24,7 @@ def build_and_run(source: str, name: str, *args):
     node = vectorizer.run(tree.body[0])
     module = ast.Module(body=[node], type_ignores=[])
     ast.fix_missing_locations(module)
-    from repro.compiler import kernels
+    from repro.cruntime import kernels
     namespace = {KERNEL_HANDLE: kernels, "math": __import__("math")}
     exec(compile(module, "<vec>", "exec"), namespace)
     vectorized = namespace[name](*[_copy(a) for a in args])
@@ -142,7 +142,7 @@ class TestExpressionEquivalence:
         node = vectorizer.run(tree.body[1])
         module = ast.Module(body=[node], type_ignores=[])
         ast.fix_missing_locations(module)
-        from repro.compiler import kernels
+        from repro.cruntime import kernels
         namespace = {KERNEL_HANDLE: kernels}
         exec(compile(module, "<vec>", "exec"), namespace)
         assert namespace["f"](arr, len(data)) == pytest.approx(

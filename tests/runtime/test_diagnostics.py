@@ -692,33 +692,46 @@ def kernel(n):
         assert format_location(pi.__code__.co_filename, 3).endswith(
             f"apps/pi.py:{pi.__omp_origin__[1] + 2}")
 
-    def test_cache_hit_keeps_the_origin(self, omp_compile, tmp_path):
+    def test_cache_hit_keeps_the_origin(self, tmp_path):
+        from repro import transform
         cache = str(tmp_path / "cache")
-        omp_compile(self._KERNEL, "kernel", cache=cache)
-        # Same source, same mode, another module: a hit.
-        cached = omp_compile(self._KERNEL, "kernel", cache=cache)
-        assert cached.__omp_cached__ is True
-        source_file, first_line = cached.__omp_origin__
-        assert source_file.endswith(f"{cached.__module__}.py")
-        assert first_line == 5  # the fixture's three import lines + a blank
-        assert resolve(f"<omp4py:{cached.__module__}.kernel>", 1) \
+        missed = transform(_divides_by_zero, cache=cache)
+        cached = transform(_divides_by_zero, cache=cache)
+        assert (missed.__omp_cached__, cached.__omp_cached__) \
+            == (False, True)
+        assert cached.__omp_origin__ == missed.__omp_origin__ == (
+            __file__, _divides_by_zero.__code__.co_firstlineno)
+        assert resolve(cached.__code__.co_filename, 1) \
             == cached.__omp_origin__
 
-    def test_cache_hit_traceback_lines_match_the_cache_file(
-            self, omp_compile, tmp_path):
+    def test_cache_hit_traceback_matches_the_source_file(self, tmp_path):
         import traceback
-        cache = tmp_path / "cache"
-        omp_compile(self._KERNEL, "kernel", cache=str(cache))
-        # Second transform of the same source: a hit.
-        cached = omp_compile(self._KERNEL, "kernel", cache=str(cache))
-        assert cached.__omp_cached__ is True
-        with pytest.raises(OmpError) as caught:
-            cached(1)
-        error = caught.value.__cause__
-        assert isinstance(error, ZeroDivisionError)
-        frame = traceback.extract_tb(error.__traceback__)[-1]
-        (entry,) = cache.iterdir()
-        assert frame.filename == str(entry)
-        lines = entry.read_text(encoding="utf-8").splitlines()
-        assert "n // 0" in lines[frame.lineno - 1]
-        assert frame.line == lines[frame.lineno - 1].strip()
+        from repro import transform
+        cache = str(tmp_path / "cache")
+        frames = []
+        for expect_hit in (False, True):
+            variant = transform(_divides_by_zero, cache=cache)
+            assert variant.__omp_cached__ is expect_hit
+            with pytest.raises(OmpError) as caught:
+                variant(1)
+            error = caught.value.__cause__
+            assert isinstance(error, ZeroDivisionError)
+            frame = traceback.extract_tb(error.__traceback__)[-1]
+            frames.append((frame.filename, frame.lineno, frame.name))
+        # A hit is compiled under the same synthetic filename as a
+        # miss, and both map back into this file.
+        assert frames[0] == frames[1]
+        filename, lineno, _name = frames[1]
+        assert filename == f"<omp4py:{__name__}._divides_by_zero>"
+        source_file, source_line = resolve(filename, lineno)
+        assert source_file == __file__
+        with open(__file__, encoding="utf-8") as handle:
+            assert "n // 0" in handle.readlines()[source_line - 1]
+
+
+def _divides_by_zero(n):
+    from repro import omp
+    total = 0
+    with omp("parallel num_threads(1)"):
+        total = n // 0
+    return total

@@ -1,10 +1,12 @@
 """Tests of the @omp decorator surface, its options, and repro.pure."""
 
+import marshal
 import os
 
 import pytest
 
 from repro import Mode, omp, transform
+from repro.decorator import _load_entry
 from repro.errors import OmpError, OmpTransformError
 
 
@@ -78,28 +80,61 @@ class TestDecoratorOptions:
         transform(simple_sum, Mode.HYBRID, cache=cache_dir)
         files = os.listdir(cache_dir)
         assert len(files) == 1
-        content = (tmp_path / "omp_cache" / files[0]).read_text()
-        assert "parallel_run" in content
+        content = (tmp_path / "omp_cache" / files[0]).read_bytes()
+        assert b"parallel_run" in content  # the generated source
 
     def test_cache_force_rewrites(self, tmp_path):
         cache_dir = str(tmp_path / "omp_cache")
         transform(simple_sum, Mode.HYBRID, cache=cache_dir)
         path = os.path.join(cache_dir, os.listdir(cache_dir)[0])
-        os.truncate(path, 0)
-        transform(simple_sum, Mode.HYBRID, cache=cache_dir, force=True)
-        assert os.path.getsize(path) > 0
+        before = os.stat(path)
+        forced = transform(simple_sum, Mode.HYBRID, cache=cache_dir,
+                           force=True)
+        assert forced.__omp_cached__ is False
+        assert os.listdir(cache_dir) == [os.path.basename(path)]
+        # Replaced, not written over: a new file under the old name.
+        assert os.stat(path).st_ino != before.st_ino
 
     def test_cache_without_force_keeps_existing(self, tmp_path):
         cache_dir = str(tmp_path / "omp_cache")
         transform(simple_sum, Mode.HYBRID, cache=cache_dir)
         path = os.path.join(cache_dir, os.listdir(cache_dir)[0])
-        os.truncate(path, 0)
+        before = os.stat(path)
         transform(simple_sum, Mode.HYBRID, cache=cache_dir)
-        assert os.path.getsize(path) == 0
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) \
+            == (before.st_ino, before.st_mtime_ns)
 
-    def test_cache_hit_skips_retransform(self, tmp_path):
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:len(data) // 2],
+        lambda data: b"",
+        lambda data: b"not an entry at all\n" * 8,
+        # Another interpreter's bytecode under the right name.
+        lambda data: b"\x00\x00\r\n" + data[4:],
+        # Well-formed marshal of the wrong shape.
+        lambda data: data[:4] + marshal.dumps(("code", False)),
+        lambda data: data[:4] + marshal.dumps(("code", False, "src")),
+    ], ids=["truncated", "empty", "text", "wrong-python",
+            "wrong-arity", "wrong-types"])
+    def test_bad_entry_is_retransformed_and_overwritten(self, tmp_path,
+                                                        damage):
+        cache_dir = tmp_path / "omp_cache"
+        transform(simple_sum, Mode.HYBRID, cache=str(cache_dir))
+        (entry,) = cache_dir.iterdir()
+        good = entry.read_bytes()
+        entry.write_bytes(damage(good))
+        again = transform(simple_sum, Mode.HYBRID, cache=str(cache_dir))
+        assert again.__omp_cached__ is False
+        assert again(100) == 4950
+        assert _load_entry(str(entry)) is not None
+        assert [path.name for path in cache_dir.iterdir()] == [entry.name]
+        assert transform(simple_sum, Mode.HYBRID,
+                         cache=str(cache_dir)).__omp_cached__ is True
+
+    def test_cache_hit_skips_retransform(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "omp_cache")
         first = transform(simple_sum, Mode.HYBRID, cache=cache_dir)
+        monkeypatch.setattr("repro.decorator._generate", None)
         second = transform(simple_sum, Mode.HYBRID, cache=cache_dir)
         assert getattr(first, "__omp_cached__", False) is False
         assert second.__omp_cached__ is True

@@ -1,7 +1,7 @@
 """Golden digests of what the transformer generates.
 
 Transformer speed-ups may not change the generated code: for every app
-× mode this hashes ``__omp_source__`` (the global runtime-handle counter
+× mode this hashes ``__omp_source__`` (the runtime handle's number
 normalised) together with the ``co_lines()`` table of the variant's code
 object and every code object nested in it.  ``golden_digests.json`` was
 computed on the commit *before* the linear-time transformer landed; run
@@ -40,12 +40,16 @@ def _line_tables(code: types.CodeType) -> list:
     return tables
 
 
-def digest(app_name: str, mode: Mode) -> str:
-    # A fresh transform, never the spec's cached variant.
-    variant = transform(get_app(app_name).source(mode), mode)
+def variant_digest(variant) -> str:
     generated = _HANDLE.sub("__ompN__", variant.__omp_source__)
     payload = json.dumps([generated, _line_tables(variant.__code__)])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def digest(app_name: str, mode: Mode) -> str:
+    # A fresh transform: not the spec's variant, not a code-cache hit.
+    return variant_digest(transform(get_app(app_name).source(mode), mode,
+                                    force=True))
 
 
 def current_digests() -> dict[str, str]:

@@ -89,12 +89,18 @@ def _racy_sum(n):
 
 
 def _force_rewrites_the_cache_file(monkeypatch, tmp_path):
+    from repro import transform
     cache_dir = str(tmp_path)
     omp(_clean_sum, cache=cache_dir)
     path = os.path.join(cache_dir, os.listdir(cache_dir)[0])
-    os.truncate(path, 0)  # kept as it is without the knob
-    omp(_clean_sum, cache=cache_dir)
-    assert os.path.getsize(path) > 0
+    written = os.stat(path).st_ino
+    # A hit without the knob, for the decorator and for a plain
+    # ``transform`` call alike.
+    assert omp(_clean_sum, cache=cache_dir).__omp_cached__ is False
+    assert os.stat(path).st_ino != written
+    assert transform(_clean_sum, cache=cache_dir).__omp_cached__ is False
+    monkeypatch.delenv("OMP4PY_FORCE")
+    assert omp(_clean_sum, cache=cache_dir).__omp_cached__ is True
 
 
 def _racy_kernel_is_refused(monkeypatch, tmp_path):
