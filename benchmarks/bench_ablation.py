@@ -1,48 +1,30 @@
 """Ablations of the design choices DESIGN.md calls out.
 
-1. Dynamic-schedule shared counter: mutex (runtime) vs atomic
-   ``fetch_add`` (cruntime) — the paper's stated reason Hybrid beats
-   Pure on jacobi/qsort/bfs.
-2. Task-deque push/steal: mutex-serialised deque vs the Chase-Lev
-   owner/thief protocol.
-3. Task throughput through the barrier drain (pure vs native runtimes
-   end-to-end).
-4. Chunked NumPy kernels vs one whole-loop kernel (CompiledDT cache
+1. Dynamic-schedule chunk handout end to end (a loop that is nothing
+   but ``for_next``).
+2. Task throughput through the barrier drain vs a producer-side
+   ``taskwait``.
+3. Chunked NumPy kernels vs one whole-loop kernel (CompiledDT cache
    behaviour).
-5. ``range`` preserved in generated code vs a generator-based driver
+4. ``range`` preserved in generated code vs a generator-based driver
    (the paper's Fig. 3 rationale).
+
+Mutex-vs-atomic primitives are not ablated here: both runtimes run on
+one primitive set (``runtime/lowlevel.py``), and per-op costs are the
+``runtime.*_us`` lines of ``benchmarks/e2e``.
 """
 
 import pytest
 
-from repro.cruntime import cruntime
+from repro.cruntime import cruntime as rt
 from repro.decorator import transform
 from repro.modes import Mode
-from repro.runtime import pure_runtime
-from repro.runtime.tasking import TaskNode, WorkStealingScheduler
-
-RUNTIMES = {"mutex(runtime)": pure_runtime,
-            "atomic(cruntime)": cruntime}
 
 
-# -- 1. shared-counter increments --------------------------------------
+# -- 1. dynamic-schedule chunk handout ---------------------------------
 
-@pytest.mark.parametrize("label", RUNTIMES)
-def test_ablation_counter_increment(benchmark, label):
-    benchmark.group = "ablation:counter"
-    counter = RUNTIMES[label].lowlevel.make_counter(0)
-
-    def bump():
-        for _ in range(10000):
-            counter.fetch_add(1)
-
-    benchmark(bump)
-
-
-@pytest.mark.parametrize("label", RUNTIMES)
-def test_ablation_dynamic_schedule_end_to_end(benchmark, label):
+def test_ablation_dynamic_schedule_end_to_end(benchmark):
     """A dynamic-schedule loop dominated by chunk handout."""
-    rt = RUNTIMES[label]
     benchmark.group = "ablation:dynamic-loop"
 
     def run():
@@ -58,44 +40,10 @@ def test_ablation_dynamic_schedule_end_to_end(benchmark, label):
     benchmark.pedantic(run, rounds=3)
 
 
-# -- 2. task deque push/claim ---------------------------------------------
+# -- 2. tasking end-to-end -------------------------------------------------
 
-@pytest.mark.parametrize("label", RUNTIMES)
-def test_ablation_task_enqueue(benchmark, label):
-    benchmark.group = "ablation:enqueue"
-    lowlevel = RUNTIMES[label].lowlevel
-
-    def enqueue():
-        scheduler = WorkStealingScheduler(lowlevel, 4)
-        for _ in range(2000):
-            scheduler.push(0, TaskNode(None, None, lowlevel))
-
-    benchmark(enqueue)
-
-
-@pytest.mark.parametrize("label", RUNTIMES)
-def test_ablation_task_steal(benchmark, label):
-    """Cross-thread claim cost: every claim misses the local deque and
-    steals from the victim (mutex deque vs Chase-Lev CAS)."""
-    benchmark.group = "ablation:steal"
-    lowlevel = RUNTIMES[label].lowlevel
-
-    def steal_all():
-        scheduler = WorkStealingScheduler(lowlevel, 4)
-        for _ in range(2000):
-            scheduler.push(0, TaskNode(None, None, lowlevel))
-        while scheduler.claim(1) is not None:
-            pass
-
-    benchmark(steal_all)
-
-
-# -- 3. tasking end-to-end -------------------------------------------------
-
-@pytest.mark.parametrize("label", RUNTIMES)
-def test_ablation_task_throughput(benchmark, label):
+def test_ablation_task_throughput(benchmark):
     """Submit a burst of empty tasks; waiters at the barrier drain it."""
-    rt = RUNTIMES[label]
     benchmark.group = "ablation:tasking"
 
     def run():
@@ -111,13 +59,11 @@ def test_ablation_task_throughput(benchmark, label):
     benchmark.pedantic(run, rounds=3)
 
 
-@pytest.mark.parametrize("label", RUNTIMES)
-def test_ablation_taskwait_drain(benchmark, label):
+def test_ablation_taskwait_drain(benchmark):
     """The alternative to barrier draining: the producer joins its own
     children with taskwait before reaching the barrier.  Comparing
     against ``test_ablation_task_throughput`` shows how much the
     paper's reawaken-waiters-at-the-barrier design contributes."""
-    rt = RUNTIMES[label]
     benchmark.group = "ablation:tasking"
 
     def run():
@@ -134,7 +80,7 @@ def test_ablation_taskwait_drain(benchmark, label):
     benchmark.pedantic(run, rounds=3)
 
 
-# -- 4. chunked vs whole-loop kernels ---------------------------------------
+# -- 3. chunked vs whole-loop kernels ---------------------------------------
 
 
 def _pi_chunked(n, threads):
@@ -168,7 +114,7 @@ def test_ablation_kernel_chunking(benchmark, label, source):
     benchmark.pedantic(variant, args=(4_000_000, 2), rounds=3)
 
 
-# -- 5b. taskloop vs worksharing for (extension overhead) --------------------
+# -- 4b. taskloop vs worksharing for (extension overhead) --------------------
 
 
 @pytest.mark.parametrize("label", ["taskloop-grain500", "for-dynamic500"])
@@ -201,7 +147,7 @@ def _ws_simple(n, threads):
     return hits
 
 
-# -- 5c. dependence-graph overhead (Section V prototype) ---------------------
+# -- 4c. dependence-graph overhead (Section V prototype) ---------------------
 
 
 @pytest.mark.parametrize("label", ["independent", "chained"])
@@ -209,7 +155,6 @@ def test_ablation_dependence_overhead(benchmark, label):
     """Cost of the id-keyed dependence graph: a fully serial inout
     chain (every submit registers with its predecessor, tasks release
     one another) vs the same tasks with no depend clauses."""
-    rt = cruntime
     benchmark.group = "ablation:dependences"
     chain = label == "chained"
     handle = object()
@@ -232,7 +177,7 @@ def test_ablation_dependence_overhead(benchmark, label):
     benchmark.pedantic(run, rounds=3)
 
 
-# -- 5. range vs generator loop driver ---------------------------------------
+# -- 4. range vs generator loop driver ---------------------------------------
 
 
 def test_ablation_range_driver(benchmark):

@@ -1,9 +1,9 @@
 """repro — reproduction of OMP4Py (CGO 2026).
 
 OpenMP 3.0 directive-based multithreaded programming for Python, with
-the paper's dual-runtime architecture: a pure-Python runtime and a
-native-runtime simulation, plus the *Compiled*/*CompiledDT* user-code
-compilation pipeline.
+the paper's dual-runtime architecture (two independent instances of
+one engine over a swappable low-level primitive set), plus the
+*Compiled*/*CompiledDT* user-code compilation pipeline.
 
 Quickstart (the paper's Fig. 1)::
 

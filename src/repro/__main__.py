@@ -7,7 +7,7 @@ import repro
 
 def main() -> None:
     print(f"repro {repro.__version__} — OMP4Py reproduction (CGO 2026)")
-    print(f"  runtimes : pure runtime + cruntime simulation")
+    print("  runtimes : runtime + cruntime (one engine, two instances)")
     print(f"  modes    : {', '.join(m.value for m in repro.ALL_MODES)}")
     print(f"  procs    : {repro.omp_get_num_procs()}")
     print()

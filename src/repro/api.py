@@ -11,7 +11,7 @@ runtime library functions.
 
 The module-level ``omp_*`` functions mirror the OpenMP runtime library
 and delegate to the session's default runtime (*Hybrid* by default, i.e.
-the native-simulation cruntime — like the paper's ``import omp4py``).
+the ``cruntime`` instance — like the paper's ``import omp4py``).
 Inside decorated code, calls to these names are rebound to the runtime
 the decorated object was compiled against.
 """

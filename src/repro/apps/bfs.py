@@ -167,8 +167,7 @@ def kernel_planned(grid, n, threads, runtime=None):
     mutates the buffer it decides on, so every thread scans the new
     frontier race-free and reaches the same verdict.
     """
-    from repro.atomics import PaddedAccumulator
-    from repro.plan import execute_member, plan_for
+    from repro.plan import PaddedAccumulator, execute_member, plan_for
 
     if runtime is None:
         from repro.runtime import pure_runtime as runtime

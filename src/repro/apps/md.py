@@ -358,8 +358,7 @@ def kernel_planned(px, py, pz, vx, vy, vz, ax, ay, az, n, steps,
     plan-cache hit; the potential reduction pads per-thread partials
     to cache-line stride.
     """
-    from repro.atomics import PaddedAccumulator
-    from repro.plan import execute, plan_for
+    from repro.plan import PaddedAccumulator, execute, plan_for
 
     if runtime is None:
         from repro.runtime import pure_runtime as runtime

@@ -1,21 +1,23 @@
-"""The native runtime simulation (the paper's Cython ``cruntime``).
+"""The second runtime (the paper's Cython ``cruntime``).
 
-Per the paper's architecture, the cruntime re-implements only the
-low-level modules — counters, events, task-queue linking, shared-slot
-creation — on top of atomic operations, and reuses every logic module
-from the pure runtime unchanged.  Here that reuse is literal: the same
-:class:`repro.runtime.OmpRuntime` engine runs with the atomics-based
-primitives from :mod:`repro.cruntime.lowlevel`.
+In the paper the cruntime re-implements only the low-level modules —
+counters, events, task-queue linking, shared-slot creation — on C
+atomics and reuses every logic module of the pure runtime unchanged.
+No native substrate is built here yet, so this is the same
+:class:`repro.runtime.OmpRuntime` engine on the same mutex primitives
+(:mod:`repro.runtime.lowlevel`): what the dual-runtime design keeps is
+the second, independent instance.
 
-The two runtimes keep fully separate per-thread contexts; code bound to
-one must not synchronize with code bound to the other (Section III-B).
+The two runtimes keep fully separate per-thread contexts and worker
+pools; code bound to one must not synchronize with code bound to the
+other (Section III-B).
 """
 
-from repro.cruntime.lowlevel import NativeLowLevel
 from repro.runtime.engine import OmpRuntime
+from repro.runtime.lowlevel import MutexLowLevel
 
-#: Singleton native-simulation runtime, bound as ``__omp__`` in
-#: *Hybrid*, *Compiled*, and *CompiledDT* modes.
-cruntime = OmpRuntime(NativeLowLevel())
+#: Singleton second runtime, bound as ``__omp__`` in *Hybrid*,
+#: *Compiled*, and *CompiledDT* modes.
+cruntime = OmpRuntime("cruntime", MutexLowLevel())
 
-__all__ = ["NativeLowLevel", "cruntime"]
+__all__ = ["cruntime"]

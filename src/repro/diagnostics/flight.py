@@ -103,6 +103,10 @@ class FlightRecorder(ToolHooks):
     def task_create(self, thread, task_id):
         self._note("task_create", thread, task_id)
 
+    def task_dependences(self, thread, task_id, predecessors):
+        self._note("task_deferred", thread, task_id,
+                   [id(task) for task in predecessors])
+
     def task_schedule(self, thread, task_id):
         self._note("task_start", thread, task_id)
 
@@ -115,6 +119,17 @@ class FlightRecorder(ToolHooks):
     def sync_region(self, thread, kind, endpoint, wait_time):
         self._note(f"{kind}_{endpoint}", thread,
                    round(wait_time, 6) if wait_time is not None else None)
+
+    def wait(self, thread, endpoint, target):
+        # "wait_begin" as a thread's last ring event is the sleep it
+        # never woke from; the ids are those of the doctor's wait-for
+        # graph (barrier, task) or of the raw mutex.
+        if isinstance(target, list):  # taskwait: the unfinished children
+            self._note(f"wait_{endpoint}", thread, "tasks",
+                       [id(task) for task in target])
+        else:
+            self._note(f"wait_{endpoint}", thread,
+                       type(target).__name__, id(target))
 
     def mutex_acquire(self, thread, kind, handle):
         self._note("mutex_wait", thread, kind, _handle_repr(handle))

@@ -53,6 +53,16 @@ def parse_directive(text: str) -> Directive:
                      arguments=arguments, source=text)
 
 
+def directive_name(text: str) -> str | None:
+    """The directive ``text`` names, or ``None`` when it names none —
+    for callers that need the construct's kind before (or without)
+    validating its clauses."""
+    try:
+        return _parse_name(TokenStream(text))
+    except OmpSyntaxError:
+        return None
+
+
 def _parse_name(stream: TokenStream) -> str:
     if stream.current.kind is not TokenKind.IDENT:
         raise OmpSyntaxError("directive name expected",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
+from repro.transform.astutil import directive_text
 from repro.transform.scope import _target_names
 
 _NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
@@ -28,36 +29,6 @@ _NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
 #: Runtime-library lock calls the race rule treats as protection.
 LOCK_ACQUIRE = frozenset({"omp_set_lock", "omp_set_nest_lock"})
 LOCK_RELEASE = frozenset({"omp_unset_lock", "omp_unset_nest_lock"})
-
-
-def directive_text(node: ast.expr) -> str | None:
-    """The directive string if ``node`` is ``omp("...")``/``openmp("...")``.
-
-    Unlike the transformer's strict extractor this never raises: the
-    linter reports malformed markers as findings instead.
-    """
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    is_omp = (isinstance(func, ast.Name) and func.id in ("omp", "openmp")) \
-        or (isinstance(func, ast.Attribute)
-            and func.attr in ("omp", "openmp"))
-    if not is_omp:
-        return None
-    if len(node.args) != 1 or node.keywords:
-        return None
-    argument = node.args[0]
-    if isinstance(argument, ast.Constant) and isinstance(
-            argument.value, str):
-        return argument.value
-    return None
-
-
-def with_directive(node: ast.With) -> str | None:
-    """The directive string of a single-item ``with omp("..."):``."""
-    if len(node.items) != 1 or node.items[0].optional_vars is not None:
-        return None
-    return directive_text(node.items[0].context_expr)
 
 
 def contains_directives(funcdef: ast.FunctionDef) -> bool:

@@ -35,6 +35,7 @@ from repro.errors import OmpSyntaxError
 from repro.lint import dataflow
 from repro.lint.findings import Finding
 from repro.transform import scope
+from repro.transform.astutil import directive_text, with_directive
 from repro.transform.context import TransformContext
 from repro.transform.datasharing import classify
 
@@ -134,12 +135,12 @@ class FunctionLinter:
                 continue
             shielded = protected or lock_depth > 0
             if isinstance(stmt, ast.With):
-                text = dataflow.with_directive(stmt)
+                text = with_directive(stmt)
                 if text is not None:
                     self._handle_directive_block(stmt, text, shielded)
                     continue
             if isinstance(stmt, ast.Expr):
-                text = dataflow.directive_text(stmt.value)
+                text = directive_text(stmt.value)
                 if text is not None:
                     self._handle_standalone(stmt, text)
                     continue

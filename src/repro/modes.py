@@ -3,9 +3,10 @@
 The paper defines four modes (Section III-B and IV):
 
 * **Pure** — generated code calls the pure-Python ``runtime``.
-* **Hybrid** — generated code calls the native ``cruntime`` (here: the
-  atomics-based runtime in :mod:`repro.cruntime`); user code stays
-  interpreted.  This is the default.
+* **Hybrid** — generated code calls the ``cruntime`` (native in the
+  paper; here the second engine instance in :mod:`repro.cruntime`, on
+  the same primitives as ``runtime``); user code stays interpreted.
+  This is the default.
 * **Compiled** — Hybrid plus compilation of the user's code.  In the
   paper this is Cython; here it is the AST optimization pipeline in
   :mod:`repro.compiler`.
@@ -34,10 +35,6 @@ class Mode(enum.Enum):
     HYBRID = "hybrid"
     COMPILED = "compiled"
     COMPILED_DT = "compileddt"
-
-    @property
-    def uses_cruntime(self) -> bool:
-        return self is not Mode.PURE
 
     @property
     def compiles_user_code(self) -> bool:

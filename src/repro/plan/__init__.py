@@ -18,7 +18,10 @@ the PyOP2-style inspector–executor architecture:
   data stays with its worker across colors and timesteps;
 * plans are cached keyed by ``(map, partition size)``
   (:func:`~repro.plan.cache.plan_for`), so the inspector cost
-  amortizes across timesteps.
+  amortizes across timesteps;
+* a planned kernel that also reduces keeps its partial sums in a
+  :class:`~repro.plan.accumulator.PaddedAccumulator`, one
+  cache-line-padded row per thread.
 
 Plan activity (partitions, colors, conflict edges, cache hits) is
 reported through the OMPT-style tool interface (``ToolHooks.plan``)
@@ -28,11 +31,13 @@ report "convoy fixed by plan" instead of a lock-convoy verdict.
 
 from __future__ import annotations
 
+from repro.plan.accumulator import CACHE_LINE_BYTES, PaddedAccumulator
 from repro.plan.cache import (clear_plan_cache, plan_cache_stats,
                               plan_for)
 from repro.plan.executor import execute, execute_member
 from repro.plan.map import Map
 from repro.plan.planner import Plan, build_plan
 
-__all__ = ["Map", "Plan", "build_plan", "clear_plan_cache", "execute",
-           "execute_member", "plan_cache_stats", "plan_for"]
+__all__ = ["CACHE_LINE_BYTES", "Map", "PaddedAccumulator", "Plan",
+           "build_plan", "clear_plan_cache", "execute", "execute_member",
+           "plan_cache_stats", "plan_for"]

@@ -2,7 +2,7 @@
 
 Importing this module gives an ``omp`` decorator that defaults to the
 *Pure* execution mode and ``omp_*`` functions bound to the pure-Python
-runtime — guaranteeing no native-simulation code runs.
+runtime — the ``cruntime`` instance is never imported.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """The OMP4Py runtime engine.
 
 An :class:`OmpRuntime` instance is what the transformer binds to the
-``__omp__`` handle inside generated code.  Two singletons exist — the
-pure runtime (:data:`repro.runtime.pure_runtime`) and the native
-simulation (:data:`repro.cruntime.cruntime`) — and, as the paper notes,
-each maintains its own per-thread contexts; a thread known to one
-runtime is an independent initial thread to the other.
+``__omp__`` handle inside generated code.  Two singletons exist —
+:data:`repro.runtime.pure_runtime` and :data:`repro.cruntime.cruntime`,
+both on the primitives of :mod:`repro.runtime.lowlevel` — and, as the
+paper notes, each maintains its own per-thread contexts; a thread known
+to one runtime is an independent initial thread to the other.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _reset_after_fork() -> None:
     their environment defaults.
     """
     for runtime in list(_RUNTIMES):
-        runtime.__init__(runtime.lowlevel)
+        runtime.__init__(runtime.name, runtime.lowlevel)
 
 
 os.register_at_fork(after_in_child=_reset_after_fork)
@@ -79,10 +79,12 @@ _SCHEDULE_NAMES = {v: k for k, v in _SCHEDULE_ENUM.items()}
 class OmpRuntime:
     """One OMP4Py runtime: contexts, teams, worksharing, tasking, API."""
 
-    def __init__(self, lowlevel):
+    def __init__(self, name: str, lowlevel):
         _RUNTIMES.add(self)
+        #: ``"runtime"`` or ``"cruntime"``: which handle generated code
+        #: reaches this instance through; reports and ``/state`` echo it.
+        self.name = name
         self.lowlevel = lowlevel
-        self.name = lowlevel.name
         self._tls = threading.local()
         # Runtime-wide ICVs (per-task nthreads-var lives on frames).
         self._dyn = env.default_dynamic()

@@ -1,12 +1,15 @@
-"""Low-level primitives of the pure-Python runtime.
+"""Low-level primitives under both runtimes.
 
-This module defines the *interface* that separates the shared runtime
-logic from the primitives that differ between the two runtimes — the
-Python analogue of the paper's ``.pxd`` declaration files.  The pure
-implementation coordinates through mutexes (``threading.Lock``); the
-native simulation in :mod:`repro.cruntime.lowlevel` substitutes atomic
-operations, exactly the split the paper describes for dynamic-schedule
-counters, task deques, and shared-slot creation.
+This module is the *interface* that separates the shared runtime logic
+from the primitives a faster substrate may replace — the Python
+analogue of the paper's ``.pxd`` declaration files.  The one
+implementation here coordinates through mutexes (``threading.Lock``),
+and both :data:`repro.runtime.pure_runtime` and
+:data:`repro.cruntime.cruntime` run on it.  The paper's ``cruntime``
+overrides exactly this set — dynamic-schedule counters, task deques,
+shared-slot creation, events — with C atomics; a native substrate
+plugs in here as a second class with the same methods, and nothing
+above this module changes.
 
 Interface (duck-typed, no ABC overhead on hot paths):
 
@@ -32,10 +35,10 @@ from collections import deque
 
 
 class MutexCounter:
-    """Shared counter protected by a mutex (the pure runtime's choice).
+    """Shared counter protected by a mutex.
 
-    Same operation set as :class:`repro.atomics.AtomicLong`, so the
-    scheduler and tasking logic are written once against this interface.
+    The operation set is that of a C ``atomic_long``, so the scheduler
+    and tasking logic are written once against this interface.
     """
 
     __slots__ = ("_value", "_lock")
@@ -66,7 +69,7 @@ class MutexCounter:
 
 
 class MutexDeque:
-    """Work-stealing deque serialised by a mutex (the pure runtime).
+    """Work-stealing deque serialised by a mutex.
 
     The owner pushes and pops at the right end (LIFO, the recursive
     decomposition order qsort/bfs want); thieves take from the left end
@@ -96,9 +99,6 @@ class MutexDeque:
         # claim attempt is worth making before sleeping.
         return bool(self._items)
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def snapshot(self) -> list:
         """Advisory copy of the queued nodes, oldest (steal end) first —
         read by the stall watchdog to show unclaimed work; never part of
@@ -107,10 +107,8 @@ class MutexDeque:
             return list(self._items)
 
 
-class PureLowLevel:
-    """Mutex-based primitives for the pure-Python ``runtime``."""
-
-    name = "runtime"
+class MutexLowLevel:
+    """The mutex-based primitive set."""
 
     @staticmethod
     def make_mutex():

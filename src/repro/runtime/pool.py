@@ -29,7 +29,7 @@ Design, in the same event-driven idiom as the PR 3 barrier:
   watchdog by construction, exactly like an idle thread in a native
   runtime's thread pool.
 
-The pool is per-runtime (the pure and native runtimes each own one,
+The pool is per-runtime (``runtime`` and ``cruntime`` each own one,
 created lazily) and shared by every team the runtime forks, including
 nested and externally-concurrent ones — ``run_helpers`` is safe to
 call from any number of master threads at once.

@@ -5,17 +5,15 @@ member pushes the tasks it submits onto its own deque, pops them back
 LIFO (depth-first, so recursive decompositions like qsort/bfs reuse warm
 data), and steals FIFO from round-robin-chosen victims when its own
 deque runs dry (breadth-first, so a thief takes the oldest — typically
-largest — subproblem).  The pure runtime backs each deque with a mutex
-(:class:`repro.runtime.lowlevel.MutexDeque`); the cruntime substitutes a
-CAS-based Chase–Lev-style owner/thief protocol
-(:class:`repro.cruntime.lowlevel.ChaseLevDeque`).
+largest — subproblem).  Each deque is a ``collections.deque`` under one
+mutex (:class:`repro.runtime.lowlevel.MutexDeque`).
 
 Deque entries are *hints*, not ownership: the single execution gate is
 the task node's ``claim()`` compare-exchange.  A node handed out twice
 under an owner/thief race, or claimed directly by ``taskwait`` while
 still sitting in a deque, is executed exactly once — the losers observe
-a failed CAS and move on.  That discipline is what lets the Chase–Lev
-emulation stay fence-free.
+a failed CAS and move on.  That discipline is also what would let a
+fence-free (Chase–Lev) deque replace the mutex one behind ``make_deque``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ chunk counter inside the shared slot is team-visible.
 
 Static scheduling is computed locally with no shared state (the paper's
 stated performance advantage); dynamic uses ``fetch_add`` on the shared
-counter; guided uses a ``compare_exchange`` retry loop so the cruntime's
-atomic counter runs it lock-free.
+counter; guided uses a ``compare_exchange`` retry loop, so a counter
+backed by a real atomic would run it lock-free.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _next_guided(info: LoopInfo):
         # one iteration.
         size = max(1, minimum, remaining // (2 * nthreads))
         size = min(size, remaining)
-        # CAS retry loop: lock-free on the cruntime's atomic counter.
+        # CAS retry loop: a lost race recomputes the decayed size.
         if counter.compare_exchange(low, low + size):
             return low, low + size
 

@@ -7,6 +7,46 @@ import ast
 from repro.errors import OmpSyntaxError
 
 
+def marker_call(node: ast.expr) -> ast.Call | None:
+    """``node`` if it calls something spelled ``omp`` or ``openmp``."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Name):
+        spelled = func.id
+    elif isinstance(func, ast.Attribute):
+        spelled = func.attr
+    else:
+        return None
+    return node if spelled in ("omp", "openmp") else None
+
+
+def directive_text(node: ast.expr) -> str | None:
+    """The directive string if ``node`` is a well-formed marker call:
+    ``omp`` (OMP4Py) or ``openmp`` (PyOMP), bare or as an attribute,
+    with exactly one argument, a string literal.
+
+    The one place a marker is recognised, and it never raises: the
+    transformer makes a malformed marker an error
+    (``rewriter.extract_directive_call``), the linter a finding.
+    """
+    call = marker_call(node)
+    if call is None or len(call.args) != 1 or call.keywords:
+        return None
+    argument = call.args[0]
+    if isinstance(argument, ast.Constant) and isinstance(
+            argument.value, str):
+        return argument.value
+    return None
+
+
+def with_directive(node: ast.With) -> str | None:
+    """The directive string of a single-item ``with omp("..."):``."""
+    if len(node.items) != 1 or node.items[0].optional_vars is not None:
+        return None
+    return directive_text(node.items[0].context_expr)
+
+
 def name_load(name: str) -> ast.Name:
     return ast.Name(id=name, ctx=ast.Load())
 

@@ -17,7 +17,7 @@ from repro.directives.spec import DIRECTIVES
 from repro.errors import OmpSyntaxError
 from repro.transform import scope
 from repro.transform.api_map import OMP_API_METHODS
-from repro.transform.astutil import rt_attr
+from repro.transform.astutil import directive_text, marker_call, rt_attr
 from repro.transform.context import TransformContext
 
 #: Attribute used to pass pre-parsed directives on synthesized nodes
@@ -26,26 +26,14 @@ PARSED_ATTR = "_omp_parsed_directive"
 
 
 def extract_directive_call(node: ast.expr) -> str | None:
-    """Return the directive text if ``node`` is an ``omp("...")`` call."""
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    # "omp" is OMP4Py's marker, "openmp" is PyOMP's (both papers use the
-    # with-statement convention).
-    is_omp = (isinstance(func, ast.Name) and func.id in ("omp", "openmp")) \
-        or (isinstance(func, ast.Attribute) and func.attr in ("omp",
-                                                              "openmp"))
-    if not is_omp:
-        return None
-    if len(node.args) != 1 or node.keywords:
+    """Return the directive text if ``node`` is an ``omp("...")`` call;
+    a malformed marker is an error."""
+    text = directive_text(node)
+    if text is None and marker_call(node) is not None:
         raise OmpSyntaxError(
-            "omp() takes exactly one directive string")
-    argument = node.args[0]
-    if not isinstance(argument, ast.Constant) or not isinstance(
-            argument.value, str):
-        raise OmpSyntaxError(
-            "the omp() directive must be a string literal")
-    return argument.value
+            "omp() takes exactly one argument, the directive as a "
+            "string literal")
+    return text
 
 
 def _directive_of_with(node: ast.With) -> Directive | None:

@@ -15,6 +15,9 @@ import ast
 from collections import Counter
 from collections.abc import Iterable
 
+from repro.directives.parser import directive_name
+from repro.transform.astutil import with_directive
+
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
                 ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -159,21 +162,12 @@ def _moves_to_inner_function(node: ast.With) -> bool:
     """Is this a ``with omp("parallel ...")`` / ``with omp("task ...")``
     block, whose body the transformer relocates into an inner function?
     """
-    if len(node.items) != 1 or node.items[0].optional_vars is not None:
+    text = with_directive(node)
+    if text is None:
         return False
-    call = node.items[0].context_expr
-    if not (isinstance(call, ast.Call) and len(call.args) == 1
-            and isinstance(call.args[0], ast.Constant)
-            and isinstance(call.args[0].value, str)):
-        return False
-    func = call.func
-    name_ok = (isinstance(func, ast.Name)
-               and func.id in ("omp", "openmp")) or (
-        isinstance(func, ast.Attribute) and func.attr in ("omp", "openmp"))
-    if not name_ok:
-        return False
-    words = call.args[0].value.strip().lower().replace("_", " ").split()
-    return bool(words) and words[0] in ("parallel", "task", "taskloop")
+    name = directive_name(text)
+    return name is not None and name.split()[0] in ("parallel", "task",
+                                                    "taskloop")
 
 
 class _ReadVisitor(ast.NodeVisitor):

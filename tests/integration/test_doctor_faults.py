@@ -69,6 +69,30 @@ class TestSeededFaults:
         assert all("lock_inversion.py:" in (t.get("source") or "")
                    for t in threads)
 
+    def test_lock_inversion_flight_tails_show_the_last_sleep(self, tmp_path):
+        """Each cycle thread's ring goes on past ``mutex_wait`` to the
+        ``wait`` it never woke from (``doctor run`` flies the recorder
+        by default)."""
+        report_path = tmp_path / "report.json"
+        proc = run_doctor(FAULTS / "lock_inversion.py", report_path)
+        assert proc.returncode == 86, proc.stderr[-2000:]
+        report = load_report(report_path)
+        (cycle,) = report["cycles"]
+        slept_on = set()
+        for step, wanted in zip(cycle, cycle[1:] + cycle[:1]):
+            if step["node"] != "thread":
+                continue
+            events = report["flight"][str(step["id"])]["events"]
+            blocked = max(index for index, event in enumerate(events)
+                          if event["kind"] == "mutex_wait"
+                          and event["detail"][2] == wanted["id"])
+            sleeps = [event["detail"] for event in events[blocked + 1:]
+                      if event["kind"] == "wait_begin"]
+            assert sleeps and all(kind == "lock" for _, kind, _ in sleeps)
+            slept_on.update(ident for _, _, ident in sleeps)
+        assert len(slept_on) == 2  # one mutex each
+        assert "mutex_wait wait_begin" in proc.stderr
+
     def test_unmatched_barrier_is_unsatisfiable(self, tmp_path):
         report_path = tmp_path / "report.json"
         proc = run_doctor(FAULTS / "unmatched_barrier.py", report_path)

@@ -116,3 +116,15 @@ def test_a_served_request_on_a_warm_cache_never_loads_it(tmp_path):
     assert passes["cold"]["ready"] == []
     assert "repro.transform.rewriter" in passes["cold"]["result"]
     assert passes["warm"] == {"ready": [], "result": []}
+
+
+def test_the_second_runtime_brings_no_primitive_set_of_its_own(tmp_path):
+    """``repro.cruntime`` is the engine over ``repro.runtime.lowlevel``
+    again: nothing named ``atomics`` rides in with it."""
+    script = ("import json, sys, repro.cruntime\n"
+              "print(json.dumps({'atomics': sorted(\n"
+              "    name for name in sys.modules if 'atomics' in name),\n"
+              "    'lowlevel': sorted(name for name in sys.modules\n"
+              "                       if name.endswith('lowlevel'))}))\n")
+    assert _run(script, tmp_path / "cache") == {
+        "atomics": [], "lowlevel": ["repro.runtime.lowlevel"]}

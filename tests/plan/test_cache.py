@@ -10,7 +10,7 @@ from repro.ompt.metrics import MetricsTool
 from repro.plan import (Map, clear_plan_cache, plan_cache_stats,
                         plan_for)
 from repro.runtime.engine import OmpRuntime
-from repro.runtime.lowlevel import PureLowLevel
+from repro.runtime.lowlevel import MutexLowLevel
 
 
 @pytest.fixture(autouse=True)
@@ -87,7 +87,7 @@ class _RecordingTool(ToolHooks):
 
 class TestPlanCallbacks:
     def _runtime_with(self, tool):
-        runtime = OmpRuntime(PureLowLevel())
+        runtime = OmpRuntime("test", MutexLowLevel())
         runtime.attach_tool(tool)
         return runtime
 

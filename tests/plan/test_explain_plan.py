@@ -8,7 +8,7 @@ from repro.explain.bottlenecks import classify
 from repro.explain.dag import build_dag, summarize
 from repro.plan import clear_plan_cache
 from repro.runtime.engine import OmpRuntime
-from repro.runtime.lowlevel import PureLowLevel
+from repro.runtime.lowlevel import MutexLowLevel
 
 
 @pytest.fixture(autouse=True)
@@ -20,7 +20,7 @@ def fresh_cache():
 
 @pytest.fixture()
 def traced_planned_bfs():
-    runtime = OmpRuntime(PureLowLevel())
+    runtime = OmpRuntime("test", MutexLowLevel())
     runtime.tracer.start()
     grid = bfs.make_maze(21)
     result = bfs.kernel_planned(grid, 21, 3, runtime=runtime)

@@ -1,57 +1,77 @@
-"""Tests specific to the native-runtime simulation's primitives."""
+"""What the ``cruntime`` is built on: the primitive set it shares with
+``runtime`` (``repro.runtime.lowlevel``) and the seam between the two.
+
+The contract classes run over every primitive set there is: one
+today, and a native substrate joins ``LOWLEVELS``."""
 
 import threading
 
 import pytest
 
-from repro.cruntime.lowlevel import CEvent, NativeLowLevel
-from repro.runtime.lowlevel import PureLowLevel
+from repro.cruntime import cruntime
+from repro.decorator import runtime_for
+from repro.modes import Mode
+from repro.runtime import pure_runtime
+from repro.runtime.lowlevel import MutexLowLevel
 
 
-class TestCEvent:
-    def test_initially_clear(self):
-        assert not CEvent().is_set()
-
-    def test_set_and_wait(self):
-        event = CEvent()
-        event.set()
-        assert event.is_set()
-        assert event.wait(timeout=0.01)
-
-    def test_clear(self):
-        event = CEvent()
-        event.set()
-        event.clear()
-        assert not event.is_set()
-        assert not event.wait(timeout=0.01)
-
-    def test_wait_wakes_on_set(self):
-        event = CEvent()
-        results = []
-
-        def waiter():
-            results.append(event.wait(timeout=5.0))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        event.set()
-        thread.join(timeout=5.0)
-        assert results == [True]
-
-    def test_double_set_is_idempotent(self):
-        event = CEvent()
-        event.set()
-        event.set()
-        assert event.is_set()
+LOWLEVELS = pytest.mark.parametrize("lowlevel", [MutexLowLevel()],
+                                    ids=["mutex"])
 
 
+def _run_threads(count, target):
+    workers = [threading.Thread(target=target, args=(index,))
+               for index in range(count)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers)
+
+
+@LOWLEVELS
+class TestCounter:
+    """What the schedulers and the task state machine ask of
+    ``make_counter``: the ``atomic_long`` operation set."""
+
+    def test_operations(self, lowlevel):
+        counter = lowlevel.make_counter(10)
+        assert counter.fetch_add(5) == 10
+        assert counter.fetch_add() == 15
+        assert counter.fetch_add(-16) == 16
+        assert counter.load() == 0
+        counter.store(5)
+        assert not counter.compare_exchange(4, 9)
+        assert counter.load() == 5
+        assert counter.compare_exchange(5, 9)
+        assert counter.load() == 9
+
+    def test_concurrent_fetch_add_loses_nothing(self, lowlevel):
+        counter = lowlevel.make_counter()
+
+        def bump(_):
+            for _ in range(2000):
+                counter.fetch_add(1)
+
+        _run_threads(8, bump)
+        assert counter.load() == 16000
+
+    def test_concurrent_compare_exchange_has_one_winner(self, lowlevel):
+        counter = lowlevel.make_counter()
+        winners = []
+
+        def claim(index):
+            if counter.compare_exchange(0, index + 1):
+                winners.append(index + 1)
+
+        _run_threads(16, claim)
+        assert winners == [counter.load()]
+
+
+@LOWLEVELS
 class TestDequeImplementations:
-    """The mutex deque and the Chase-Lev protocol share a contract:
-    owner LIFO pop, thief FIFO steal, and no pushed entry is lost."""
+    """Owner LIFO pop, thief FIFO steal, and no pushed entry is lost."""
 
-    @pytest.mark.parametrize("lowlevel", [PureLowLevel(),
-                                          NativeLowLevel()],
-                             ids=["mutex", "cas"])
     def test_owner_pop_is_lifo(self, lowlevel):
         deque_ = lowlevel.make_deque()
         for value in range(10):
@@ -60,9 +80,6 @@ class TestDequeImplementations:
         assert deque_.pop() is None
         assert not deque_
 
-    @pytest.mark.parametrize("lowlevel", [PureLowLevel(),
-                                          NativeLowLevel()],
-                             ids=["mutex", "cas"])
     def test_steal_is_fifo(self, lowlevel):
         deque_ = lowlevel.make_deque()
         for value in range(10):
@@ -70,9 +87,6 @@ class TestDequeImplementations:
         assert [deque_.steal() for _ in range(10)] == list(range(10))
         assert deque_.steal() is None
 
-    @pytest.mark.parametrize("lowlevel", [PureLowLevel(),
-                                          NativeLowLevel()],
-                             ids=["mutex", "cas"])
     def test_interleaved_push_pop_steal(self, lowlevel):
         deque_ = lowlevel.make_deque()
         deque_.push("a")
@@ -85,15 +99,10 @@ class TestDequeImplementations:
         deque_.push("d")  # reusable after emptiness
         assert deque_.steal() == "d"
 
-    @pytest.mark.parametrize("lowlevel", [PureLowLevel(),
-                                          NativeLowLevel()],
-                             ids=["mutex", "cas"])
     def test_concurrent_owner_and_thieves_lose_nothing(self, lowlevel):
-        """One owner pushing and popping, several thieves stealing: every
-        value comes out somewhere.  The Chase-Lev protocol may hand the
-        same value to the owner and a thief near the top==bottom
-        boundary (the task claim() CAS gates execution), so the hard
-        contract is no *loss*; the mutex deque is exactly-once."""
+        """One owner pushing and popping, three thieves stealing: every
+        value comes out, and from the mutex deque exactly once (the
+        seam only promises no loss: ``claim()`` gates execution)."""
         deque_ = lowlevel.make_deque()
         total = 3000
         taken = []
@@ -108,10 +117,7 @@ class TestDequeImplementations:
                     popped = deque_.pop()
                     if popped is not None:
                         got.append(popped)
-            while True:
-                popped = deque_.pop()
-                if popped is None:
-                    break
+            while (popped := deque_.pop()) is not None:
                 got.append(popped)
             with taken_lock:
                 taken.extend(got)
@@ -123,51 +129,75 @@ class TestDequeImplementations:
                 stolen = deque_.steal()
                 if stolen is not None:
                     got.append(stolen)
-            while True:  # drain whatever the owner left behind
-                stolen = deque_.steal()
-                if stolen is None:
-                    break
+            # Drain whatever the owner left behind.
+            while (stolen := deque_.steal()) is not None:
                 got.append(stolen)
             with taken_lock:
                 taken.extend(got)
 
-        workers = [threading.Thread(target=owner)]
-        workers += [threading.Thread(target=thief) for _ in range(3)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert set(taken) == set(range(total))
-        if isinstance(lowlevel, PureLowLevel):
-            assert len(taken) == total
+        _run_threads(4, lambda index: thief() if index else owner())
+        assert sorted(taken) == list(range(total))
 
 
+@LOWLEVELS
 class TestSlotCreation:
-    @pytest.mark.parametrize("lowlevel", [PureLowLevel(),
-                                          NativeLowLevel()],
-                             ids=["mutex", "swap"])
     def test_single_winner_under_contention(self, lowlevel):
         table: dict = {}
         lock = lowlevel.make_mutex()
         created = []
         results = []
-        results_lock = threading.Lock()
 
         def factory():
-            slot = object()
-            created.append(slot)
-            return slot
+            created.append(1)
+            return object()
 
-        def contender():
-            slot = lowlevel.slot_get_or_create(table, lock, "key",
-                                               factory)
-            with results_lock:
-                results.append(slot)
+        def contender(_):
+            results.append(lowlevel.slot_get_or_create(
+                table, lock, "key", factory))
 
-        workers = [threading.Thread(target=contender) for _ in range(12)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert all(slot is results[0] for slot in results)
-        assert table["key"] is results[0]
+        _run_threads(12, contender)
+        assert len(created) == 1
+        assert all(slot is table["key"] for slot in results)
+
+
+class TestSeam:
+    """Two independent runtimes on one primitive set."""
+
+    def test_two_instances_of_one_engine_on_one_primitive_set(self):
+        assert cruntime is not pure_runtime
+        assert type(cruntime) is type(pure_runtime)
+        assert (pure_runtime.name, cruntime.name) == ("runtime", "cruntime")
+        assert type(cruntime.lowlevel) is type(pure_runtime.lowlevel)
+        assert runtime_for(Mode.PURE) is pure_runtime
+        assert all(runtime_for(mode) is cruntime
+                   for mode in Mode if mode is not Mode.PURE)
+
+    def test_a_region_on_one_leaves_the_others_pool_alone(self):
+        for ran_on, other in ((pure_runtime, cruntime),
+                              (cruntime, pure_runtime)):
+            ran_on.parallel_run(lambda: None, num_threads=3)
+            other.parallel_run(lambda: None, num_threads=3)
+            before = other.pool().snapshot()
+            members = []
+            ran_on.parallel_run(
+                lambda: members.append(threading.current_thread().name),
+                num_threads=3)
+            after = other.pool().snapshot()
+            assert (after["spawned"], after["reused"]) == \
+                (before["spawned"], before["reused"])
+            helpers = [name for name in members
+                       if name != threading.current_thread().name]
+            assert len(helpers) == 2
+            assert all(name.startswith(f"omp-{ran_on.name}-pool-")
+                       for name in helpers)
+
+    def test_a_thread_of_one_is_an_initial_thread_to_the_other(self):
+        seen = []
+
+        def member():
+            seen.append((pure_runtime.get_num_threads(),
+                         cruntime.get_num_threads(),
+                         cruntime.in_parallel()))
+
+        pure_runtime.parallel_run(member, num_threads=2)
+        assert seen == [(2, 1, False)] * 2

@@ -566,6 +566,35 @@ class TestFlightRecorder:
         assert "parallel_begin" in kinds
         assert "parallel_end" in kinds
 
+    def test_records_deferred_tasks_and_sleeps(self, rt):
+        recorder = FlightRecorder(capacity=32)
+        handle = object()
+
+        def lone_member():
+            for _ in range(2):
+                rt.task_submit(lambda: None, depends_in=(handle,),
+                               depends_out=(handle,))
+
+        rt.attach_tool(recorder)
+        try:
+            rt.parallel_run(lone_member, num_threads=1)
+            rt.parallel_run(lambda: rt.barrier(), num_threads=2)
+        finally:
+            rt.detach_tool(recorder)
+        events = [event for ring in recorder.dump().values()
+                  for event in ring["events"]]
+        created = [event["detail"][1] for event in events
+                   if event["kind"] == "task_create"]
+        (deferred,) = [event["detail"] for event in events
+                       if event["kind"] == "task_deferred"]
+        assert deferred == [0, created[1], [created[0]]]
+        barrier_sleeps = [event["kind"] for event in events
+                          if event["kind"].startswith("wait_")
+                          and event["detail"][1] == "Barrier"]
+        assert barrier_sleeps.count("wait_begin") >= 1
+        assert barrier_sleeps.count("wait_begin") == \
+            barrier_sleeps.count("wait_end")
+
 
 # -- env knobs --------------------------------------------------------------
 

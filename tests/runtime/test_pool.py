@@ -95,7 +95,7 @@ class TestHotTeamsThroughEngine:
     def test_team_of_one_never_creates_the_pool(self, rt):
         """``num_threads(1)`` and ``if(false)`` regions run on the
         encountering thread alone: no pool, no worker thread."""
-        fresh = OmpRuntime(type(rt.lowlevel)())
+        fresh = OmpRuntime("fresh", rt.lowlevel)
         sizes = []
         fresh.parallel_run(lambda: sizes.append(fresh.get_num_threads()),
                            num_threads=1)

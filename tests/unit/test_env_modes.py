@@ -111,8 +111,7 @@ class TestModeParsing:
             Mode.parse(-1)
 
     def test_mode_properties(self):
-        assert not Mode.PURE.uses_cruntime
-        assert Mode.HYBRID.uses_cruntime
+        assert not Mode.PURE.compiles_user_code
         assert not Mode.HYBRID.compiles_user_code
         assert Mode.COMPILED.compiles_user_code
         assert Mode.COMPILED_DT.compiles_user_code
