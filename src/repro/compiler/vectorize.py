@@ -1,24 +1,32 @@
-"""Typed loop-to-NumPy lowering: the *CompiledDT* simulation.
+"""Typed loop lowering: the *CompiledDT* tier, in two back ends.
 
-Typed Cython turns annotated numeric loops into native loops.  The
-Python-reachable equivalent of "native loop" is a NumPy kernel: this
-pass finds ``for i in range(...)`` loops whose bodies type-check as
-numeric element-wise code — every scalar either ``int``/``float``/
-``complex``-annotated, a loop variable, or a generated reduction
-accumulator — and replaces them with vector statements over the chunk's
-iteration vector.  Worksharing drivers are untouched, so chunks still
-flow through the OpenMP schedulers; only the per-chunk execution becomes
-native.
+Typed Cython turns annotated numeric loops into native loops.  This
+pass finds the ``for i in range(...)`` loops whose bodies type-check —
+every scalar ``int``/``float``-annotated, a loop variable, or a
+generated reduction accumulator — and lowers each one
+
+* to a **C kernel** (:mod:`repro.compiler.cbackend`) that runs the
+  whole chunk, inner loops included, when the pass is given a
+  :class:`~repro.compiler.cbackend.NativeTarget` (a C compiler and a
+  cache directory exist).  The statements below stay behind the call as
+  its guard branch, for operands the kernel was not typed for;
+* to **NumPy vector statements** over the chunk's iteration vector
+  otherwise — the tier this module has always been, and byte for byte
+  what it generates when there is no target.
+
+Worksharing drivers are untouched, so chunks still flow through the
+OpenMP schedulers; only the per-chunk execution changes.
 
 The pass is conservative exactly where Cython is: one untyped scalar,
-one unsupported statement, or one potentially-aliasing store makes the
-loop fall back to interpreted execution (the measured gap between the
-paper's *Compiled* and *CompiledDT* modes).
+one unsupported statement, or (NumPy) one potentially-aliasing store
+makes the loop fall back to the next tier down (the measured gap
+between the paper's *Compiled* and *CompiledDT* modes).
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 
 from repro.cruntime.kernels import HANDLE as KERNEL_HANDLE
 from repro.transform.context import TransformContext
@@ -54,10 +62,13 @@ class VectorizePass:
     """Per-definition driver: bottom-up loop vectorization."""
 
     def __init__(self, ctx: TransformContext, options: dict | None = None,
-                 debug: bool = False):
+                 debug: bool = False, native=None):
         self.ctx = ctx
         self.debug = debug
         self.options = options or {}
+        #: Where C kernels go (a ``cbackend.NativeTarget``); ``None``
+        #: keeps the pass on the NumPy back end alone.
+        self.native = native
         #: (loop lineno, outcome) diagnostics, for tests and reports.
         self.report: list[tuple[int, str]] = []
 
@@ -86,7 +97,7 @@ class VectorizePass:
                 stmt.body = self._process_block(stmt.body, dict(env))
                 out.append(stmt)
                 continue
-            if isinstance(stmt, ast.For) and _range_parts(stmt) is not None:
+            if isinstance(stmt, ast.For) and range_parts(stmt) is not None:
                 out.extend(self._process_loop(stmt, env, ws_contract=False))
                 continue
             if isinstance(stmt, ast.While) and self._is_chunk_driver(stmt):
@@ -95,7 +106,7 @@ class VectorizePass:
                 # stores need not be provably one-to-one.
                 new_body: list[ast.stmt] = []
                 for inner in stmt.body:
-                    if isinstance(inner, ast.For) and _range_parts(
+                    if isinstance(inner, ast.For) and range_parts(
                             inner) is not None:
                         new_body.extend(self._process_loop(
                             inner, env, ws_contract=True))
@@ -119,12 +130,40 @@ class VectorizePass:
                       ws_contract: bool) -> list[ast.stmt]:
         if isinstance(loop.target, ast.Name):
             env[loop.target.id] = "int"
+        site = self._try_native(loop, env)
+        if site is not None:
+            # The guard branch is this loop as the NumPy tier alone
+            # leaves it: no kernel inside a kernel's fallback.
+            target, self.native = self.native, None
+            try:
+                guard = self._process_loop(loop, env, ws_contract)
+            finally:
+                self.native = target
+            return _native_call(self.ctx, target, site, loop, guard)
         loop.body = self._process_block(loop.body, env)
         replacement = self._try_vectorize(loop, env, ws_contract)
         if replacement is not None:
             self.report.append((getattr(loop, "lineno", 0), "vectorized"))
             return replacement
         return [loop]
+
+    def _try_native(self, loop: ast.For, env: dict[str, str]):
+        """The loop's C kernel, or ``None`` (no target, or no C form)."""
+        if self.native is None:
+            return None
+        from repro.compiler.cbackend import Unsupported
+        lineno = getattr(loop, "lineno", 0)
+        try:
+            site = self.native.compile_site(loop, env)
+        except Unsupported as reject:
+            self.report.append((lineno, f"not native: {reject.reason}"))
+            if self.debug:
+                print(f"[omp4py:native] line {lineno}: {reject.reason}")
+            return None
+        self.report.append((lineno, "native"))
+        if self.debug:
+            print(f"[omp4py:native] line {lineno}: {site.cname}")
+        return site
 
     def _is_chunk_driver(self, stmt: ast.While) -> bool:
         test = stmt.test
@@ -149,7 +188,7 @@ class VectorizePass:
             return None
 
 
-def _range_parts(loop: ast.For):
+def range_parts(loop: ast.For):
     call = loop.iter
     if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
             and call.func.id == "range" and not call.keywords
@@ -165,11 +204,20 @@ def _range_parts(loop: ast.For):
 
 def _collect_annotations(node: ast.AST) -> dict[str, str]:
     """Scalar types from ``x: float`` declarations, plus inferred types
-    for names only ever assigned literals of one type (the counterpart
-    of Cython's local type inference)."""
+    for names only ever assigned literals (the counterpart of Cython's
+    local type inference).
+
+    An inferred type is the join of everything that flows into the
+    name, not the type of its first literal: ``total = 0`` followed by
+    ``total += x[i] * 0.5`` is a ``float`` (a C ``long`` accumulator
+    would truncate every term), while ``count = 0`` with ``count += 1``
+    stays an ``int``.
+    """
     annotations: dict[str, str] = {}
     inferred: dict[str, str] = {}
     disqualified: set[str] = set()
+    updates: list[ast.AugAssign] = []
+    counters: set[str] = set()  # range() loop targets: ints
     for child in ast.walk(node):
         if isinstance(child, ast.arg) and isinstance(
                 child.annotation, ast.Name) \
@@ -193,13 +241,65 @@ def _collect_annotations(node: ast.AST) -> dict[str, str]:
                     child.value.value) in (int, float):
                 label = type(child.value.value).__name__
                 if inferred.setdefault(name, label) != label:
-                    disqualified.add(name)
+                    inferred[name] = "float"  # int ⊕ float
             elif not _is_self_minmax(child):
                 disqualified.add(name)
-    for name, label in inferred.items():
-        if name not in disqualified and name not in annotations:
-            annotations[name] = label
+        elif isinstance(child, ast.AugAssign) and isinstance(
+                child.target, ast.Name):
+            updates.append(child)
+        elif isinstance(child, ast.For) and isinstance(
+                child.target, ast.Name) and range_parts(child) is not None:
+            counters.add(child.target.id)
+    inferred = {name: label for name, label in inferred.items()
+                if name not in disqualified and name not in annotations}
+    # ``name op= value`` lifts an inferred int to float unless the value
+    # is provably integral; to a fixed point, since the value may read
+    # other inferred names.
+    changed = True
+    while changed:
+        changed = False
+        known = {**dict.fromkeys(counters, "int"), **inferred,
+                 **annotations}
+        for update in updates:
+            name = update.target.id
+            if inferred.get(name) == "int" and not (
+                    isinstance(update.op, _INTEGRAL_OPS)
+                    and _is_integral(update.value, known)):
+                inferred[name] = "float"
+                changed = True
+    annotations.update(inferred)
     return annotations
+
+
+_INTEGRAL_OPS = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod,
+                 ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift)
+
+
+def _is_integral(node: ast.expr, known: dict[str, str]) -> bool:
+    """Is ``node`` an ``int`` whatever its operands hold at run time?"""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, bool)
+    if isinstance(node, ast.Name):
+        return known.get(node.id) in ("int", "bool")
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _INTEGRAL_OPS) \
+            and _is_integral(node.left, known) \
+            and _is_integral(node.right, known)
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, (ast.USub, ast.UAdd, ast.Not)) \
+            and _is_integral(node.operand, known)
+    if isinstance(node, (ast.Compare, ast.BoolOp)):
+        return isinstance(node, ast.Compare) or all(
+            _is_integral(value, known) for value in node.values)
+    if isinstance(node, ast.IfExp):
+        return _is_integral(node.body, known) \
+            and _is_integral(node.orelse, known)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "int" and len(node.args) == 1:
+            return True
+        if node.func.id in ("abs", "min", "max") and node.args:
+            return all(_is_integral(arg, known) for arg in node.args)
+    return False
 
 
 def _is_self_minmax(assign: ast.Assign) -> bool:
@@ -225,8 +325,51 @@ def _collect_reduction_accumulators(node: ast.AST,
                 and child.value.func.attr == "reduction_init" \
                 and isinstance(child.value.func.value, ast.Name) \
                 and child.value.func.value.id == rt_name:
-            accumulators[child.targets[0].id] = "float"
+            # The built-in identities are integers (or the untyped
+            # min/max sentinels): the accumulator's type is the join of
+            # what the loop adds to it.  A declared reduction's identity
+            # is the user's; "float" keeps it typed for the NumPy tier.
+            op = child.value.args[0] if child.value.args else None
+            builtin = isinstance(op, ast.Constant) and op.value in (
+                "+", "-", "*", "&", "|", "^", "&&", "||", "and", "or",
+                "min", "max")
+            accumulators[child.targets[0].id] = "int" if builtin \
+                else "float"
     return accumulators
+
+
+def _native_call(ctx: TransformContext, target, site, loop: ast.For,
+                 guard: list[ast.stmt]) -> list[ast.stmt]:
+    """``r = handle[n](lo, hi, step, operands...)``; ``None`` means the
+    kernel declined its operands and the guard statements run, anything
+    else is the tuple of carried values."""
+    lo, hi, step = range_parts(loop)
+    call = ast.Call(
+        func=ast.Subscript(value=target.handle(),
+                           slice=ast.Constant(value=site.number),
+                           ctx=ast.Load()),
+        args=[copy.deepcopy(arg) for arg in (lo, hi, step, *site.operands)],
+        keywords=[])
+    result: list[ast.stmt] = []
+    unpack: list[ast.stmt] = []
+    if site.carried:
+        carrier = ctx.symbols.fresh("nr")
+        result.append(ast.Assign(
+            targets=[ast.Name(id=carrier, ctx=ast.Store())], value=call))
+        call = ast.Name(id=carrier, ctx=ast.Load())
+        unpack.append(ast.Assign(
+            targets=[ast.Tuple(elts=[ast.Name(id=name, ctx=ast.Store())
+                                     for name in site.carried],
+                               ctx=ast.Store())],
+            value=ast.Name(id=carrier, ctx=ast.Load())))
+    result.append(ast.If(
+        test=ast.Compare(left=call, ops=[ast.Is()],
+                         comparators=[ast.Constant(value=None)]),
+        body=guard, orelse=unpack))
+    for stmt in result:
+        ast.copy_location(stmt, loop)
+        ast.fix_missing_locations(stmt)
+    return result
 
 
 def _body_assigned_names(stmts: list[ast.stmt]) -> set[str]:
@@ -292,7 +435,7 @@ class _KernelBuilder:
             self._translate_statement(stmt)
         if not self.statements and not self.finalizers:
             raise _Reject("empty or effect-free body")
-        lo, hi, step = _range_parts(self.loop)
+        lo, hi, step = range_parts(self.loop)
         for part in (lo, hi, step):
             self._require_invariant(part, "loop bound")
         self.ctx.needs_kernels = True

@@ -7,14 +7,15 @@ directive, strips the decorator (so the result is not reprocessed),
 compiles the modified tree, and executes it so the transformed object
 replaces the original.
 
-What the pipeline produces up to ``exec`` — the code object and the
-generated source — is kept in a persistent, content-addressed cache
-(the paper's ``cache`` option, on by default: see :func:`transform`),
-so a process that meets a source some earlier process has transformed
-only reads and executes.  The transformer itself
-(:mod:`repro.transform.rewriter`, :mod:`repro.directives`,
-:mod:`repro.compiler`) is imported by the first miss, not by this
-module.
+What the pipeline produces up to ``exec`` — the code object, the
+generated source and, for a CompiledDT variant with typed loops, the
+shared object of its C kernels — is kept in a persistent,
+content-addressed cache (the paper's ``cache`` option, on by default:
+see :func:`transform`), so a process that meets a source some earlier
+process has transformed only reads and executes.  The transformer
+itself (:mod:`repro.transform.rewriter`, :mod:`repro.directives`,
+:mod:`repro.compiler`) and the C compiler are needed by the first miss,
+not by this module and not by a hit.
 """
 
 from __future__ import annotations
@@ -165,17 +166,25 @@ def transform(target, mode: Mode | str | int | None = None, *,
     path = _entry_path(cache, target, mode, lines, first_line, globalns,
                        options, debug)
     entry = _load_entry(path) if path and not (force or debug) else None
+    if entry is not None and not _native_current(entry[3], path):
+        entry = None
     cached = entry is not None
     if not cached:
         entry = _generate(lines[first_line - 1:], mode, filename,
-                          target.__module__, globalns, options, debug)
+                          target.__module__, globalns, options, debug,
+                          native_dir=os.path.dirname(path) if path else None)
         if path:
             _store_entry(path, entry)
-    code, needs_kernels, generated = entry
+    code, needs_kernels, generated, native = entry
+    if native is not None and "so" not in native:
+        native = None  # the NumPy tier, whatever the reason
     if dump:
         print(f"# --- omp4py generated code ({mode.value}) ---",
               file=sys.stderr)
         print(generated, file=sys.stderr)
+        if native is not None:
+            print("/* --- omp4py native kernels --- */", file=sys.stderr)
+            print(native["c"], file=sys.stderr)
 
     # Execute the generated code; return what it defines.
     name = target.__name__
@@ -184,6 +193,11 @@ def transform(target, mode: Mode | str | int | None = None, *,
     if needs_kernels:
         from repro.cruntime import kernels
         namespace[kernels.HANDLE] = kernels
+    if native is not None:
+        from repro.cruntime.native import bind
+        namespace[native["handle"]] = bind(
+            os.path.join(os.path.dirname(path), native["so"]),
+            native["sites"])
     _MISSING = object()
     previous = namespace.get(name, _MISSING) if live_globals else None
     exec(code, namespace)  # noqa: S102 - the whole point of the decorator
@@ -201,6 +215,7 @@ def transform(target, mode: Mode | str | int | None = None, *,
         result.__omp_origin__ = origin
         result.__omp_source__ = generated
         result.__omp_cached__ = cached
+        result.__omp_native__ = tuple(native["ids"]) if native else ()
     except (AttributeError, TypeError):  # pragma: no cover - exotic
         pass
     return result
@@ -208,10 +223,17 @@ def transform(target, mode: Mode | str | int | None = None, *,
 
 def _generate(lines: list[str], mode: Mode, filename: str,
               module_name: str, globalns: dict, options: dict,
-              debug: bool) -> tuple[types.CodeType, bool, str]:
+              debug: bool, native_dir: str | None = None) -> tuple:
     """Run the pipeline over the definition that starts at
-    ``lines[0]``: ``(code, needs kernels, generated source)``, which is
-    also what a cache entry holds."""
+    ``lines[0]``: ``(code, needs kernels, generated source, native)``,
+    which is also what a cache entry holds.
+
+    ``native`` is ``None`` for a variant with no typed loop, what
+    :func:`repro.cruntime.native.bind` needs (``handle``, ``so``,
+    ``sites``, plus the C text and the site ids) when its kernels were
+    built into ``native_dir``, and ``{"pending": reason, "retry": …}``
+    when they could not be: the code is then the NumPy tier's.
+    """
     from repro.transform.context import TransformContext
     from repro.transform.rewriter import transform_function_def
 
@@ -238,16 +260,28 @@ def _generate(lines: list[str], mode: Mode, filename: str,
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 transform_function_def(item, ctx)
 
+    native = None
     if mode.compiles_user_code:
-        from repro.compiler import optimize
-        node = optimize(node, ctx, typed=(mode is Mode.COMPILED_DT),
-                        options=options, debug=debug)
+        from repro.compiler import NativeBuildFailed, optimize
+        try:
+            node = optimize(node, ctx, typed=(mode is Mode.COMPILED_DT),
+                            options=options, debug=debug,
+                            native_dir=native_dir)
+        except NativeBuildFailed as failure:
+            # The tree was rewritten to call kernels that do not exist:
+            # generate again, on the NumPy tier alone, and let the entry
+            # say why so the build is not retried on every transform.
+            return (*_generate(lines, mode, filename, module_name,
+                               globalns, options, debug)[:3],
+                    {"pending": failure.reason, "retry": False})
+        native = ctx.native
 
     # Every node is located by now (see transform_function_def; the
     # compiler passes locate what they add), so no pass is needed here.
     module = ast.Module(body=[node], type_ignores=[])
     return (compile(module, filename=filename, mode="exec"),
-            getattr(ctx, "needs_kernels", False), ast.unparse(module))
+            getattr(ctx, "needs_kernels", False), ast.unparse(module),
+            native)
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +300,8 @@ def _fingerprint() -> str:
     of them invalidates every entry.  Content, not mtimes: a fresh
     checkout of the same commit keeps its hits."""
     root = os.path.dirname(__file__)
-    paths = [__file__]
+    # The loader reads what the compiler wrote into the entry.
+    paths = [__file__, os.path.join(root, "cruntime", "native.py")]
     for package in ("transform", "directives", "compiler"):
         for folder, _dirs, files in os.walk(os.path.join(root, package)):
             paths += [os.path.join(folder, name) for name in files
@@ -315,20 +350,38 @@ def _entry_path(cache: str | None, target, mode: Mode, lines: list[str],
 
 
 def _load_entry(path: str):
-    """``(code, needs kernels, generated source)`` of a cache entry, or
-    ``None`` when it is missing, cut short, garbage or another
+    """``(code, needs kernels, generated source, native)`` of a cache
+    entry, or ``None`` when it is missing, cut short, garbage or another
     interpreter's (the caller then retransforms and overwrites it)."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
         if not data.startswith(_MAGIC):
             return None
-        code, needs_kernels, generated = marshal.loads(data[len(_MAGIC):])
+        code, needs_kernels, generated, native = marshal.loads(
+            data[len(_MAGIC):])
     except (OSError, ValueError, EOFError, TypeError):
         return None
-    if isinstance(code, types.CodeType) and isinstance(generated, str):
-        return code, bool(needs_kernels), generated
+    if isinstance(code, types.CodeType) and isinstance(generated, str) \
+            and isinstance(native, (dict, type(None))):
+        return code, bool(needs_kernels), generated, native
     return None
+
+
+def _native_current(native: dict | None, path: str) -> bool:
+    """Does the entry's native half still hold?  Its shared object must
+    be in place (one somebody deleted is rebuilt by the miss this turns
+    the hit into), and an entry written where no compiler could be found
+    is upgraded by the first process that finds one."""
+    if native is None:
+        return True
+    if "so" in native:
+        return os.path.exists(
+            os.path.join(os.path.dirname(path), native["so"]))
+    if native["retry"]:
+        from repro.cruntime.native import find_compiler
+        return find_compiler()[0] is None
+    return True
 
 
 def _store_entry(path: str, entry: tuple) -> None:

@@ -56,6 +56,9 @@ def icv_snapshot(runtime, verbose: bool = False) -> dict:
                 f"workers={state['workers']} idle={state['idle']} "
                 f"spawned={state['spawned']} reused={state['reused']} "
                 f"trimmed={state['trimmed']}")
+        # Which tier a CompiledDT miss in this process would build.
+        from repro.cruntime.native import describe
+        snapshot["[omp4py] native"] = describe()
         # How this process was configured and armed: every knob set.
         for knob in env.KNOBS:
             value = os.environ.get(knob)

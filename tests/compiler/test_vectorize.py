@@ -1,4 +1,11 @@
-"""Tests of the typed NumPy-kernel lowering (CompiledDT)."""
+"""Tests of the typed loop lowering (CompiledDT), both back ends.
+
+Every value test runs its loop on the three tiers of
+:mod:`tests.tiers` — C kernels, the NumPy fallback, the interpreted
+source — and has to agree across them; the rejection tests are about
+what the NumPy back end refuses, and what the C back end does with the
+same loops.
+"""
 
 import ast
 
@@ -9,9 +16,12 @@ from repro import Mode, transform
 from repro.compiler.vectorize import VectorizePass
 from repro.transform.context import TransformContext
 
+from tests.tiers import compiler_or_skip, lower, lower_each
+
 
 def vectorize_source(source: str):
-    """Run only the vectorizer over plain source; return (pass, code)."""
+    """Run only the NumPy vectorizer over plain source; return
+    (pass, code)."""
     tree = ast.parse(source)
     ctx = TransformContext("__omp0__", set(), set())
     vectorizer = VectorizePass(ctx)
@@ -29,17 +39,24 @@ def execute(module, name, *args):
     return namespace[name](*args)
 
 
+def interpreted(source: str, name: str, *args):
+    plain: dict = {}
+    exec(source, plain)
+    return plain[name](*args)
+
+
 class TestVectorizesSimpleLoops:
+    """Each test runs its loop on every tier and checks them alike."""
+
     def test_sum_reduction(self):
-        vectorizer, module = vectorize_source(
-            "def f(n):\n"
-            "    total: float = 0.0\n"
-            "    for i in range(n):\n"
-            "        total += i * 2.0\n"
-            "    return total\n")
-        assert any(outcome == "vectorized"
-                   for _line, outcome in vectorizer.report)
-        assert execute(module, "f", 100) == sum(i * 2.0 for i in range(100))
+        for lowered in lower_each(
+                "def f(n):\n"
+                "    total: float = 0.0\n"
+                "    for i in range(n):\n"
+                "        total += i * 2.0\n"
+                "    return total\n"):
+            assert lowered.took_a_loop()
+            assert lowered("f", 100) == sum(i * 2.0 for i in range(100))
 
     def test_pi_kernel_matches_interpreted(self):
         source = (
@@ -50,21 +67,18 @@ class TestVectorizesSimpleLoops:
             "        local = (i + 0.5) * w\n"
             "        total += 4.0 / (1.0 + local * local)\n"
             "    return total * w\n")
-        _vec, module = vectorize_source(source)
-        plain: dict = {}
-        exec(source, plain)
-        assert execute(module, "f", 1000) == pytest.approx(
-            plain["f"](1000), rel=1e-12)
+        for lowered in lower_each(source):
+            assert lowered("f", 1000) == pytest.approx(
+                interpreted(source, "f", 1000), rel=1e-12)
 
     def test_subtraction_reduction(self):
-        source = (
-            "def f(n):\n"
-            "    total: float = 100.0\n"
-            "    for i in range(n):\n"
-            "        total -= 0.5\n"
-            "    return total\n")
-        _vec, module = vectorize_source(source)
-        assert execute(module, "f", 10) == pytest.approx(95.0)
+        for lowered in lower_each(
+                "def f(n):\n"
+                "    total: float = 100.0\n"
+                "    for i in range(n):\n"
+                "        total -= 0.5\n"
+                "    return total\n"):
+            assert lowered("f", 10) == pytest.approx(95.0)
 
     def test_product_reduction(self):
         source = (
@@ -73,10 +87,9 @@ class TestVectorizesSimpleLoops:
             "    for i in range(1, n):\n"
             "        total *= 1.0 + 1.0 / i\n"
             "    return total\n")
-        _vec, module = vectorize_source(source)
-        plain: dict = {}
-        exec(source, plain)
-        assert execute(module, "f", 20) == pytest.approx(plain["f"](20))
+        for lowered in lower_each(source):
+            assert lowered("f", 20) == pytest.approx(
+                interpreted(source, "f", 20))
 
     def test_min_max_pattern(self):
         source = (
@@ -88,30 +101,30 @@ class TestVectorizesSimpleLoops:
             "        low = min(low, v)\n"
             "        high = max(high, v)\n"
             "    return low, high\n")
-        vectorizer, module = vectorize_source(source)
-        plain: dict = {}
-        exec(source, plain)
-        assert execute(module, "f", 500) == plain["f"](500)
+        for lowered in lower_each(source):
+            assert lowered("f", 500) == interpreted(source, "f", 500)
 
     def test_empty_range(self):
-        source = (
-            "def f(n):\n"
-            "    total: float = 3.0\n"
-            "    for i in range(n):\n"
-            "        total += 1.0\n"
-            "    return total\n")
-        _vec, module = vectorize_source(source)
-        assert execute(module, "f", 0) == 3.0
+        for lowered in lower_each(
+                "def f(n):\n"
+                "    total: float = 3.0\n"
+                "    for i in range(n):\n"
+                "        total += 1.0\n"
+                "    return total\n"):
+            assert lowered("f", 0) == 3.0
 
     def test_step_range(self):
-        source = (
-            "def f(n):\n"
-            "    total: int = 0\n"
-            "    for i in range(0, n, 3):\n"
-            "        total += i\n"
-            "    return total\n")
-        _vec, module = vectorize_source(source)
-        assert execute(module, "f", 100) == sum(range(0, 100, 3))
+        for lowered in lower_each(
+                "def f(lo, hi, step):\n"
+                "    total: int = 0\n"
+                "    for i in range(lo, hi, step):\n"
+                "        total += i\n"
+                "    return total\n"):
+            for bounds in ((0, 100, 3), (100, 0, -7), (5, 5, 2),
+                           (3, -4, 1)):
+                result = lowered("f", *bounds)
+                assert result == sum(range(*bounds))
+                assert isinstance(result, (int, np.integer))
 
     def test_math_functions(self):
         source = (
@@ -121,14 +134,9 @@ class TestVectorizesSimpleLoops:
             "    for i in range(1, n):\n"
             "        total += math.sqrt(i) + math.sin(i) * math.cos(i)\n"
             "    return total\n")
-        tree = ast.parse(source)
-        ctx = TransformContext("__omp0__", set(), set())
-        node = VectorizePass(ctx).run(tree.body[1])
-        module = ast.Module(body=[node], type_ignores=[])
-        ast.fix_missing_locations(module)
-        plain: dict = {}
-        exec(source, plain)
-        assert execute(module, "f", 50) == pytest.approx(plain["f"](50))
+        for lowered in lower_each(source, index=1):
+            assert lowered("f", 50) == pytest.approx(
+                interpreted(source, "f", 50))
 
     def test_conditional_expression_becomes_where(self):
         source = (
@@ -137,46 +145,59 @@ class TestVectorizesSimpleLoops:
             "    for i in range(n):\n"
             "        total += 1.0 if i % 2 == 0 else -1.0\n"
             "    return total\n")
-        _vec, module = vectorize_source(source)
-        plain: dict = {}
-        exec(source, plain)
-        assert execute(module, "f", 11) == plain["f"](11)
+        for lowered in lower_each(source):
+            assert lowered("f", 11) == interpreted(source, "f", 11)
 
     def test_array_store_elementwise(self):
-        source = (
-            "def f(out, n):\n"
-            "    w: float = 2.0\n"
-            "    for i in range(n):\n"
-            "        out[i] = i * w\n"
-            "    return out\n")
-        _vec, module = vectorize_source(source)
-        result = execute(module, "f", np.zeros(10), 10)
-        assert list(result) == [i * 2.0 for i in range(10)]
+        for lowered in lower_each(
+                "def f(out, n):\n"
+                "    w: float = 2.0\n"
+                "    for i in range(n):\n"
+                "        out[i] = i * w\n"
+                "    return out\n"):
+            result = lowered("f", np.zeros(10), 10)
+            assert list(result) == [i * 2.0 for i in range(10)]
 
     def test_array_gather_load(self):
-        source = (
-            "def f(a, b, n):\n"
-            "    total: float = 0.0\n"
-            "    for i in range(n):\n"
-            "        total += a[i] * b[n - 1 - i]\n"
-            "    return total\n")
-        _vec, module = vectorize_source(source)
         a = np.arange(10.0)
         b = np.arange(10.0) * 3
         expected = sum(a[i] * b[9 - i] for i in range(10))
-        assert execute(module, "f", a, b, 10) == pytest.approx(expected)
+        for lowered in lower_each(
+                "def f(a, b, n):\n"
+                "    total: float = 0.0\n"
+                "    for i in range(n):\n"
+                "        total += a[i] * b[n - 1 - i]\n"
+                "    return total\n"):
+            assert lowered("f", a, b, 10) == pytest.approx(expected)
 
     def test_elementwise_update_same_index_allowed(self):
-        source = (
-            "def f(a, n):\n"
-            "    c: float = 3.0\n"
-            "    for i in range(n):\n"
-            "        a[i] = a[i] * c\n"
-            "    return a\n")
-        vectorizer, module = vectorize_source(source)
-        assert any(o == "vectorized" for _l, o in vectorizer.report)
-        result = execute(module, "f", np.ones(5), 5)
-        assert list(result) == [3.0] * 5
+        for lowered in lower_each(
+                "def f(a, n):\n"
+                "    c: float = 3.0\n"
+                "    for i in range(n):\n"
+                "        a[i] = a[i] * c\n"
+                "    return a\n"):
+            assert lowered.took_a_loop()
+            assert list(lowered("f", np.ones(5), 5)) == [3.0] * 5
+
+    def test_nested_loops(self):
+        matrix = np.array([[float(i * 10 + j) for j in range(4)]
+                           for i in range(4)])
+        for lowered in lower_each(
+                "def f(a, n):\n"
+                "    total: float = 0.0\n"
+                "    for i in range(n):\n"
+                "        row = 0.0\n"
+                "        for j in range(n):\n"
+                "            row += a[i][j]\n"
+                "        total += row\n"
+                "    return total\n"):
+            assert lowered.took_a_loop()  # NumPy: the inner; C: the nest
+            assert lowered("f", matrix, 4) == pytest.approx(matrix.sum())
+            # A list of rows is not what the kernel was typed for: the
+            # guard branch (the NumPy tier's inner-loop kernel) has it.
+            assert lowered("f", matrix.tolist(), 4) == pytest.approx(
+                matrix.sum())
 
 
 class TestRejections:
@@ -244,7 +265,7 @@ class TestRejections:
         assert "one-to-one" in reason
 
     def test_nested_loop_not_vectorized_but_inner_is(self):
-        source = (
+        vectorizer, _module = vectorize_source(
             "def f(a, n):\n"
             "    total: float = 0.0\n"
             "    for i in range(n):\n"
@@ -253,12 +274,53 @@ class TestRejections:
             "            row += a[i][j]\n"
             "        total += row\n"
             "    return total\n")
-        vectorizer, module = vectorize_source(source)
-        outcomes = [o for _l, o in vectorizer.report]
-        assert "vectorized" in outcomes  # the inner loop
-        matrix = [[float(i * 10 + j) for j in range(4)] for i in range(4)]
-        expected = sum(sum(row) for row in matrix)
-        assert execute(module, "f", matrix, 4) == pytest.approx(expected)
+        assert sorted(outcome.split(":")[0]
+                      for _line, outcome in vectorizer.report) \
+            == ["fallback", "vectorized"]
+
+
+class TestWhatNumPyRejectsRunsInC:
+    """The C back end runs the sequential loop, so what the NumPy back
+    end must refuse for fear of reordering it — recurrences, shifted
+    and colliding stores — compiles, and computes what the interpreter
+    does."""
+
+    def check(self, source, *args):
+        compiler_or_skip()
+        native = lower(source, "native")
+        assert native.outcomes[0] == "native"
+        expected = interpreted(source, "f", *[_copy(a) for a in args])
+        result = native("f", *[_copy(a) for a in args])
+        np.testing.assert_array_equal(result, expected)
+
+    def test_recurrence(self):
+        self.check(
+            "def f(n):\n"
+            "    x: float = 1.0\n"
+            "    q: float = 0.5\n"
+            "    for i in range(n):\n"
+            "        x = x * q\n"
+            "    return x\n", 9)
+
+    def test_shifted_store(self):
+        self.check(
+            "def f(a, n):\n"
+            "    c: float = 0.5\n"
+            "    for i in range(1, n):\n"
+            "        a[i] = a[i - 1] * c + a[i]\n"
+            "    return a\n", np.arange(1.0, 9.0), 8)
+
+    def test_colliding_store(self):
+        self.check(
+            "def f(a, n):\n"
+            "    c: float = 1.0\n"
+            "    for i in range(n):\n"
+            "        a[i % 3] = i * c\n"
+            "    return a\n", np.zeros(3), 10)
+
+
+def _copy(value):
+    return value.copy() if isinstance(value, np.ndarray) else value
 
 
 class TestModeIntegration:

@@ -1,5 +1,7 @@
-"""Additional vectorizer coverage: parameter annotations, scatter under
-the worksharing contract, bitwise reductions, casts, and diagnostics."""
+"""Additional lowering coverage: parameter annotations, inferred
+types, scatter under the worksharing contract, bitwise reductions,
+casts, and diagnostics.  Value tests run on every tier of
+:mod:`tests.tiers`."""
 
 import ast
 
@@ -7,8 +9,11 @@ import numpy as np
 import pytest
 
 from repro import Mode, transform
-from repro.compiler.vectorize import KERNEL_HANDLE, VectorizePass
+from repro.compiler.vectorize import (KERNEL_HANDLE, VectorizePass,
+                                      _collect_annotations)
 from repro.transform.context import TransformContext
+
+from tests.tiers import lower_each
 
 
 def run_pass(source: str, index: int = 0):
@@ -26,14 +31,76 @@ def run_pass(source: str, index: int = 0):
 
 class TestParameterAnnotations:
     def test_signature_types_feed_inference(self):
-        vectorizer, ns = run_pass(
-            "def f(s: float, n: int):\n"
-            "    total: float = 0.0\n"
+        for lowered in lower_each(
+                "def f(s: float, n: int):\n"
+                "    total: float = 0.0\n"
+                "    for i in range(n):\n"
+                "        total += i * s\n"
+                "    return total\n"):
+            assert lowered.took_a_loop()
+            assert lowered("f", 0.5, 10) == sum(i * 0.5 for i in range(10))
+
+
+class TestInferredTypes:
+    """A name assigned only literals is typed by the join of what flows
+    into it, not by its first literal."""
+
+    FLOATS = (
+        "def f(x, n):\n"
+        "    total = 0\n"
+        "    for i in range(n):\n"
+        "        total += x[i] * 0.5\n"
+        "    return total\n")
+    INTS = (
+        "def f(x, n):\n"
+        "    count = 0\n"
+        "    for i in range(n):\n"
+        "        count += 1 if x[i] > 1.0 else 0\n"
+        "    return count\n")
+
+    def labels(self, source):
+        return _collect_annotations(ast.parse(source).body[0])
+
+    def test_int_literal_accumulating_floats_is_a_float(self):
+        # Typed ``int`` before: harmless while NumPy re-types on the
+        # fly, a truncation of every term once ``total`` is a C long.
+        assert self.labels(self.FLOATS)["total"] == "float"
+        x = np.array([0.5, 1.5, 2.5, 3.25])
+        for lowered in lower_each(self.FLOATS):
+            assert lowered.took_a_loop()
+            result = lowered("f", x, 4)
+            assert result == pytest.approx(3.875)
+            assert isinstance(result, float)
+
+    def test_int_literal_accumulating_ints_stays_integral(self):
+        assert self.labels(self.INTS)["count"] == "int"
+        x = np.array([0.5, 1.5, 2.5, 3.25])
+        for lowered in lower_each(self.INTS):
+            assert lowered.took_a_loop()
+            result = lowered("f", x, 4)
+            assert result == 3
+            assert isinstance(result, (int, np.integer))
+
+    def test_the_join_reaches_a_fixed_point(self):
+        labels = self.labels(
+            "def f(n):\n"
+            "    a = 0\n"
+            "    b = 0\n"
+            "    c = 0\n"
             "    for i in range(n):\n"
-            "        total += i * s\n"
-            "    return total\n")
-        assert any(o == "vectorized" for _l, o in vectorizer.report)
-        assert ns["f"](0.5, 10) == sum(i * 0.5 for i in range(10))
+            "        c += i // 2\n"
+            "        b += a\n"      # float only once ``a`` is known to be
+            "        a += i / 2\n"
+            "    return a, b, c\n")
+        assert (labels["a"], labels["b"], labels["c"]) \
+            == ("float", "float", "int")
+
+    def test_int_and_float_literals_join_to_float(self):
+        assert self.labels(
+            "def f(n):\n"
+            "    x = 0\n"
+            "    x = 0.5\n"
+            "    return x\n")["x"] == "float"
 
 
 class TestBitwiseReductions:
@@ -42,38 +109,39 @@ class TestBitwiseReductions:
     def test_bitwise(self, op, pyop):
         import operator
         fold = getattr(operator, pyop)
-        vectorizer, ns = run_pass(
-            "def f(n):\n"
-            f"    acc: int = {0 if op != '&' else 0xffff}\n"
-            "    for i in range(n):\n"
-            f"        acc {op}= i * 3 + 1\n"
-            "    return acc\n")
-        assert any(o == "vectorized" for _l, o in vectorizer.report)
         expected = 0 if op != "&" else 0xffff
         for i in range(20):
             expected = fold(expected, i * 3 + 1)
-        assert ns["f"](20) == expected
+        for lowered in lower_each(
+                "def f(n):\n"
+                f"    acc: int = {0 if op != '&' else 0xffff}\n"
+                "    for i in range(n):\n"
+                f"        acc {op}= i * 3 + 1\n"
+                "    return acc\n"):
+            assert lowered.took_a_loop()
+            assert lowered("f", 20) == expected
 
 
 class TestCasts:
     def test_int_cast_truncates(self):
-        vectorizer, ns = run_pass(
-            "def f(n):\n"
-            "    acc: int = 0\n"
-            "    for i in range(n):\n"
-            "        acc += int(i * 0.7)\n"
-            "    return acc\n")
-        assert any(o == "vectorized" for _l, o in vectorizer.report)
-        assert ns["f"](15) == sum(int(i * 0.7) for i in range(15))
+        for lowered in lower_each(
+                "def f(n):\n"
+                "    acc: int = 0\n"
+                "    for i in range(n):\n"
+                "        acc += int(i * 0.7) - int(i * -0.7)\n"
+                "    return acc\n"):
+            assert lowered.took_a_loop()
+            assert lowered("f", 15) == sum(
+                int(i * 0.7) - int(i * -0.7) for i in range(15))
 
     def test_float_cast(self):
-        vectorizer, ns = run_pass(
-            "def f(n):\n"
-            "    acc: float = 0.0\n"
-            "    for i in range(n):\n"
-            "        acc += float(i) / 2\n"
-            "    return acc\n")
-        assert ns["f"](9) == sum(i / 2 for i in range(9))
+        for lowered in lower_each(
+                "def f(n):\n"
+                "    acc: float = 0.0\n"
+                "    for i in range(n):\n"
+                "        acc += float(i) / 2\n"
+                "    return acc\n"):
+            assert lowered("f", 9) == sum(i / 2 for i in range(9))
 
 
 class TestScatterUnderWsContract:

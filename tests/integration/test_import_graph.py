@@ -15,6 +15,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from repro.cruntime.native import find_compiler
+
 _TRANSFORMER = ("repro.transform.rewriter", "repro.transform.constructs",
                 "repro.directives", "repro.compiler")
 
@@ -33,6 +37,7 @@ pi = get_app("pi")
 variants = [pi.variant(mode) for mode in Mode]
 report["cached"] = [variant.__omp_cached__ for variant in variants]
 report["kernels"] = ["__omp_k__" in v.__omp_source__ for v in variants]
+report["native"] = [list(v.__omp_native__) for v in variants]
 for mode, variant in zip(Mode, variants):
     dt = mode is Mode.COMPILED_DT
     assert pi.verify(variant(threads=2, **pi.inputs("test", dt=dt)),
@@ -99,6 +104,25 @@ def test_a_program_on_a_warm_cache_never_loads_the_transformer(tmp_path):
     assert warm["cached"] == [True] * 4
     assert warm["imported"] == warm["called"] == []
     assert warm["kernels"] == cold["kernels"]
+    # Native kernels or the NumPy tier, a hit runs what the miss built.
+    assert warm["native"] == cold["native"]
+    assert cold["native"][:3] == [[], [], []]
+    if find_compiler()[0]:
+        assert cold["native"][3] == ["L4"]
+
+
+def test_importing_the_package_loads_what_it_always_did(tmp_path):
+    """``import repro`` and ``import repro.decorator`` stay what they
+    were before there was a native tier: no loader, no ``ctypes``, no
+    ``subprocess``, no NumPy."""
+    script = ("import json, sys, repro, repro.decorator\n"
+              "print(json.dumps(sorted(name for name in sys.modules\n"
+              "    if name.split('.')[0] in ('repro', 'numpy', 'ctypes',\n"
+              "                              'subprocess', 'shutil'))))\n")
+    assert _run(script, tmp_path / "cache") == [
+        "repro", "repro.api", "repro.decorator", "repro.env",
+        "repro.errors", "repro.modes", "repro.transform",
+        "repro.transform.api_map"]
 
 
 def test_a_served_request_on_a_warm_cache_never_loads_it(tmp_path):
@@ -128,3 +152,117 @@ def test_the_second_runtime_brings_no_primitive_set_of_its_own(tmp_path):
               "                       if name.endswith('lowlevel'))}))\n")
     assert _run(script, tmp_path / "cache") == {
         "atomics": [], "lowlevel": ["repro.runtime.lowlevel"]}
+
+
+_NATIVE_FLEET = """
+import json, os, sys, threading, time
+import repro.serve.fleet, repro.serve.worker
+from repro.serve import ServeServer
+from repro.serve.worker import worker_entry
+
+CACHE = os.environ["OMP4PY_CACHE"]
+
+def kernels_mapped(pid):
+    with open(f"/proc/{pid}/maps", encoding="ascii") as maps:
+        return sorted({line.split()[-1] for line in maps
+                       if CACHE in line and line.rstrip().endswith(".so")})
+
+def probed_worker(conn, config):
+    # The served modes are pure and hybrid; this fleet's workers run
+    # every request on the app's CompiledDT variant instead.
+    execute = repro.serve.worker.execute
+    repro.serve.worker.execute = lambda app, mode, *rest: execute(
+        app, "compileddt", *rest)
+    at_fork = kernels_mapped(os.getpid())
+
+    class Probe:
+        def send(self, message):
+            if message.get("op") == "result":
+                from repro.apps import get_app
+                from repro.modes import Mode
+                variant = get_app("pi").variant(Mode.COMPILED_DT)
+                with open(sys.argv[1], "a", encoding="utf-8") as handle:
+                    handle.write(json.dumps({
+                        "pid": os.getpid(),
+                        "cached": variant.__omp_cached__,
+                        "native": list(variant.__omp_native__),
+                        "at_fork": at_fork,
+                        "mapped": kernels_mapped(os.getpid()),
+                        "nursery": kernels_mapped(os.getppid())}) + "\\n")
+            conn.send(message)
+
+        def recv(self):
+            return conn.recv()
+
+    worker_entry(Probe(), config)
+
+def burst(server, count):
+    replies = []
+    clients = [threading.Thread(target=lambda: replies.append(
+        server.submit({"app": "pi", "mode": "hybrid", "threads": 2})))
+        for _ in range(count)]
+    for client in clients:
+        client.start()
+    for client in clients:
+        client.join(timeout=120)
+    return replies
+
+def wait_for(condition):
+    deadline = time.monotonic() + 60
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert condition()
+
+if __name__ == "__main__":
+    repro.serve.fleet.worker_entry = probed_worker
+    server = ServeServer(workers=2, queue_capacity=32, max_batch=1,
+                         tenants={"default": 4}, job_timeout=60.0)
+    server.start()
+    try:
+        wait_for(lambda: server.fleet.idle_workers() == 2)
+        replies = [server.submit({"app": "pi", "mode": "hybrid",
+                                  "threads": 2})]
+        replies += burst(server, 8)
+        victim = replies[0]["worker"]
+        before = server.fleet.pids()[victim]
+        assert server.fleet.kill_worker(victim)
+        wait_for(lambda: server.fleet.pids()[victim] not in (None, before)
+                 and server.fleet.idle_workers() == 2)
+        replies += burst(server, 8)
+    finally:
+        server.stop()
+    print(json.dumps({
+        "ok": all(r["ok"] and r["verified"] for r in replies),
+        "replies": len(replies), "builder": before,
+        "objects": sorted(name for name in os.listdir(CACHE)
+                          if name.endswith(".so"))}))
+"""
+
+
+def test_a_fleet_builds_a_kernel_once_and_never_maps_it_in_the_nursery(
+        tmp_path):
+    """A CompiledDT request builds its shared object in the worker that
+    meets it first; the other worker and a respawn of the builder hit
+    the cache entry and run the same object; and since an object is
+    opened by the first kernel call — in a worker, after the fork — the
+    nursery the workers are forked from never maps one."""
+    if not find_compiler()[0]:
+        pytest.skip("no C compiler")
+    probe = tmp_path / "results.jsonl"
+    reply = _run(_NATIVE_FLEET, tmp_path / "cache", probe)
+    assert reply["ok"] and reply["replies"] == 17
+    (object_,) = reply["objects"]
+    path = str(tmp_path / "cache" / object_)
+    records = [json.loads(line) for line in
+               probe.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 17
+    assert all(record["native"] == ["L4"] and record["mapped"] == [path]
+               and record["at_fork"] == [] and record["nursery"] == []
+               for record in records)
+    first_by_pid = {}
+    for record in records:
+        first_by_pid.setdefault(record["pid"], record["cached"])
+    # Two workers and the respawn: one of them built, the others hit.
+    assert len(first_by_pid) == 3
+    assert first_by_pid[reply["builder"]] is False
+    assert sorted(first_by_pid.values()) == [False, True, True]

@@ -1,35 +1,23 @@
-"""Property tests: vectorized kernels compute exactly what the
-interpreted loops compute, over randomized expressions and data."""
-
-import ast
+"""Property tests: lowered kernels compute exactly what the interpreted
+loops compute, over randomized expressions and data — on the C tier
+and on the NumPy tier (:mod:`tests.tiers`)."""
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.compiler.vectorize import KERNEL_HANDLE, VectorizePass
-from repro.transform.context import TransformContext
+from tests.tiers import lower_each
 
 
-def build_and_run(source: str, name: str, *args):
-    """Return (interpreted result, vectorized result)."""
-    plain: dict = {}
-    exec(compile(source, "<plain>", "exec"), plain)
-    interpreted = plain[name](*[_copy(a) for a in args])
-
-    tree = ast.parse(source)
-    ctx = TransformContext("__omp0__", set(), set())
-    vectorizer = VectorizePass(ctx)
-    node = vectorizer.run(tree.body[0])
-    module = ast.Module(body=[node], type_ignores=[])
-    ast.fix_missing_locations(module)
-    from repro.cruntime import kernels
-    namespace = {KERNEL_HANDLE: kernels, "math": __import__("math")}
-    exec(compile(module, "<vec>", "exec"), namespace)
-    vectorized = namespace[name](*[_copy(a) for a in args])
-    outcomes = [o for _l, o in vectorizer.report]
-    return interpreted, vectorized, outcomes
+def build_and_run(source: str, name: str, *args, index: int = 0):
+    """Yield (tier, interpreted result, lowered result, outcomes) for
+    every lowering tier this machine has."""
+    *lowerings, reference = lower_each(source, index)
+    interpreted = reference(name, *[_copy(a) for a in args])
+    for lowered in lowerings:
+        assert lowered.took_a_loop(), (lowered.tier, lowered.report)
+        yield interpreted, lowered(name, *[_copy(a) for a in args])
 
 
 def _copy(value):
@@ -42,34 +30,36 @@ def _copy(value):
 
 @st.composite
 def polynomial_bodies(draw):
-    """Random straight-line numeric loop bodies over i and a scalar."""
-    coefficient = draw(st.floats(-4, 4, allow_nan=False))
-    offset = draw(st.floats(-4, 4, allow_nan=False))
+    """Random straight-line numeric loop bodies over i and three typed
+    scalars, with the scalars' values.  The values are arguments, not
+    literals, so that the twelve shapes are twelve C kernels however
+    many examples run."""
+    values = (draw(st.floats(-4, 4, allow_nan=False)),
+              draw(st.floats(-4, 4, allow_nan=False)),
+              draw(st.floats(0.5, 4, allow_nan=False)))
     power = draw(st.integers(1, 3))
-    divisor = draw(st.floats(0.5, 4, allow_nan=False))
-    expr = (f"({coefficient!r} * i ** {power} + {offset!r}) "
-            f"/ {divisor!r}")
+    expr = f"(c * i ** {power} + o) / d"
     if draw(st.booleans()):
         expr = f"abs({expr})"
     if draw(st.booleans()):
         expr = f"({expr}) if i % 2 == 0 else -({expr})"
-    return expr
+    return expr, values
 
 
 class TestExpressionEquivalence:
     @settings(max_examples=40, deadline=None)
-    @given(expr=polynomial_bodies(), n=st.integers(0, 60))
-    def test_sum_reduction_equivalence(self, expr, n):
+    @given(body=polynomial_bodies(), n=st.integers(0, 60))
+    def test_sum_reduction_equivalence(self, body, n):
+        expr, values = body
         source = (
-            "def f(n):\n"
+            "def f(n, c: float, o: float, d: float):\n"
             "    total: float = 0.0\n"
             "    for i in range(n):\n"
             f"        total += {expr}\n"
             "    return total\n")
-        interpreted, vectorized, outcomes = build_and_run(source, "f", n)
-        assert "vectorized" in outcomes
-        assert vectorized == pytest.approx(interpreted, rel=1e-9,
-                                           abs=1e-9)
+        for interpreted, lowered in build_and_run(source, "f", n, *values):
+            assert lowered == pytest.approx(interpreted, rel=1e-9,
+                                            abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.lists(st.floats(-100, 100, allow_nan=False),
@@ -82,10 +72,9 @@ class TestExpressionEquivalence:
             "        out[i] = a[i] * s + i\n"
             "    return out\n")
         arr = np.array(data)
-        interpreted, vectorized, outcomes = build_and_run(
-            source, "f", np.zeros(len(data)), arr, scale, len(data))
-        assert "vectorized" in outcomes
-        np.testing.assert_allclose(vectorized, interpreted)
+        for interpreted, lowered in build_and_run(
+                source, "f", np.zeros(len(data)), arr, scale, len(data)):
+            np.testing.assert_allclose(lowered, interpreted)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.lists(st.floats(-50, 50, allow_nan=False),
@@ -100,10 +89,9 @@ class TestExpressionEquivalence:
             "        high = max(high, a[i])\n"
             "    return low, high\n")
         arr = np.array(data)
-        interpreted, vectorized, outcomes = build_and_run(
-            source, "f", arr, len(data))
-        assert "vectorized" in outcomes
-        assert vectorized == interpreted
+        for interpreted, lowered in build_and_run(
+                source, "f", arr, len(data)):
+            assert lowered == interpreted
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(0, 40), start=st.integers(-20, 20),
@@ -115,10 +103,9 @@ class TestExpressionEquivalence:
             "    for i in range(start, stop, step):\n"
             "        total += i * i - i\n"
             "    return total\n")
-        interpreted, vectorized, outcomes = build_and_run(
-            source, "f", start, start + n, step)
-        assert "vectorized" in outcomes
-        assert vectorized == interpreted
+        for interpreted, lowered in build_and_run(
+                source, "f", start, start + n, step):
+            assert lowered == interpreted
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.lists(st.floats(0.1, 100, allow_nan=False),
@@ -131,19 +118,6 @@ class TestExpressionEquivalence:
             "    for i in range(n):\n"
             "        total += math.sqrt(a[i]) + math.log(a[i])\n"
             "    return total\n")
-        plain: dict = {}
-        exec(compile(source, "<plain>", "exec"), plain)
-        arr = np.array(data)
-        interpreted = plain["f"](arr, len(data))
-
-        tree = ast.parse(source)
-        ctx = TransformContext("__omp0__", set(), set())
-        vectorizer = VectorizePass(ctx)
-        node = vectorizer.run(tree.body[1])
-        module = ast.Module(body=[node], type_ignores=[])
-        ast.fix_missing_locations(module)
-        from repro.cruntime import kernels
-        namespace = {KERNEL_HANDLE: kernels}
-        exec(compile(module, "<vec>", "exec"), namespace)
-        assert namespace["f"](arr, len(data)) == pytest.approx(
-            interpreted, rel=1e-12)
+        for interpreted, lowered in build_and_run(
+                source, "f", np.array(data), len(data), index=1):
+            assert lowered == pytest.approx(interpreted, rel=1e-12)

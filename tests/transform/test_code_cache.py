@@ -3,7 +3,10 @@
 A hit has to be the miss it replaces in everything but time, an entry
 may only be served to the transformation it was written by, and no
 state of the cache directory — absent, read-only, damaged, contended —
-may surface as anything but a slower ``transform``.
+may surface as anything but a slower ``transform``.  The same goes for
+the shared objects of native CompiledDT kernels that live beside the
+entries (``TestNativeObjects``): a hit needs no compiler, and a missing
+or damaged object means a rebuild or the NumPy tier, never a crash.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import repro
 from repro import Mode, transform
 from repro.apps import get_app, list_apps
 from repro.cruntime import cruntime
+from repro.cruntime.native import find_compiler
 from repro.decorator import _load_entry
 from repro.runtime import pure_runtime
 
@@ -62,7 +66,16 @@ def _module(directory: pathlib.Path, name: str, source: str = _KERNEL):
 
 
 def _entries(cache: pathlib.Path) -> list[str]:
-    return sorted(path.name for path in cache.iterdir())
+    """Everything in the cache directory but the shared objects of
+    native kernels (:func:`_objects`): entries, and whatever a store
+    that went wrong left lying around."""
+    return sorted(path.name for path in cache.iterdir()
+                  if path.suffix != ".so")
+
+
+def _objects(cache: pathlib.Path) -> list[str]:
+    return sorted(path.name for path in cache.iterdir()
+                  if path.suffix == ".so")
 
 
 @pytest.fixture
@@ -393,3 +406,245 @@ class TestStore:
         finally:
             pure_runtime.set_num_threads(before[0])
             cruntime.set_num_threads(before[1])
+
+
+_TYPED_RUN = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import nativemod
+from repro import transform
+variant = transform(nativemod.typed, "compileddt")
+mapped = [line.split()[-1] for line in open("/proc/self/maps")
+          if line.rstrip().endswith(".so")
+          and os.environ["OMP4PY_CACHE"] in line]
+value = variant(1000)
+mapped_after = [line.split()[-1] for line in open("/proc/self/maps")
+                if line.rstrip().endswith(".so")
+                and os.environ["OMP4PY_CACHE"] in line]
+print(json.dumps({
+    "value": value, "cached": variant.__omp_cached__,
+    "native": list(variant.__omp_native__),
+    "mapped_before_the_call": sorted(set(mapped)),
+    "mapped": sorted(set(mapped_after)),
+    "compiler": sorted(name for name in sys.modules
+                       if name.startswith("repro.compiler"))}))
+"""
+
+
+def _typed_run(tmp_path, cache, **env) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-c", _TYPED_RUN, str(tmp_path)],
+        env={**os.environ, "OMP4PY_CACHE": str(cache), **env},
+        check=True, capture_output=True, text=True, timeout=120)
+    assert out.stderr == ""
+    return json.loads(out.stdout)
+
+
+needs_compiler = pytest.mark.skipif(find_compiler()[0] is None,
+                                    reason="no C compiler")
+
+
+def _fake_compiler(tmp_path, body: str) -> str:
+    """A ``CC`` that identifies itself and then does ``body``."""
+    path = tmp_path / "fakecc"
+    path.write_text(
+        "#!/bin/sh\n"
+        'if [ "$1" = "--version" ]; then echo "fakecc 1.0"; exit 0; fi\n'
+        + body + "\n", encoding="utf-8")
+    path.chmod(0o755)
+    return str(path)
+
+
+@needs_compiler
+class TestNativeObjects:
+    """The shared objects of CompiledDT kernels, beside the entries."""
+
+    @pytest.fixture
+    def module(self, tmp_path):
+        return _module(tmp_path, "nativemod")
+
+    def typed(self, module, cache, **kwargs):
+        return transform(module.typed, Mode.COMPILED_DT, cache=str(cache),
+                         **kwargs)
+
+    def test_a_hit_needs_no_compiler_and_runs_native(self, tmp_path,
+                                                     cache, module):
+        built = _typed_run(tmp_path, cache)
+        assert (built["cached"], built["native"]) == (False, ["L3"])
+        assert built["compiler"] != []
+        (object_,) = _objects(cache)
+        # Process B: nothing to compile with anywhere.
+        hit = _typed_run(tmp_path, cache, PATH="", CC="")
+        assert hit["value"] == built["value"] == 499500.0
+        assert (hit["cached"], hit["native"]) == (True, ["L3"])
+        assert hit["compiler"] == []
+        # Opened by the first call, not by the transform.
+        assert hit["mapped_before_the_call"] == []
+        assert hit["mapped"] == [str(cache / object_)]
+        assert _objects(cache) == [object_]
+
+    def test_racing_processes_leave_one_whole_object(self, tmp_path,
+                                                     cache):
+        _module(tmp_path, "raced", _KERNEL.replace(
+            "def kernel(n)", "def untyped(n)").replace(
+            "def typed(n)", "def kernel(n)"))
+        go = tmp_path / "go"
+        racers = [subprocess.Popen(
+            [sys.executable, "-c",
+             _RACER.replace("transform(raced.kernel)",
+                            "transform(raced.kernel, 'compileddt')"),
+             str(tmp_path), str(go)],
+            env={**os.environ, "OMP4PY_CACHE": str(cache)},
+            stdout=subprocess.PIPE, text=True) for _ in range(4)]
+        go.touch()
+        outputs = [racer.communicate(timeout=120)[0].split()
+                   for racer in racers]
+        assert [racer.returncode for racer in racers] == [0] * 4
+        assert [value for value, _cached in outputs] == ["4950.0"] * 4
+        (entry,) = _entries(cache)  # no temporary file or directory
+        (object_,) = _objects(cache)
+        native = _load_entry(str(cache / entry))[3]
+        assert native["so"] == object_
+
+    # (What the loader does with garbage and with an empty file is
+    # ``tests/compiler/test_native.py::TestLoader``'s, in-process.)
+    @pytest.mark.parametrize("damage", ["truncated", "foreign-arch",
+                                        "deleted"])
+    def test_a_damaged_object_means_numpy_then_a_rebuild(
+            self, tmp_path, cache, module, damage):
+        built = _typed_run(tmp_path, cache)
+        (object_,) = _objects(cache)
+        path = cache / object_
+        whole = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(whole[:len(whole) // 2])
+        elif damage == "foreign-arch":
+            # e_machine (offset 18): some other architecture's object.
+            other = b"\xb7\x00" if whole[18:20] != b"\xb7\x00" \
+                else b"\x3e\x00"
+            path.write_bytes(whole[:18] + other + whole[20:])
+        else:
+            path.unlink()
+        after = _typed_run(tmp_path, cache)
+        assert after["value"] == built["value"]
+        if damage == "deleted":
+            # The entry without its object is a miss: rebuilt at once.
+            assert (after["cached"], after["native"]) == (False, ["L3"])
+        else:
+            # A hit whose object does not load runs the guard branch
+            # (the NumPy statements) and removes the file ...
+            assert (after["cached"], after["mapped"]) == (True, [])
+            assert _objects(cache) == []
+            # ... so the next process rebuilds it.
+            again = _typed_run(tmp_path, cache)
+            assert (again["cached"], again["native"]) == (False, ["L3"])
+            assert again["mapped"] == [str(path)]
+        assert (cache / object_).read_bytes()[:4] == b"\x7fELF"
+        assert len(_entries(cache)) == 1
+
+    def test_a_deleted_object_and_no_compiler_is_the_numpy_tier(
+            self, cache, module, monkeypatch):
+        assert self.typed(module, cache).__omp_native__ == ("L3",)
+        (object_,) = _objects(cache)
+        (cache / object_).unlink()
+        monkeypatch.setenv("CC", "/nonexistent")
+        variant = self.typed(module, cache)
+        assert (variant.__omp_cached__, variant.__omp_native__) \
+            == (False, ())
+        assert variant(100) == 4950.0
+        assert self.typed(module, cache).__omp_cached__
+        assert _objects(cache) == []
+
+    def test_force_recompiles_python_and_reuses_the_object(self, cache,
+                                                           module):
+        first = self.typed(module, cache)
+        (object_,) = _objects(cache)
+        before = (cache / object_).stat()
+        (entry,) = _entries(cache)
+        os.utime(cache / entry, ns=(1, 1))
+        forced = self.typed(module, cache, force=True)
+        assert forced.__omp_cached__ is False
+        assert (cache / entry).stat().st_mtime_ns != 1  # rewritten
+        after = (cache / object_).stat()
+        assert (after.st_ino, after.st_mtime_ns) \
+            == (before.st_ino, before.st_mtime_ns)
+        assert forced.__omp_native__ == first.__omp_native__
+        assert variant_digest(forced) == variant_digest(first)
+
+    def test_an_entry_written_without_a_compiler_is_upgraded(
+            self, cache, module, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setenv("CC", "/nonexistent")
+            plain = self.typed(module, cache)
+            assert (plain.__omp_cached__, plain.__omp_native__) \
+                == (False, ())
+            assert self.typed(module, cache).__omp_cached__
+            assert _objects(cache) == []
+        upgraded = self.typed(module, cache)
+        assert (upgraded.__omp_cached__, upgraded.__omp_native__) \
+            == (False, ("L3",))
+        assert self.typed(module, cache).__omp_cached__
+        assert upgraded(100) == plain(100) == 4950.0
+        assert len(_entries(cache)) == 1
+
+    def test_a_failed_build_is_the_numpy_tier_and_is_not_retried(
+            self, tmp_path, cache, module, monkeypatch, capsys):
+        with monkeypatch.context() as patch:
+            patch.setenv("CC", "/nonexistent")
+            reference = variant_digest(self.typed(
+                module, tmp_path / "other-cache"))
+        monkeypatch.setenv("CC", _fake_compiler(
+            tmp_path, 'echo "fakecc: internal error" >&2; exit 1'))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failed = self.typed(module, cache)
+        assert (failed.__omp_cached__, failed.__omp_native__) == (False, ())
+        assert variant_digest(failed) == reference
+        assert failed(100) == 4950.0
+        assert capsys.readouterr() == ("", "")  # silently
+        # Not on every transform: the entry records the failure.
+        assert self.typed(module, cache).__omp_cached__
+        assert len(_entries(cache)) == 1
+        assert _objects(cache) == []
+        self.typed(module, cache, debug=True)
+        assert "[omp4py:native] unavailable: build failed: fakecc: " \
+            "internal error" in capsys.readouterr().out
+
+    def test_a_build_that_hangs_is_killed_and_leaves_nothing(
+            self, tmp_path, cache, module, monkeypatch):
+        from repro.compiler import cbackend
+        monkeypatch.setattr(cbackend, "_BUILD_TIMEOUT_S", 0.5)
+        marker = tmp_path / "compiler.pid"
+        monkeypatch.setenv("CC", _fake_compiler(
+            tmp_path, f'echo $$ > {marker}; sleep 60 & wait'))
+        variant = self.typed(module, cache)
+        assert variant.__omp_native__ == ()
+        assert variant(100) == 4950.0
+        pid = int(marker.read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # reaped, and its group with it
+        assert len(_entries(cache)) == 1  # no .build-* directory
+        assert _objects(cache) == []
+
+    def test_an_unwritable_directory_is_the_numpy_tier(self, tmp_path,
+                                                       module):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("in the way", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                variant = self.typed(module, blocker / "below")
+                assert variant(100) == 4950.0
+                assert (variant.__omp_cached__, variant.__omp_native__) \
+                    == (False, ())
+
+    def test_debug_and_dump_show_the_tier(self, cache, module, capsys):
+        self.typed(module, cache, debug=True)
+        assert "[omp4py:native] line 3: omp4py_site_0" \
+            in capsys.readouterr().out
+        self.typed(module, cache, dump=True)
+        dumped = capsys.readouterr().err
+        python, _mark, c_text = dumped.partition(
+            "/* --- omp4py native kernels --- */")
+        assert "def typed(n):" in python
+        assert "int64_t omp4py_site_0(int64_t *iv, double *dv)" in c_text

@@ -11,6 +11,14 @@ when a change to the generated code is intended.
 Bytecode offsets and ``ast.unparse`` details differ between Python
 minor versions, so digests are keyed by version and unknown versions
 skip.
+
+The five numeric apps' CompiledDT variants have two digests: under the
+version key the native tier's (the generated code calls C kernels
+through a handle named after the digest of their C text, so the C text
+is pinned with it), and under ``<version>/no-compiler`` what the same
+transform generates where no C compiler can be found — which is, byte
+for byte, what it generated before there was a native tier.  Every
+other digest is the same with and without a compiler.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import pytest
 
 from repro import Mode, transform
 from repro.apps import get_app, list_apps
+from repro.cruntime.native import find_compiler
 
 _GOLDEN = pathlib.Path(__file__).with_name("golden_digests.json")
 _VERSION = "%d.%d" % sys.version_info[:2]
@@ -57,8 +66,14 @@ def current_digests() -> dict[str, str]:
             for app in list_apps() for mode in Mode}
 
 
-def _golden() -> dict[str, str]:
-    return json.loads(_GOLDEN.read_text(encoding="utf-8")).get(_VERSION, {})
+def _golden(compiler: bool = True) -> dict[str, str]:
+    """The digests of this Python version, as generated with a C
+    compiler at hand or without one."""
+    table = json.loads(_GOLDEN.read_text(encoding="utf-8"))
+    golden = dict(table.get(_VERSION, {}))
+    if not compiler:
+        golden.update(table.get(_VERSION + "/no-compiler", {}))
+    return golden
 
 
 @pytest.mark.skipif(not _golden(),
@@ -66,7 +81,23 @@ def _golden() -> dict[str, str]:
 @pytest.mark.parametrize("app_name", list_apps())
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_generated_code_is_unchanged(app_name, mode):
-    assert digest(app_name, mode) == _golden()[f"{app_name}/{mode.value}"]
+    golden = _golden(compiler=find_compiler()[0] is not None)
+    assert digest(app_name, mode) == golden[f"{app_name}/{mode.value}"]
+
+
+@pytest.mark.skipif(not _golden(),
+                    reason=f"no golden digests for Python {_VERSION}")
+@pytest.mark.parametrize("app_name", list_apps())
+def test_without_a_compiler_compileddt_is_the_numpy_tier(app_name,
+                                                         monkeypatch):
+    """The fallback *is* the code of before the native tier: the
+    digests under the second key were computed on that commit."""
+    monkeypatch.setenv("CC", "/nonexistent")
+    variant = transform(get_app(app_name).source(Mode.COMPILED_DT),
+                        Mode.COMPILED_DT, force=True)
+    assert variant.__omp_native__ == ()
+    assert variant_digest(variant) \
+        == _golden(compiler=False)[f"{app_name}/compileddt"]
 
 
 def test_golden_covers_every_pair():
@@ -77,4 +108,5 @@ def test_golden_covers_every_pair():
 
 
 if __name__ == "__main__":
+    # Run with CC=/nonexistent for the digests of the second key.
     print(json.dumps({_VERSION: current_digests()}, indent=1))
