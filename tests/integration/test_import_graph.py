@@ -5,7 +5,11 @@ apps, the measuring harness, the serving chain up to a worker that has
 answered a request — holds nothing of the directive parser, the
 rewriter or the compiler; a miss imports them on demand, in whichever
 process it happens.  Each check runs in a fresh interpreter twice over
-one cache directory: the first pass is the cold one.
+one cache directory: the first pass is the cold one.  The footprint of
+``import repro`` itself is measured in an interpreter started without
+``site`` (``python -S``), so that modules a start-up hook (a ``.pth``
+file in site-packages) loads before the script's first line are not
+counted as ``repro``'s.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ import json
 import os
 import subprocess
 import sys
+from importlib.util import find_spec
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cruntime.native import find_compiler
 
 _TRANSFORMER = ("repro.transform.rewriter", "repro.transform.constructs",
@@ -85,11 +92,21 @@ if __name__ == "__main__":
 """
 
 
-def _run(script: str, cache, *arguments) -> dict:
+def _run(script: str, cache, *arguments, site: bool = True) -> dict:
+    """Run ``script`` in a fresh interpreter and parse its last line.
+    ``site=False`` starts it as ``python -S`` on this process's import
+    path, the directory holding the imported ``repro`` first: it finds
+    the same ``repro`` and NumPy, but no ``.pth`` start-up hook runs
+    before the script."""
+    flags, env = [], {**os.environ, "OMP4PY_CACHE": str(cache)}
+    if not site:
+        package_root = str(Path(repro.__file__).parents[1])
+        flags.append("-S")
+        env["PYTHONPATH"] = os.pathsep.join([package_root, *(
+            entry for entry in sys.path if entry and entry != package_root)])
     out = subprocess.run(
-        [sys.executable, "-c", script, *map(str, arguments)],
-        env={**os.environ, "OMP4PY_CACHE": str(cache)},
-        check=True, capture_output=True, text=True, timeout=180)
+        [sys.executable, *flags, "-c", script, *map(str, arguments)],
+        env=env, check=True, capture_output=True, text=True, timeout=180)
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -114,15 +131,24 @@ def test_a_program_on_a_warm_cache_never_loads_the_transformer(tmp_path):
 def test_importing_the_package_loads_what_it_always_did(tmp_path):
     """``import repro`` and ``import repro.decorator`` stay what they
     were before there was a native tier: no loader, no ``ctypes``, no
-    ``subprocess``, no NumPy."""
+    ``subprocess``, no ``shutil``, no NumPy.  The child starts without
+    ``site``, so what a ``.pth`` start-up hook imports is not counted;
+    it must still be able to find NumPy, or "no NumPy" would hold only
+    because NumPy is out of its reach."""
     script = ("import json, sys, repro, repro.decorator\n"
-              "print(json.dumps(sorted(name for name in sys.modules\n"
+              "loaded = sorted(name for name in sys.modules\n"
               "    if name.split('.')[0] in ('repro', 'numpy', 'ctypes',\n"
-              "                              'subprocess', 'shutil'))))\n")
-    assert _run(script, tmp_path / "cache") == [
+              "                              'subprocess', 'shutil'))\n"
+              "import importlib.util\n"
+              "print(json.dumps({'loaded': loaded, 'numpy_found':\n"
+              "    importlib.util.find_spec('numpy') is not None}))\n")
+    report = _run(script, tmp_path / "cache", site=False)
+    assert report["loaded"] == [
         "repro", "repro.api", "repro.decorator", "repro.env",
         "repro.errors", "repro.modes", "repro.transform",
         "repro.transform.api_map"]
+    if find_spec("numpy") is not None:
+        assert report["numpy_found"]
 
 
 def test_a_served_request_on_a_warm_cache_never_loads_it(tmp_path):
