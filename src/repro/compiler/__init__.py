@@ -13,10 +13,10 @@ class and returns a faster equivalent:
   system's C compiler into a shared object kept beside the cache entry
   and called once per chunk with the GIL released
   (:mod:`repro.compiler.cbackend`) — the native loops typed Cython
-  emits.  Without a compiler or a cache directory the same loops are
-  lowered to NumPy vector code evaluated per chunk
-  (:mod:`repro.compiler.vectorize`), which also stays behind every
-  kernel call as its guard branch.
+  emits.  The loop as written stays behind every kernel call as its
+  guard branch, and without a compiler or a cache directory it is all
+  there is: typed code then runs as *Compiled* code
+  (:mod:`repro.compiler.vectorize`).
 """
 
 from repro.compiler.pipeline import NativeBuildFailed, optimize

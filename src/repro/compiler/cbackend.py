@@ -17,13 +17,13 @@ C is kept *right* where it is not Python:
 * integer ``//`` and ``%`` floor like Python's and a zero divisor is a
   status (``ZeroDivisionError``), never ``SIGFPE``; signed overflow
   wraps (``-fwrapv``) like NumPy's ``int64``;
-* float arithmetic is IEEE, as in the NumPy tier (``x / 0.0`` is
-  ``inf``), with ``-ffp-contract=off`` so no fused multiply-add rounds
-  differently from the interpreter.
+* float arithmetic is IEEE — ``x / 0.0`` is ``inf`` where Python
+  raises ``ZeroDivisionError`` — with ``-ffp-contract=off`` so no fused
+  multiply-add rounds differently from the interpreter.
 
-What a site cannot express raises :class:`Unsupported` and the loop is
-left to the NumPy vectoriser (``if``/``while``/``break`` statements,
-slices, calls other than the ``math``/``abs``/``min``/``max``/``int``/
+What a site cannot express raises :class:`Unsupported` and the loop
+stays interpreted (``if``/``while``/``break`` statements, slices,
+calls other than the ``math``/``abs``/``min``/``max``/``int``/
 ``float`` forms, complex scalars, shifts by a variable count,
 ``int ** <non-constant>``).
 """
@@ -52,9 +52,8 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv",
           "-fno-math-errno")
 _BUILD_TIMEOUT_S = 60.0
 
-#: ``math.<name>`` (and the bare name, as in the NumPy tier) -> C
-#: function and arity.  ``floor``/``ceil`` stay ``double`` like
-#: ``np.floor``.
+#: ``math.<name>`` (and the bare name) -> C function and arity.
+#: ``floor``/``ceil`` stay ``double`` like ``np.floor``.
 _MATH = {name: (name, 1) for name in (
     "sqrt", "sin", "cos", "tan", "exp", "log", "log2", "log10", "floor",
     "ceil", "fabs", "atan", "asin", "acos", "sinh", "cosh", "tanh")}
@@ -132,7 +131,7 @@ static inline double o4p_fmax(double a, double b) { return (a > b || a != a) ? a
 
 
 class Unsupported(Exception):
-    """This loop has no C form; the NumPy tier gets it."""
+    """This loop has no C form; it stays interpreted."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -210,17 +209,22 @@ class SiteCompiler:
     re-emitting the body until the types stop moving.  A local that may
     be read before the body assigns it — a reduction accumulator, a
     recurrence — is *carried*: passed in, passed back, and therefore
-    typed by the function's annotations as well.  Names the body only
+    typed by the function's annotations as well.  A local that code
+    after the loop reads (``live_out``) goes back to the caller too:
+    carried if an iteration may leave it unassigned, otherwise passed
+    out only (the caller passes a zero in).  Names the body only
     reads are by-value parameters typed by their annotation; subscript
     bases are arrays (``float64`` unless their elements index another
     array or land in an ``int`` name, then ``int64``); the caller checks
     all of that against the run-time objects before every call.
     """
 
-    def __init__(self, loop: ast.For, env: dict[str, str], number: int):
+    def __init__(self, loop: ast.For, env: dict[str, str], number: int,
+                 live_out=frozenset()):
         self.loop = loop
         self.env = env
         self.number = number
+        self.live_out = frozenset(live_out)
         self.cname = f"omp4py_site_{number}"
         if not isinstance(loop.target, ast.Name):
             raise Unsupported("tuple loop target")
@@ -236,6 +240,10 @@ class SiteCompiler:
                     node.ctx, ast.Store):
                 self.assigned_names.add(node.id)
         self.assigned_names -= self.loop_vars
+        for name in sorted(self.loop_vars & self.live_out):
+            if name != loop.target.id:
+                raise Unsupported(
+                    f"loop variable {name!r} read after the loop")
         if not all(name.isascii()
                    for name in self.assigned_names | self.loop_vars):
             raise Unsupported("non-ASCII identifier")
@@ -254,12 +262,19 @@ class SiteCompiler:
             self.arrays: dict[str, _Array] = {}
             self.counters = 0
             body = self._block(self.loop.body, 3)
+            # Read after the loop but maybe not assigned by an iteration:
+            # what it held before may survive, so it is carried.
+            for name in sorted(self.live_out & self.assigned_names
+                               - self.assigned):
+                self._name(name)
             if not self.dirty:
                 break
         else:  # pragma: no cover - the lattice has two levels
             raise Unsupported("types do not settle")
         if not body:
             raise Unsupported("empty or effect-free body")
+        self.outs = [name for name in sorted(self.live_out & self.assigned)
+                     if name not in self.carried]
         return self._assemble(body)
 
     # -- statements --------------------------------------------------------
@@ -620,7 +635,8 @@ class SiteCompiler:
         ``lo, hi, step``, the integer scalars, the integer carried
         values, per array its base address, shape and byte strides,
         three error slots; ``dv``: the float scalars, then the float
-        carried values — and the carried values travel back in them."""
+        carried values — and the carried and out-only values travel back
+        in them."""
         at = {INT: 3, DBL: 0}
         vector = {INT: "iv", DBL: "dv"}
 
@@ -632,7 +648,9 @@ class SiteCompiler:
                  "    const int64_t lo = iv[0], hi = iv[1], step = iv[2];"]
         for name, kind in self.scalars.items():
             lines.append(f"    const {_CTYPE[kind]} v_{name} = {take(kind)};")
-        slots = {name: take(self.types[name]) for name in self.carried}
+        kinds = {name: self.types.get(name, INT)  # loop variables: INT
+                 for name in (*self.carried, *self.outs)}
+        slots = {name: take(kind) for name, kind in kinds.items()}
         for array in self.arrays.values():
             name = f"a{array.number}"
             lines.append(f"    char *const {name} = (char *)(intptr_t)"
@@ -643,7 +661,7 @@ class SiteCompiler:
                     for axis in range(array.ndim)) + ";")
         lines.append(f"    int64_t *const err = iv + {at[INT]};")
         for name in sorted(self.loop_vars):
-            lines.append(f"    int64_t v_{name} = 0;")
+            lines.append(f"    int64_t v_{name} = {slots.get(name, '0')};")
         for name in sorted(self.types):
             lines.append(f"    {_CTYPE[self.types[name]]} v_{name} = "
                          f"{slots.get(name, '0')};")
@@ -657,15 +675,17 @@ class SiteCompiler:
 
         operands = [ast.Name(id=name, ctx=ast.Load())
                     for name in (*self.scalars, *self.carried)]
+        operands += [ast.Constant(value=0.0 if kinds[name] == DBL else 0)
+                     for name in self.outs]
         operands += [array.expr for array in self.arrays.values()]
         spec = (self.cname, "".join(self.scalars.values()),
                 tuple((array.elem, array.ndim, array.stored)
                       for array in self.arrays.values()),
-                "".join(self.types[name] for name in self.carried))
+                "".join(kinds.values()))
         return Site(number=self.number,
                     ident=f"L{getattr(self.loop, 'lineno', 0)}",
                     ctext="\n".join(lines) + "\n", operands=operands,
-                    carried=list(self.carried), spec=spec)
+                    carried=list(kinds), spec=spec)
 
 
 class NativeTarget:
@@ -673,7 +693,7 @@ class NativeTarget:
 
     ``probe`` decides the tier once (dipy's ``have_openmp`` idea): a
     compiler must be found and the cache directory must take files, or
-    there is no target and the caller stays on the NumPy tier.
+    there is no target and every loop stays interpreted.
     """
 
     def __init__(self, directory: str, compiler: list[str]):
@@ -701,8 +721,9 @@ class NativeTarget:
             return None, f"cache directory {directory!r} is not writable"
         return cls(directory, compiler), ""
 
-    def compile_site(self, loop: ast.For, env: dict[str, str]) -> Site:
-        site = SiteCompiler(loop, env, len(self.sites)).compile()
+    def compile_site(self, loop: ast.For, env: dict[str, str],
+                     live_out=frozenset()) -> Site:
+        site = SiteCompiler(loop, env, len(self.sites), live_out).compile()
         self.sites.append(site)
         return site
 

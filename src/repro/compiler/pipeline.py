@@ -18,16 +18,16 @@ class NativeBuildFailed(Exception):
 
 
 def optimize(node: ast.stmt, ctx: TransformContext, *, typed: bool,
-             options: dict, debug: bool = False,
+             debug: bool = False,
              native_dir: str | None = None) -> ast.stmt:
     """Run the optimization pipeline over a transformed definition.
 
     ``native_dir`` is where a typed definition's C kernels may be built
-    (the directory of its cache entry); ``None`` keeps it on the NumPy
-    back end.  The outcome is left on ``ctx.native``: what the entry
+    (the directory of its cache entry); ``None`` leaves its loops
+    interpreted.  The outcome is left on ``ctx.native``: what the entry
     records about the variant's shared object, ``{"pending": reason}``
-    when there are typed loops but no compiler or directory to build
-    them with, ``None`` when there was nothing to compile; a build that
+    when some loop has a C form but there is no compiler to build it
+    with, ``None`` when there was nothing to compile; a build that
     fails raises :class:`NativeBuildFailed`.
     """
     from repro.compiler.passes import fold, localize
@@ -41,8 +41,7 @@ def optimize(node: ast.stmt, ctx: TransformContext, *, typed: bool,
             target, reason = NativeTarget.probe(native_dir)
         if debug and reason:
             print(f"[omp4py:native] unavailable: {reason}")
-        vectorizer = VectorizePass(ctx, options=options, debug=debug,
-                                   native=target)
+        vectorizer = VectorizePass(ctx, debug=debug, native=target)
         node = vectorizer.run(node)
         if target is not None and target.sites:
             ctx.native, reason = target.finish()
@@ -50,10 +49,9 @@ def optimize(node: ast.stmt, ctx: TransformContext, *, typed: bool,
                 if debug:
                     print(f"[omp4py:native] unavailable: {reason}")
                 raise NativeBuildFailed(reason)
-        elif target is None and native_dir is not None \
-                and getattr(ctx, "needs_kernels", False):
-            # Typed sites, no way to build them here: the first process
-            # that has a compiler upgrades the entry.
+        elif native_dir is not None and vectorizer.pending:
+            # Loops with a C form, no way to build them here: the first
+            # process that has a compiler upgrades the entry.
             ctx.native = {"pending": reason, "retry": True}
     node = fold.FoldConstants().visit(node)
     return localize.LocalizeGlobals(ctx).run(node)

@@ -19,9 +19,11 @@ nothing of :mod:`repro.compiler` and needs no C compiler:
 A kernel call is guarded: operands that are not what the C text was
 typed for (a list, another dtype, a read-only store target, a float in
 an ``int`` name) make the call return ``None`` *before* anything ran,
-and the generated code then executes the statements the kernel stands
-for.  A shared object that cannot be loaded does the same for every
-call, and is removed so the next miss rebuilds it.
+and the generated code then runs the loop the kernel stands for, as
+written.  So does an empty range, whose loop leaves every name as it
+was (the kernel would pass back what it was given for the names it
+only writes).  A shared object that cannot be loaded does the same for
+every call, and is removed so the next miss rebuilds it.
 """
 
 from __future__ import annotations
@@ -208,6 +210,8 @@ def _make_caller(library: _Library, spec: tuple):
         if kind == "i":  # ctypes would truncate it silently
             lines += [f"    if not -M <= {name} <= M:",
                       "        return None"]
+    lines += ["    if v1 <= v0 if v2 > 0 else v0 <= v1:  # an empty range",
+              "        return None"]
     error_at = len(ints)
     for k, (kind, ndim, stored) in enumerate(arrays):
         lines += [

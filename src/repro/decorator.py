@@ -166,18 +166,18 @@ def transform(target, mode: Mode | str | int | None = None, *,
     path = _entry_path(cache, target, mode, lines, first_line, globalns,
                        options, debug)
     entry = _load_entry(path) if path and not (force or debug) else None
-    if entry is not None and not _native_current(entry[3], path):
+    if entry is not None and not _native_current(entry[2], path):
         entry = None
     cached = entry is not None
     if not cached:
         entry = _generate(lines[first_line - 1:], mode, filename,
-                          target.__module__, globalns, options, debug,
+                          target.__module__, globalns, debug,
                           native_dir=os.path.dirname(path) if path else None)
         if path:
             _store_entry(path, entry)
-    code, needs_kernels, generated, native = entry
+    code, generated, native = entry
     if native is not None and "so" not in native:
-        native = None  # the NumPy tier, whatever the reason
+        native = None  # interpreted loops, whatever the reason
     if dump:
         print(f"# --- omp4py generated code ({mode.value}) ---",
               file=sys.stderr)
@@ -190,9 +190,6 @@ def transform(target, mode: Mode | str | int | None = None, *,
     name = target.__name__
     namespace = globalns if live_globals else dict(globalns)
     namespace[_handle_for(mode)] = runtime_for(mode)
-    if needs_kernels:
-        from repro.cruntime import kernels
-        namespace[kernels.HANDLE] = kernels
     if native is not None:
         from repro.cruntime.native import bind
         namespace[native["handle"]] = bind(
@@ -222,17 +219,17 @@ def transform(target, mode: Mode | str | int | None = None, *,
 
 
 def _generate(lines: list[str], mode: Mode, filename: str,
-              module_name: str, globalns: dict, options: dict,
-              debug: bool, native_dir: str | None = None) -> tuple:
+              module_name: str, globalns: dict, debug: bool,
+              native_dir: str | None = None) -> tuple:
     """Run the pipeline over the definition that starts at
-    ``lines[0]``: ``(code, needs kernels, generated source, native)``,
-    which is also what a cache entry holds.
+    ``lines[0]``: ``(code, generated source, native)``, which is also
+    what a cache entry holds.
 
-    ``native`` is ``None`` for a variant with no typed loop, what
-    :func:`repro.cruntime.native.bind` needs (``handle``, ``so``,
+    ``native`` is ``None`` for a variant with no loop that has a C form,
+    what :func:`repro.cruntime.native.bind` needs (``handle``, ``so``,
     ``sites``, plus the C text and the site ids) when its kernels were
     built into ``native_dir``, and ``{"pending": reason, "retry": …}``
-    when they could not be: the code is then the NumPy tier's.
+    when they could not be: its loops then run interpreted.
     """
     from repro.transform.context import TransformContext
     from repro.transform.rewriter import transform_function_def
@@ -265,14 +262,13 @@ def _generate(lines: list[str], mode: Mode, filename: str,
         from repro.compiler import NativeBuildFailed, optimize
         try:
             node = optimize(node, ctx, typed=(mode is Mode.COMPILED_DT),
-                            options=options, debug=debug,
-                            native_dir=native_dir)
+                            debug=debug, native_dir=native_dir)
         except NativeBuildFailed as failure:
             # The tree was rewritten to call kernels that do not exist:
-            # generate again, on the NumPy tier alone, and let the entry
-            # say why so the build is not retried on every transform.
+            # generate again without them, and let the entry say why so
+            # the build is not retried on every transform.
             return (*_generate(lines, mode, filename, module_name,
-                               globalns, options, debug)[:3],
+                               globalns, debug)[:2],
                     {"pending": failure.reason, "retry": False})
         native = ctx.native
 
@@ -280,8 +276,7 @@ def _generate(lines: list[str], mode: Mode, filename: str,
     # compiler passes locate what they add), so no pass is needed here.
     module = ast.Module(body=[node], type_ignores=[])
     return (compile(module, filename=filename, mode="exec"),
-            getattr(ctx, "needs_kernels", False), ast.unparse(module),
-            native)
+            ast.unparse(module), native)
 
 
 # ----------------------------------------------------------------------
@@ -350,21 +345,20 @@ def _entry_path(cache: str | None, target, mode: Mode, lines: list[str],
 
 
 def _load_entry(path: str):
-    """``(code, needs kernels, generated source, native)`` of a cache
-    entry, or ``None`` when it is missing, cut short, garbage or another
+    """``(code, generated source, native)`` of a cache entry, or
+    ``None`` when it is missing, cut short, garbage or another
     interpreter's (the caller then retransforms and overwrites it)."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
         if not data.startswith(_MAGIC):
             return None
-        code, needs_kernels, generated, native = marshal.loads(
-            data[len(_MAGIC):])
+        code, generated, native = marshal.loads(data[len(_MAGIC):])
     except (OSError, ValueError, EOFError, TypeError):
         return None
     if isinstance(code, types.CodeType) and isinstance(generated, str) \
             and isinstance(native, (dict, type(None))):
-        return code, bool(needs_kernels), generated, native
+        return code, generated, native
     return None
 
 

@@ -247,7 +247,11 @@ class OmpRuntime:
         if team.level == 1:
             self.stats.record(team.cpu_times)
         if team.errors:
-            thread_num, error = team.errors[0]
+            thread_num, error = next(
+                (entry for entry in team.errors
+                 if not isinstance(entry[1], Exception)), team.errors[0])
+            if not isinstance(error, Exception):
+                raise error  # Ctrl-C or exit: the program's, not the region's
             raise OmpRuntimeError(
                 f"exception in parallel region (thread {thread_num})"
             ) from error

@@ -90,11 +90,11 @@ class TestSubscripts:
                 lowered("f", x, 1, 6)  # x[4, 3]: both axes out of range
             results.append(x)
         # Row 0 wraps to column -1, rows 1..3 are stored before row 4
-        # fails — in the sequential order; the NumPy tier stores all or
-        # nothing, which is why only C is compared with the interpreter.
-        native_x, _numpy_x, interpreted_x = results
-        np.testing.assert_array_equal(native_x, interpreted_x)
-        assert native_x[3, 2] == 3.0
+        # fails — in the sequential order, on every tier.
+        *lowered_xs, interpreted_x = results
+        for x in lowered_xs:
+            np.testing.assert_array_equal(x, interpreted_x)
+        assert interpreted_x[3, 2] == 3.0
 
     def test_an_empty_array_is_never_dereferenced(self):
         lowered = lower(self.LOAD, "native")
@@ -119,12 +119,9 @@ class TestIntegerDivision:
             assert list(r) == [(5 - i) % b for i in range(12)]
 
     def test_zero_divisor_raises_instead_of_trapping(self):
-        # (The NumPy tier warns and stores zeros here, as it always
-        # has; C and the interpreter agree.)
-        for tier in ("native", "interpreted"):
+        for lowered in lower_each(self.SOURCE):
             with pytest.raises(ZeroDivisionError):
-                lower(self.SOURCE, tier)(
-                    "f", np.zeros(4), np.zeros(4), 5, 0, 4)
+                lowered("f", np.zeros(4), np.zeros(4), 5, 0, 4)
 
     def test_the_most_negative_dividend(self):
         lowered = lower(
@@ -157,15 +154,15 @@ class TestIntegerDivision:
             "        for j in range(0, n, step):\n"
             "            total += x[j]\n"
             "    return total\n")
-        for tier in ("native", "interpreted"):
+        for lowered in lower_each(source):
             with pytest.raises(ValueError):
-                lower(source, tier)("f", np.ones(4), 4, 0)
+                lowered("f", np.ones(4), 4, 0)
         assert lower(source, "native")("f", np.ones(4), 4, -1) == 0.0
 
 
 class TestGuardBranch:
-    """Operands the C text was not typed for run the statements the
-    kernel stands for — and nothing of the kernel."""
+    """Operands the C text was not typed for run the loop the kernel
+    stands for, as written — and nothing of the kernel."""
 
     SOURCE = (
         "def f(out, x, s: float, n: int):\n"
@@ -186,8 +183,6 @@ class TestGuardBranch:
         assert self.run(np.zeros(5), np.arange(5.0)) == [1, 0]
 
     def test_a_list_takes_the_guard_branch(self):
-        # (As a load base: the NumPy statements of the guard branch
-        # gather from lists, but have never scattered into one.)
         assert self.run(np.zeros(5), [0.0, 1.0, 2.0, 3.0, 4.0]) == [0, 1]
 
     def test_another_dtype_takes_the_guard_branch(self):
@@ -210,8 +205,12 @@ class TestGuardBranch:
 
     def test_a_float_in_an_int_name_takes_the_guard_branch(self):
         # ``n: int`` holding 4.0: a C ``int64_t`` parameter would be a
-        # lie, the NumPy statements take it as ``np.arange`` does.
-        assert self.run(np.zeros(4), np.arange(4.0), n=4.0) == [0, 1]
+        # lie; the loop as written raises, as it does without a kernel.
+        lowered = lower(self.SOURCE, "native")
+        (tally,) = lowered.count()
+        with pytest.raises(TypeError):
+            lowered("f", np.zeros(4), np.arange(4.0), 2.0, 4.0)
+        assert tally == [0, 1]
 
     def test_something_else_in_a_float_name_takes_the_guard_branch(self):
         lowered = lower(self.SOURCE, "native")
@@ -248,6 +247,77 @@ class TestGuardBranch:
     def test_numpy_scalars_are_the_numbers_they_hold(self):
         assert self.run(np.zeros(5), np.arange(5.0), s=np.float64(2.0),
                         n=np.int64(5)) == [1, 0]
+
+
+class TestValuesReadAfterTheLoop:
+    """What the loop leaves in a name that later code reads comes back
+    from the kernel — and an iteration that does not run leaves it as
+    it was."""
+
+    def check(self, source, *cases):
+        lowered = lower(source, "native")
+        assert lowered.outcomes == ["native"]
+        (tally,) = lowered.count()
+        reference = lower(source, "interpreted")
+        for args in cases:
+            assert lowered("f", *args) == reference("f", *args), args
+        return tally
+
+    def test_a_value_assigned_by_every_iteration(self):
+        tally = self.check(
+            "def f(x, n: int):\n"
+            "    last: float = -1.0\n"
+            "    for i in range(n):\n"
+            "        last = x[i] * 2.0\n"
+            "    return last\n", (np.arange(5.0), 5), (np.arange(5.0), 0))
+        assert tally == [1, 1]  # the empty range ran the loop as written
+
+    def test_the_loop_variable(self):
+        self.check(
+            "def f(x, n: int):\n"
+            "    i = -1\n"
+            "    total: float = 0.0\n"
+            "    for i in range(n):\n"
+            "        total += x[i]\n"
+            "    return i, total\n", (np.arange(5.0), 5), (np.arange(5.0), 0))
+
+    def test_a_value_an_inner_loop_may_not_assign(self):
+        self.check(
+            "def f(x, n: int, m: int):\n"
+            "    y: float = -1.0\n"
+            "    for i in range(n):\n"
+            "        for j in range(m):\n"
+            "            y = x[j] + i\n"
+            "    return y\n", (np.arange(5.0), 3, 4), (np.arange(5.0), 3, 0))
+
+    def test_an_inner_loop_variable_read_after_the_nest(self):
+        # The nest has no C form (an inner loop may leave ``j`` as it
+        # was), the inner loop alone has: ``j`` is its own variable.
+        source = (
+            "def f(x, n: int, m: int):\n"
+            "    j = -1\n"
+            "    total: float = 0.0\n"
+            "    for i in range(n):\n"
+            "        for j in range(m):\n"
+            "            total += x[j]\n"
+            "    return j, total\n")
+        lowered = lower(source, "native")
+        assert lowered.outcomes == [
+            "not native: loop variable 'j' read after the loop", "native"]
+        reference = lower(source, "interpreted")
+        for args in ((np.arange(5.0), 3, 4), (np.arange(5.0), 3, 0)):
+            assert lowered("f", *args) == reference("f", *args)
+
+    def test_only_what_is_read_after_the_loop_comes_back(self):
+        target, _why = NativeTarget.probe(os.environ["OMP4PY_CACHE"])
+        import ast
+        loop = ast.parse(
+            "for i in range(n):\n"
+            "    t = x[i] * 2.0\n"
+            "    last = t + 1.0\n").body[0]
+        site = target.compile_site(loop, {"n": "int"}, {"last", "x"})
+        assert site.carried == ["last"]
+        assert isinstance(site.operands[0], ast.Constant)
 
 
 class TestWhatHasNoCForm:

@@ -1,10 +1,9 @@
-"""Tests of the typed loop lowering (CompiledDT), both back ends.
+"""Tests of the typed loop lowering (CompiledDT).
 
-Every value test runs its loop on the three tiers of
-:mod:`tests.tiers` — C kernels, the NumPy fallback, the interpreted
-source — and has to agree across them; the rejection tests are about
-what the NumPy back end refuses, and what the C back end does with the
-same loops.
+Every value test runs its loop on the tiers of :mod:`tests.tiers` — C
+kernels, the interpreted source — and has to agree across them; the
+rejection tests are about what has no C form, which the pass reports
+and leaves interpreted.
 """
 
 import ast
@@ -14,14 +13,15 @@ import pytest
 
 from repro import Mode, transform
 from repro.compiler.vectorize import VectorizePass
+from repro.cruntime.native import find_compiler
 from repro.transform.context import TransformContext
 
 from tests.tiers import compiler_or_skip, lower, lower_each
 
 
 def vectorize_source(source: str):
-    """Run only the NumPy vectorizer over plain source; return
-    (pass, code)."""
+    """Run the pass without a target over plain source: it lowers
+    nothing and reports per loop.  Returns (pass, code)."""
     tree = ast.parse(source)
     ctx = TransformContext("__omp0__", set(), set())
     vectorizer = VectorizePass(ctx)
@@ -29,14 +29,6 @@ def vectorize_source(source: str):
     module = ast.Module(body=[node], type_ignores=[])
     ast.fix_missing_locations(module)
     return vectorizer, module
-
-
-def execute(module, name, *args):
-    from repro.cruntime import kernels
-    from repro.compiler.vectorize import KERNEL_HANDLE
-    namespace = {KERNEL_HANDLE: kernels, "math": __import__("math")}
-    exec(compile(module, "<vec>", "exec"), namespace)
-    return namespace[name](*args)
 
 
 def interpreted(source: str, name: str, *args):
@@ -192,19 +184,24 @@ class TestVectorizesSimpleLoops:
                 "            row += a[i][j]\n"
                 "        total += row\n"
                 "    return total\n"):
-            assert lowered.took_a_loop()  # NumPy: the inner; C: the nest
+            assert lowered.took_a_loop()  # the nest is one C function
             assert lowered("f", matrix, 4) == pytest.approx(matrix.sum())
             # A list of rows is not what the kernel was typed for: the
-            # guard branch (the NumPy tier's inner-loop kernel) has it.
+            # guard branch (the loop as written) has it.
             assert lowered("f", matrix.tolist(), 4) == pytest.approx(
                 matrix.sum())
 
 
 class TestRejections:
+    """What has no C form is reported and left as written."""
+
     def reject_reason(self, source):
-        vectorizer, _module = vectorize_source(source)
-        reasons = [o for _l, o in vectorizer.report if o != "vectorized"]
-        assert reasons, "expected a fallback"
+        vectorizer, module = vectorize_source(source)
+        reasons = [o for _l, o in vectorizer.report
+                   if o.startswith("not native: ")]
+        assert reasons, "expected a rejection"
+        assert vectorizer.pending == 0
+        assert ast.unparse(module) == ast.unparse(ast.parse(source))
         return reasons[0]
 
     def test_untyped_scalar_rejected(self):
@@ -215,26 +212,6 @@ class TestRejections:
             "        total += i * w\n"
             "    return total\n")
         assert "untyped" in reason
-
-    def test_loop_carried_recurrence_rejected(self):
-        reason = self.reject_reason(
-            "def f(n):\n"
-            "    x: float = 1.0\n"
-            "    q: float = 0.5\n"
-            "    for i in range(n):\n"
-            "        x = x * q\n"
-            "    return x\n")
-        assert "loop-carried" in reason
-
-    def test_shifted_store_load_overlap_rejected(self):
-        reason = self.reject_reason(
-            "def f(a, n):\n"
-            "    c: float = 1.0\n"
-            "    for i in range(1, n):\n"
-            "        a[i] = a[i - 1] * c\n"
-            "    return a\n")
-        assert "aliases" in reason or "one-to-one" in reason \
-            or "loop-carried" in reason
 
     def test_statement_with_side_effects_rejected(self):
         reason = self.reject_reason(
@@ -255,16 +232,9 @@ class TestRejections:
             "    return total\n")
         assert "not a recognised" in reason
 
-    def test_store_index_not_injective_rejected(self):
-        reason = self.reject_reason(
-            "def f(a, n):\n"
-            "    c: float = 1.0\n"
-            "    for i in range(n):\n"
-            "        a[i % 3] = i * c\n"
-            "    return a\n")
-        assert "one-to-one" in reason
-
-    def test_nested_loop_not_vectorized_but_inner_is(self):
+    def test_a_nest_is_one_site(self):
+        """Without a target the pass only counts the loops that have a C
+        form; a nest is one, inner loops included."""
         vectorizer, _module = vectorize_source(
             "def f(a, n):\n"
             "    total: float = 0.0\n"
@@ -274,15 +244,14 @@ class TestRejections:
             "            row += a[i][j]\n"
             "        total += row\n"
             "    return total\n")
-        assert sorted(outcome.split(":")[0]
-                      for _line, outcome in vectorizer.report) \
-            == ["fallback", "vectorized"]
+        assert vectorizer.report == [(3, "pending")]
+        assert vectorizer.pending == 1
 
 
 class TestWhatNumPyRejectsRunsInC:
-    """The C back end runs the sequential loop, so what the NumPy back
-    end must refuse for fear of reordering it — recurrences, shifted
-    and colliding stores — compiles, and computes what the interpreter
+    """The C back end runs the sequential loop, so what a vectoriser
+    must refuse for fear of reordering it — recurrences, shifted and
+    colliding stores — compiles, and computes what the interpreter
     does."""
 
     def check(self, source, *args):
@@ -320,7 +289,7 @@ class TestWhatNumPyRejectsRunsInC:
 
 
 def _copy(value):
-    return value.copy() if isinstance(value, np.ndarray) else value
+    return value.copy() if isinstance(value, (np.ndarray, list)) else value
 
 
 class TestModeIntegration:
@@ -331,12 +300,62 @@ class TestModeIntegration:
 
     def test_compiled_mode_skips_vectorizer(self):
         fn = transform(_pi_typed, Mode.COMPILED)
-        source = fn.__omp_source__
-        assert "__omp_k__" not in source
+        assert fn.__omp_native__ == ()
+        assert "__omp_n" not in fn.__omp_source__
 
     def test_compileddt_emits_kernel(self):
         fn = transform(_pi_typed, Mode.COMPILED_DT)
-        assert "__omp_k__" in fn.__omp_source__
+        if find_compiler()[0]:
+            assert len(fn.__omp_native__) == 1
+            assert "__omp_n" in fn.__omp_source__
+        else:
+            assert fn.__omp_native__ == ()
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_lastprivate_comes_back_from_the_loop(self, mode):
+        fn = transform(_last_doubled, mode)
+        assert fn(np.arange(10.0), 10) == 18.0
+        if mode is Mode.COMPILED_DT and find_compiler()[0]:
+            assert len(fn.__omp_native__) == 1
+
+
+class TestEveryTierAgreesWithTheInterpreter:
+    """Each tier returns what the loop as written returns (the order of
+    out-of-range stores is ``test_native.py``'s)."""
+
+    def agree(self, source, *args):
+        *lowerings, reference = lower_each(source)
+        expected = reference("f", *[_copy(a) for a in args])
+        for lowered in lowerings:
+            result = lowered("f", *[_copy(a) for a in args])
+            assert type(result) is type(expected), lowered.tier
+            np.testing.assert_array_equal(result, expected)
+        return expected
+
+    def test_a_list_store_target(self):
+        # Not what a kernel was typed for: the guard branch stores.
+        expected = self.agree(
+            "def f(out, x, n):\n"
+            "    for i in range(n):\n"
+            "        out[i] = x[i] * 2.0\n"
+            "    return out\n", [0.0] * 5, np.arange(5.0), 5)
+        assert expected == [0.0, 2.0, 4.0, 6.0, 8.0]
+
+    def test_an_integer_to_a_negative_power(self):
+        expected = self.agree(
+            "def f(a, n):\n"
+            "    for i in range(1, n):\n"
+            "        a[i] = i ** -1\n"
+            "    return a\n", np.zeros(5), 5)
+        assert list(expected) == [0.0, 1.0, 0.5, 1 / 3, 0.25]
+
+def _last_doubled(x, n: int):
+    from repro import omp
+    last: float = 0.0
+    with omp("parallel for lastprivate(last) num_threads(2)"):
+        for i in range(n):
+            last = x[i] * 2.0
+    return last
 
 
 def _pi_typed(n):

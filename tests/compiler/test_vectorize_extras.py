@@ -1,7 +1,6 @@
 """Additional lowering coverage: parameter annotations, inferred
-types, scatter under the worksharing contract, bitwise reductions,
-casts, and diagnostics.  Value tests run on every tier of
-:mod:`tests.tiers`."""
+types, scatter in a worksharing loop, bitwise reductions, casts, and
+diagnostics.  Value tests run on every tier of :mod:`tests.tiers`."""
 
 import ast
 
@@ -9,22 +8,22 @@ import numpy as np
 import pytest
 
 from repro import Mode, transform
-from repro.compiler.vectorize import (KERNEL_HANDLE, VectorizePass,
-                                      _collect_annotations)
+from repro.compiler.vectorize import VectorizePass, _collect_annotations
+from repro.cruntime.native import find_compiler
 from repro.transform.context import TransformContext
 
 from tests.tiers import lower_each
 
 
 def run_pass(source: str, index: int = 0):
+    """The pass without a target over plain source: (pass, namespace)."""
     tree = ast.parse(source)
     ctx = TransformContext("__omp0__", set(), set())
     vectorizer = VectorizePass(ctx)
     node = vectorizer.run(tree.body[index])
     module = ast.Module(body=[node], type_ignores=[])
     ast.fix_missing_locations(module)
-    from repro.cruntime import kernels
-    namespace = {KERNEL_HANDLE: kernels, "math": __import__("math")}
+    namespace = {"math": __import__("math")}
     exec(compile(module, "<vec>", "exec"), namespace)
     return vectorizer, namespace
 
@@ -62,8 +61,8 @@ class TestInferredTypes:
         return _collect_annotations(ast.parse(source).body[0])
 
     def test_int_literal_accumulating_floats_is_a_float(self):
-        # Typed ``int`` before: harmless while NumPy re-types on the
-        # fly, a truncation of every term once ``total`` is a C long.
+        # Typed ``int``, ``total`` would be a C long: a truncation of
+        # every term.
         assert self.labels(self.FLOATS)["total"] == "float"
         x = np.array([0.5, 1.5, 2.5, 3.25])
         for lowered in lower_each(self.FLOATS):
@@ -146,19 +145,19 @@ class TestCasts:
 
 class TestScatterUnderWsContract:
     def test_permutation_store_in_chunk_loop(self):
-        """Outside a ws loop a permuted scatter is rejected; inside the
-        chunk driver the independence contract allows it."""
-        source_plain = (
+        """A permuted scatter has a C form in a sequential loop and in a
+        worksharing chunk loop alike: the kernel stores in the loop's
+        own order."""
+        vectorizer, _ns = run_pass(
             "def f(out, n):\n"
             "    c: int = 1\n"
             "    for i in range(n):\n"
             "        out[(i * 7) % n] = i * c\n"
             "    return out\n")
-        vectorizer, _ns = run_pass(source_plain)
-        assert all(o != "vectorized" for _l, o in vectorizer.report)
+        assert vectorizer.report == [(3, "pending")]
 
         fn = transform(_scatter_ws, Mode.COMPILED_DT)
-        assert "__omp_k__" in fn.__omp_source__  # the loop vectorized
+        assert len(fn.__omp_native__) == (1 if find_compiler()[0] else 0)
         n = 16
         out = fn(np.zeros(n), n, 2)
         expected = np.zeros(n)
@@ -186,7 +185,7 @@ class TestDiagnostics:
         assert vectorizer.report
         line, outcome = vectorizer.report[0]
         assert line == 3
-        assert outcome.startswith("fallback")
+        assert outcome.startswith("not native: ")
 
     def test_debug_prints(self, capsys):
         tree = ast.parse(
@@ -197,4 +196,5 @@ class TestDiagnostics:
             "    return total\n")
         ctx = TransformContext("__omp0__", set(), set())
         VectorizePass(ctx, debug=True).run(tree.body[0])
-        assert "vectorize" in capsys.readouterr().out
+        assert "[omp4py:native] line 3: call target is not a recognised" \
+            in capsys.readouterr().out

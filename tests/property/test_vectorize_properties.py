@@ -1,6 +1,6 @@
 """Property tests: lowered kernels compute exactly what the interpreted
 loops compute, over randomized expressions and data — on the C tier
-and on the NumPy tier (:mod:`tests.tiers`)."""
+(:mod:`tests.tiers`), where there is a compiler."""
 
 import hypothesis.strategies as st
 import numpy as np

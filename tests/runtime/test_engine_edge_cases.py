@@ -161,3 +161,42 @@ class TestMutexAPI:
 
         rt.parallel_run(region, num_threads=4)
         assert shared["value"] == 400
+
+
+class TestInterruptsLeaveTheRegionUnwrapped:
+    """Ctrl-C and ``sys.exit`` in a member end the region as what they
+    are; only an ordinary exception becomes an ``OmpRuntimeError``."""
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_keyboard_interrupt(self, rt, member):
+        def body():
+            if rt.get_thread_num() == member:
+                raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt):
+            rt.parallel_run(body, num_threads=2)
+
+    def test_system_exit_keeps_its_code(self, rt):
+        def body():
+            raise SystemExit(3)
+        with pytest.raises(SystemExit) as caught:
+            rt.parallel_run(body, num_threads=2)
+        assert caught.value.code == 3
+
+    def test_an_interrupt_wins_over_another_members_error(self, rt):
+        raised = threading.Event()
+
+        def body():
+            if rt.get_thread_num() == 1:
+                raised.set()
+                raise ValueError("first")
+            raised.wait(5)
+            raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt):
+            rt.parallel_run(body, num_threads=2)
+
+    def test_an_ordinary_error_is_still_wrapped(self, rt):
+        def body():
+            raise ValueError("boom")
+        with pytest.raises(OmpRuntimeError) as caught:
+            rt.parallel_run(body, num_threads=2)
+        assert isinstance(caught.value.__cause__, ValueError)

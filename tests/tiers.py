@@ -1,17 +1,16 @@
-"""The three ways a typed loop can run, for differential tests.
+"""The two ways a typed loop can run, for differential tests.
 
 ``lower(source, tier)`` runs the CompiledDT lowering over a plain
 function source (no directives) and returns the result ready to call:
 
 * ``"native"`` — C kernels built with the system compiler into the
   session's cache directory (skipped where there is no compiler);
-* ``"numpy"`` — the fallback: the same entry point with the compiler
-  lookup made to fail (``CC=/nonexistent``), so the probe itself is
-  what puts the pass on the NumPy back end;
-* ``"interpreted"`` — the source as written, the reference.
+* ``"interpreted"`` — the source as written, the reference, and what
+  a typed loop runs as where there is no compiler.
 
 Every tier must compute the same values within the calling suite's
-tolerances and raise the same exceptions.
+tolerances, raise the same exceptions and store the same elements
+before it does.
 """
 
 from __future__ import annotations
@@ -23,14 +22,11 @@ import os
 import pytest
 
 from repro.compiler.cbackend import NativeTarget
-from repro.compiler.vectorize import KERNEL_HANDLE, VectorizePass
-from repro.cruntime import kernels, native
+from repro.compiler.vectorize import VectorizePass
+from repro.cruntime import native
 from repro.transform.context import TransformContext
 
-TIERS = ("native", "numpy", "interpreted")
-
-#: What the pass reports for a loop the tier took.
-_TOOK = {"native": "native", "numpy": "vectorized"}
+TIERS = ("native", "interpreted")
 
 
 @dataclasses.dataclass
@@ -54,8 +50,7 @@ class Lowered:
     def took_a_loop(self) -> bool:
         """Did this tier lower at least one loop?  (The interpreted
         tier lowers nothing and always says yes: it is the reference.)"""
-        return self.tier == "interpreted" \
-            or _TOOK[self.tier] in self.outcomes
+        return self.tier == "interpreted" or "native" in self.outcomes
 
     def count(self) -> list:
         """Start counting kernel calls: ``calls[n] == [ran, declined]``."""
@@ -99,22 +94,17 @@ def lower(source: str, tier: str, index: int = 0) -> Lowered:
         exec(compile(source, "<interpreted>", "exec"), namespace)
         return Lowered(tier, namespace, [], [])
     cache = os.environ["OMP4PY_CACHE"]
-    with pytest.MonkeyPatch.context() as patch:
-        if tier == "numpy":
-            patch.setenv("CC", "/nonexistent")
-        else:
-            compiler_or_skip()
-        target, reason = NativeTarget.probe(cache)
-    assert (target is None) == (tier == "numpy"), reason
+    compiler_or_skip()
+    target, reason = NativeTarget.probe(cache)
+    assert target is not None, reason
     tree = ast.parse(source)
     ctx = TransformContext("__omp0__", set(), set())
     vectorizer = VectorizePass(ctx, native=target)
     node = vectorizer.run(tree.body[index])
     module = ast.Module(body=tree.body[:index] + [node], type_ignores=[])
     ast.fix_missing_locations(module)
-    namespace[KERNEL_HANDLE] = kernels
     sites: list = []
-    if target is not None and target.sites:
+    if target.sites:
         entry, reason = target.finish()
         assert entry is not None, reason
         sites = list(native.bind(os.path.join(cache, entry["so"]),

@@ -16,9 +16,9 @@ The five numeric apps' CompiledDT variants have two digests: under the
 version key the native tier's (the generated code calls C kernels
 through a handle named after the digest of their C text, so the C text
 is pinned with it), and under ``<version>/no-compiler`` what the same
-transform generates where no C compiler can be found — which is, byte
-for byte, what it generated before there was a native tier.  Every
-other digest is the same with and without a compiler.
+transform generates where no C compiler can be found: the typed loops
+as written.  Every other digest is the same with and without a
+compiler.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ def test_generated_code_is_unchanged(app_name, mode):
 @pytest.mark.parametrize("app_name", list_apps())
 def test_without_a_compiler_compileddt_is_the_numpy_tier(app_name,
                                                          monkeypatch):
-    """The fallback *is* the code of before the native tier: the
-    digests under the second key were computed on that commit."""
+    """Without a compiler there is no kernel and no handle: the
+    digests under the second key are of the loops as written.  (The
+    name is older than that: a NumPy tier used to run here.)"""
     monkeypatch.setenv("CC", "/nonexistent")
     variant = transform(get_app(app_name).source(Mode.COMPILED_DT),
                         Mode.COMPILED_DT, force=True)
