@@ -15,6 +15,7 @@ uses ``schedule(runtime)`` for the Fig. 7 policy sweep.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from repro.apps.base import AppSpec
@@ -38,8 +39,11 @@ def make_corpus(lines: int, vocabulary_size: int = 2000,
                 seed: int = 777) -> list[str]:
     rng = random.Random(seed)
     vocabulary = _make_vocabulary(vocabulary_size, rng)
-    # Zipf ranks: word k drawn with weight 1/(k+1).
-    weights = [1.0 / (rank + 1) for rank in range(vocabulary_size)]
+    # Zipf ranks: word k drawn with weight 1/(k+1).  Cumulated once:
+    # ``choices(weights=...)`` would redo it on every line, and does
+    # the same ``accumulate``, so the draws are the same.
+    cum_weights = list(itertools.accumulate(
+        1.0 / (rank + 1) for rank in range(vocabulary_size)))
     corpus = []
     for index in range(lines):
         # Heavy-tailed line lengths: a few article-sized lines among
@@ -49,7 +53,7 @@ def make_corpus(lines: int, vocabulary_size: int = 2000,
         else:
             length = rng.randint(3, 30)
         corpus.append(" ".join(
-            rng.choices(vocabulary, weights=weights, k=length)))
+            rng.choices(vocabulary, cum_weights=cum_weights, k=length)))
     return corpus
 
 

@@ -112,8 +112,12 @@ def _format_serve_state(state: dict) -> str:
         f"shed={stats.get('shed')} retries={stats.get('retries')} "
         f"p99={stats.get('p99_s')}s")
     shm = state.get("shm", {})
+    inputs = state.get("inputs", {})
     lines.append(f"  shm: {shm.get('segments')} segments, "
-                 f"{shm.get('bytes')} bytes")
+                 f"{shm.get('bytes')} bytes; inputs: "
+                 f"{inputs.get('entries')}/{inputs.get('capacity')} sets, "
+                 f"{inputs.get('pinned')} pinned, "
+                 f"{inputs.get('evictions')} evicted")
     lines.append("  tenants:")
     for tenant in state.get("tenants", []):
         lines.append(
@@ -136,6 +140,7 @@ def _format_serve_state(state: dict) -> str:
             f"{worker['state']}{busy} backend={worker.get('backend')} "
             f"pools: {pools or None} "
             f"restarts={worker['restarts']} "
+            f"stillbirths={worker.get('stillbirths')} "
             f"last_app={worker.get('last_app')}")
         report = worker.get("last_report")
         if report:

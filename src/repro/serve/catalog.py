@@ -11,7 +11,9 @@ Three kinds of tenant workload are serveable:
   request elastically scales across the simulated cluster;
 * ``_spin`` (debug builds only) — a kernel that never finishes, used
   by the hang tests to prove the in-worker watchdog turns a stuck
-  request into a structured doctor report.
+  request into a structured doctor report; with ``seconds >= 0`` it
+  holds a worker busy instead, and an ``n`` override gives it a shared
+  array it sums once done (a running job that holds an input set).
 
 Field classification decides the data plane per input: numeric
 rectangular values ride shared memory (:mod:`repro.serve.shm`),
@@ -46,6 +48,7 @@ READ_ONLY_FIELDS = {
     "jacobi_mpi": {"a", "b"},
     "bfs": {"grid"},
     "md": set(),
+    "_spin": {"values"},
 }
 
 #: Marker returned by :func:`reference_result` when an app has no
@@ -86,8 +89,11 @@ def build_inputs(app: str, profile: str, overrides: dict) -> dict:
                 "iterations": params["iterations"],
                 "tol": params["tol"]}
     if app == "_spin":
-        merged = {"seconds": -1.0}
+        merged = {"seconds": -1.0, "n": 0}
         merged.update(overrides or {})
+        count = merged.pop("n")
+        if count:
+            merged["values"] = np.arange(count, dtype=np.float64)
         return merged
     from repro.apps import get_app
     return get_app(app).inputs(profile, **(overrides or {}))
@@ -95,9 +101,10 @@ def build_inputs(app: str, profile: str, overrides: dict) -> dict:
 
 def reference_result(app: str, profile: str, overrides: dict):
     """Sequential reference for the digest check (fresh inputs)."""
-    if app == "_spin":
-        return NO_REFERENCE
     inputs = build_inputs(app, profile, overrides)
+    if app == "_spin":
+        values = inputs.get("values")
+        return NO_REFERENCE if values is None else float(values.sum())
     if app == "jacobi_mpi":
         from repro.apps import jacobi
         return jacobi.sequential(**inputs)
@@ -152,12 +159,13 @@ def classify_inputs(app: str, inputs: dict) -> tuple[dict, dict, list]:
 _SPIN_KERNEL = None
 
 
-def _spin(seconds, threads):
+def _spin(seconds, threads, values=None):
     # seconds >= 0: hold the team busy for that long (chaos tests kill
-    # the worker mid-request).  seconds < 0: deadlock deterministically
-    # via an unmatched barrier (cf. examples/faults) so the in-worker
-    # watchdog produces a structured deadlock report for a truly hung
-    # kernel; the fleet's deadline then reaps the worker.
+    # the worker mid-request), then sum ``values`` if given.  seconds
+    # < 0: deadlock deterministically via an unmatched barrier (cf.
+    # examples/faults) so the in-worker watchdog produces a structured
+    # deadlock report for a truly hung kernel; the fleet's deadline
+    # then reaps the worker.
     deadline = time.monotonic() + seconds
     with omp("parallel num_threads(threads)"):
         if seconds >= 0:
@@ -166,7 +174,7 @@ def _spin(seconds, threads):
         else:
             if omp_get_thread_num() == 0:
                 omp("barrier")
-    return 0
+    return 0 if values is None else float(values.sum())
 
 
 def _spin_kernel():

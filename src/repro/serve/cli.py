@@ -10,7 +10,9 @@ current job, shared segments are unlinked).  Defaults come from the
 integration tests and the CI smoke job use it with ``--port 0`` to
 avoid port races.  ``fleet ready`` is the first line on stdout, written
 once the port file exists and a worker is idle; ``serving on …``
-follows it.
+follows it.  If no worker becomes ready — every slot given up after
+repeated deaths before ``ready``, or the ready timeout — the command
+exits 1 without printing it.
 """
 
 from __future__ import annotations
@@ -125,7 +127,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.port_file:
             with open(args.port_file, "w", encoding="utf-8") as handle:
                 handle.write(str(server.port))
-        server.fleet.wait_ready()
+        if not server.fleet.wait_ready():
+            print("error: no worker became ready", file=sys.stderr)
+            return 1
         # First, and alone in its write: a reader that waits for this
         # line with select() and one readline() must not find it
         # buffered behind another.

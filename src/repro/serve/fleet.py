@@ -49,9 +49,22 @@ from repro.serve.worker import worker_entry
 #: Response slab size per worker: 1 MiB of float64 result values.
 SLAB_FLOATS = 131_072
 
+#: Distinct input sets the server keeps materialized in shared memory
+#: (:class:`repro.serve.server.InputStore`); the least recently used
+#: one beyond this that no job holds is released.
+INPUT_CAPACITY = 64
+
 #: Seconds a forked worker gets to report ready before it is
 #: declared stillborn and respawned.
 READY_TIMEOUT = 60.0
+
+#: A worker that dies before ``ready`` is re-forked after a delay that
+#: starts at ``RESPAWN_DELAY`` and doubles with every consecutive
+#: stillbirth up to ``RESPAWN_DELAY_MAX`` seconds; after
+#: ``MAX_STILLBIRTHS`` in a row the slot is given up (``failed``).
+RESPAWN_DELAY = 0.2
+RESPAWN_DELAY_MAX = 5.0
+MAX_STILLBIRTHS = 5
 
 
 def _run_forked(target, *args) -> None:
@@ -113,6 +126,8 @@ class WorkerHandle:
         self.last_state: dict | None = None
         self.last_report: dict | None = None
         self.restarts = 0
+        self.stillbirths = 0
+        self.respawn_at = 0.0
         self.job_doc: dict | None = None
         self.job_requests: list | None = None
         self.job_started: float | None = None
@@ -129,9 +144,11 @@ class WorkerHandle:
                        time.monotonic() - (self.job_started or 0), 3)}
         return {"id": self.id, "pid": self.pid, "state": self.state,
                 "generation": self.generation,
-                "restarts": self.restarts, "backend": self.backend,
+                "restarts": self.restarts,
+                "stillbirths": self.stillbirths, "backend": self.backend,
                 "pools": (self.last_state or {}).get("pools"),
                 "last_app": (self.last_state or {}).get("last_app"),
+                "attached": (self.last_state or {}).get("attached"),
                 "job": job, "last_report": self.last_report}
 
 
@@ -240,10 +257,9 @@ class Fleet:
             if op == "ready":
                 with self._lock:
                     worker.backend = message.get("backend")
-                    worker.last_state = {
-                        "pools": message.get("pools"),
-                        "last_app": message.get("last_app")}
+                    worker.last_state = message
                     worker.state = "idle"
+                    worker.stillbirths = 0
                 self._ready.set()
                 self.on_idle()
             elif op == "result":
@@ -265,9 +281,7 @@ class Fleet:
                 self.on_idle()
             elif op == "pong":
                 with self._lock:
-                    worker.last_state = {
-                        "pools": message.get("pools"),
-                        "last_app": message.get("last_app")}
+                    worker.last_state = message
         self._handle_exit(worker, generation)
 
     def _handle_exit(self, worker: WorkerHandle, generation: int) -> None:
@@ -279,10 +293,17 @@ class Fleet:
             worker.job_requests = None
             worker.job_started = None
             worker.job_deadline = None
-            stillborn = worker.state == "starting"
+            if stillborn := worker.state == "starting":
+                worker.stillbirths += 1
             worker.state = "dead"
             worker.restarts += 1
             self.restarts_total += 1
+            if worker.stillbirths >= MAX_STILLBIRTHS:
+                worker.state = "failed"
+            elif stillborn:
+                worker.respawn_at = time.monotonic() + min(
+                    RESPAWN_DELAY_MAX,
+                    RESPAWN_DELAY * 2 ** (worker.stillbirths - 1))
         report_path = self.report_dir / f"worker-{worker.id}.json"
         if report_path.exists():
             try:
@@ -292,10 +313,12 @@ class Fleet:
                 worker.last_report = None
         if doc is not None:
             self.on_crash(worker, doc, requests or [])
-        # Restarting is the tick's: at once after a crash, at its own
-        # pace for a worker that died before it was ready — a fork is
-        # cheap enough to spin on.
-        if not stillborn:
+        # Restarting is the tick's: at once after a crash, after the
+        # back-off for a worker that died before it was ready, and
+        # never for a failed slot (``wait_ready`` learns of that).
+        if worker.state == "failed":
+            self._ready.set()
+        elif not stillborn:
             self._tick_wake.set()
 
     def _tick_loop(self) -> None:
@@ -312,7 +335,8 @@ class Fleet:
                     elif worker.state == "starting" and \
                             now - worker.started_at > READY_TIMEOUT:
                         victims.append(worker)
-                    elif worker.state == "dead":
+                    elif worker.state == "dead" and \
+                            now >= worker.respawn_at:
                         dead.append(worker)
             for worker in victims:
                 self.kill_worker(worker.id)
@@ -322,14 +346,18 @@ class Fleet:
     # -- dispatch -------------------------------------------------------
 
     def wait_ready(self, timeout: float = READY_TIMEOUT) -> bool:
-        """Block until at least one worker is idle."""
+        """Block until at least one worker is idle; ``False`` at the
+        deadline or as soon as every slot has failed."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.idle_workers():
+        while True:
+            with self._lock:
+                states = {w.state for w in self._workers.values()}
+            if "idle" in states:
                 return True
+            if states <= {"failed"} or time.monotonic() >= deadline:
+                return False
             self._ready.wait(timeout=0.2)
             self._ready.clear()
-        return bool(self.idle_workers())
 
     def idle_workers(self) -> int:
         with self._lock:
@@ -346,19 +374,26 @@ class Fleet:
 
     def dispatch(self, worker: WorkerHandle, job_doc: dict,
                  requests: list, *, timeout: float | None = None) -> bool:
-        """Send one job to an acquired worker; ``False`` on a dead pipe
-        (the caller's crash path will fire via the reader thread)."""
+        """Send one job to an acquired worker.
+
+        ``False`` when the worker died since it was acquired: nothing
+        was handed over and the job is still the caller's.  Once the
+        job is recorded on the worker, a dead pipe is the reader's to
+        report: its exit path returns the job through ``on_crash``.
+        """
         now = time.monotonic()
         with self._lock:
+            if worker.state != "busy":
+                return False
             worker.job_doc = job_doc
             worker.job_requests = requests
             worker.job_started = now
             worker.job_deadline = now + (timeout or self.job_timeout)
         try:
             worker.conn.send(job_doc)
-            return True
-        except (OSError, ValueError, BrokenPipeError):
-            return False
+        except (OSError, ValueError):
+            pass
+        return True
 
     def release_idle(self, worker: WorkerHandle) -> None:
         """Return an acquired-but-unused worker to the idle pool."""

@@ -6,7 +6,9 @@
   overrides) input set once — numeric arrays into shared-memory
   segments, scalars onto the control plane, the rest marked for
   in-worker rebuild — and computes the sequential reference digest
-  every response is verified against;
+  every response is verified against; it keeps at most
+  ``INPUT_CAPACITY`` input sets, evicting the least recently used one
+  no dispatched job holds;
 * the **dispatcher** (one thread) pulls batches from the admission
   queue, charges tenant budgets, stamps each job with its tenant's CPU
   partition, and hands it to an idle worker; crashed jobs are requeued
@@ -22,6 +24,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import tempfile
@@ -33,7 +36,7 @@ from repro.errors import OmpError
 from repro.ompt.metrics import MetricsRegistry
 from repro.serve import catalog
 from repro.serve.admission import AdmissionQueue, QueueFull
-from repro.serve.fleet import Fleet
+from repro.serve.fleet import INPUT_CAPACITY, Fleet
 from repro.serve.protocol import (STATE_SCHEMA, ServeRequest,
                                   digests_match, parse_request,
                                   result_digest)
@@ -50,37 +53,115 @@ _SERVICE_BOUNDS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
 
 
 class InputStore:
-    """Lazy per-(app, profile, overrides) input materialization."""
+    """Lazy per-(app, profile, overrides) input materialization, in a
+    fixed-capacity LRU.
 
-    def __init__(self, registry: ShmRegistry):
+    :meth:`entry` returns a key's input set, building it on a miss.
+    Past ``capacity`` sets the least recently used one is evicted and
+    its segments released — unless a job still holds it: :meth:`pin`
+    is :meth:`entry` plus a hold that lasts until :meth:`unpin`, and a
+    held set is never evicted, so no segment is unlinked under a
+    queued or running job.  The store exceeds ``capacity`` only while
+    in-flight jobs pin that many sets.
+    """
+
+    def __init__(self, registry: ShmRegistry, *, on_evict=None):
         self.registry = registry
+        self.capacity = INPUT_CAPACITY
+        self.evictions = 0
+        self._on_evict = on_evict or (lambda count: None)
         self._lock = threading.Lock()
-        self._entries: dict[tuple, dict] = {}
+        self._entries: collections.OrderedDict[tuple, dict] = \
+            collections.OrderedDict()
+        self._pins: collections.Counter = collections.Counter()
 
     def entry(self, request: ServeRequest) -> dict:
+        return self._lookup(request, pin=False)
+
+    def pin(self, request: ServeRequest) -> dict:
+        """:meth:`entry`, held against eviction until
+        ``unpin(request.input_key)``."""
+        return self._lookup(request, pin=True)
+
+    def unpin(self, key: tuple) -> None:
+        with self._lock:
+            self._pins[key] -= 1
+            if self._pins[key] <= 0:
+                del self._pins[key]
+            evicted = self._trim()
+        self._release(evicted)
+
+    def snapshot(self) -> dict:
+        with self._lock:
+            return {"entries": len(self._entries),
+                    "pinned": len(self._pins),
+                    "capacity": self.capacity,
+                    "evictions": self.evictions}
+
+    def _lookup(self, request: ServeRequest, *, pin: bool) -> dict:
         key = request.input_key
         with self._lock:
             cached = self._entries.get(key)
-        if cached is not None:
-            return cached
-        inputs = catalog.build_inputs(request.app, request.profile,
-                                      request.overrides)
-        arrays, scalars, rebuild = catalog.classify_inputs(
-            request.app, inputs)
-        wire = {}
-        for field, (array, container, read_only) in arrays.items():
-            handle = self.registry.create_array(
-                array, container=container, read_only=read_only)
-            wire[field] = handle.to_wire()
-        reference = catalog.reference_result(
-            request.app, request.profile, request.overrides)
+            if cached is not None:
+                self._entries.move_to_end(key)
+                if pin:
+                    self._pins[key] += 1
+                return cached
+        built = self._build(request)
+        with self._lock:
+            cached = self._entries.setdefault(key, built)
+            self._entries.move_to_end(key)
+            if pin:
+                self._pins[key] += 1
+            evicted = self._trim()
+        if cached is not built:
+            # Another thread built the same key first.
+            evicted.append(built)
+        self._release(evicted)
+        return cached
+
+    def _build(self, request: ServeRequest) -> dict:
+        wire: dict[str, dict] = {}
+        try:
+            inputs = catalog.build_inputs(request.app, request.profile,
+                                          request.overrides)
+            arrays, scalars, rebuild = catalog.classify_inputs(
+                request.app, inputs)
+            for field, (array, container, read_only) in arrays.items():
+                handle = self.registry.create_array(
+                    array, container=container, read_only=read_only)
+                wire[field] = handle.to_wire()
+            reference = catalog.reference_result(
+                request.app, request.profile, request.overrides)
+        except BaseException:
+            self._release([{"arrays": wire}])
+            raise
         expected = None if reference is catalog.NO_REFERENCE \
             else result_digest(reference)
-        entry = {"arrays": wire, "scalars": scalars,
-                 "rebuild": rebuild, "expected": expected}
-        with self._lock:
-            self._entries.setdefault(key, entry)
-            return self._entries[key]
+        return {"arrays": wire, "scalars": scalars,
+                "rebuild": rebuild, "expected": expected}
+
+    def _trim(self) -> list[dict]:
+        """Pop least recently used entries down to capacity (under the
+        lock), sparing pinned ones and the newest, which its caller is
+        about to return; the caller releases them outside the lock."""
+        excess = len(self._entries) - self.capacity
+        victims = []
+        for key in list(self._entries)[:-1]:
+            if len(victims) >= excess:
+                break
+            if key not in self._pins:
+                victims.append(self._entries.pop(key))
+        if victims:
+            # Under the lock: ``on_evict`` need not be thread-safe.
+            self.evictions += len(victims)
+            self._on_evict(len(victims))
+        return victims
+
+    def _release(self, entries: list[dict]) -> None:
+        for entry in entries:
+            for doc in entry["arrays"].values():
+                self.registry.release(doc["segment"])
 
 
 class ServeStats:
@@ -155,7 +236,9 @@ class ServeServer:
         self.stats = ServeStats()
         self.metrics = MetricsRegistry()
         self.shm = ShmRegistry()
-        self.inputs = InputStore(self.shm)
+        self.inputs = InputStore(self.shm, on_evict=self.metrics.counter(
+            "omp_serve_input_evictions_total",
+            "Input sets evicted from the server's store").inc)
         if report_dir is None:
             self._report_tmp = tempfile.TemporaryDirectory(
                 prefix="omp4py-serve-")
@@ -324,7 +407,8 @@ class ServeServer:
     def _dispatch_batch(self, worker, batch: list[ServeRequest]) -> None:
         head = batch[0]
         try:
-            entry = self.inputs.entry(head)
+            # Held until the job ends (``_end_job``), or below.
+            entry = self.inputs.pin(head)
         except Exception as error:  # noqa: BLE001 - client-facing
             self.fleet.release_idle(worker)
             self._fail_batch(batch, f"input build failed: {error}")
@@ -333,6 +417,7 @@ class ServeServer:
             # A release can only add headroom between the pure check
             # and the charge, so this is effectively unreachable; be
             # safe and retry the batch later anyway.
+            self.inputs.unpin(head.input_key)
             self.fleet.release_idle(worker)
             self.queue.requeue_front(batch)
             return
@@ -355,6 +440,7 @@ class ServeServer:
             self._jobs[job_id] = {"requests": {r.id: r for r in batch},
                                   "tenant": head.tenant,
                                   "threads": head.threads,
+                                  "input_key": head.input_key,
                                   "expected": entry["expected"]}
         self.metrics.histogram(
             "omp_serve_batch_size", "Requests coalesced per job",
@@ -362,20 +448,27 @@ class ServeServer:
         timeout = self.job_timeout * max(1, len(batch))
         if not self.fleet.dispatch(worker, job_doc, batch,
                                    timeout=timeout):
-            # Dead pipe: the reader thread's crash path requeues.
-            pass
+            # The worker died since it was acquired: nothing was sent.
+            self._end_job(job_id)
+            self.queue.requeue_front(batch)
+            self._wake()
 
     # -- fleet callbacks -------------------------------------------------
 
-    def _pop_job(self, job_id: int) -> dict | None:
+    def _end_job(self, job_id: int) -> dict | None:
+        """Forget a job and give back what it held: its tenant's
+        threads and its input set's pin.  ``None`` if already ended."""
         with self._jobs_lock:
-            return self._jobs.pop(job_id, None)
+            job = self._jobs.pop(job_id, None)
+        if job is not None:
+            self.tenants.release(job["tenant"], job["threads"])
+            self.inputs.unpin(job["input_key"])
+        return job
 
     def _on_result(self, worker, message: dict) -> None:
-        job = self._pop_job(message.get("job_id"))
+        job = self._end_job(message.get("job_id"))
         if job is None:
             return
-        self.tenants.release(job["tenant"], job["threads"])
         slab_view = None
         now = time.monotonic()
         for record in message.get("results") or []:
@@ -441,9 +534,7 @@ class ServeServer:
             self._fail_batch([request], "worker dropped the request")
 
     def _on_crash(self, worker, job_doc: dict, requests: list) -> None:
-        job = self._pop_job(job_doc.get("job_id"))
-        if job is not None:
-            self.tenants.release(job["tenant"], job["threads"])
+        self._end_job(job_doc.get("job_id"))
         self.metrics.counter(
             "omp_serve_worker_restarts_total",
             "Worker processes respawned after a crash or kill").inc()
@@ -506,6 +597,7 @@ class ServeServer:
                 "workers": self.fleet.snapshot(),
                 "shm": {"segments": len(self.shm.names()),
                         "bytes": self.shm.total_bytes()},
+                "inputs": self.inputs.snapshot(),
                 "stats": self.stats.snapshot(),
                 "restarts_total": self.fleet.restarts_total}
 

@@ -40,9 +40,11 @@ mid-request and asserts no segment leaks or vanishes
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import os
+import sys
 import threading
 from multiprocessing import resource_tracker, shared_memory
 
@@ -215,26 +217,74 @@ class ShmRegistry:
             self.release(segment)
 
 
+#: Segments one worker keeps mapped.  Each mapping holds two fds (the
+#: segment's and the duplicate ``mmap`` takes), so a worker's fds stay
+#: under its start-up count plus twice this, whatever the traffic.
+ATTACH_CAPACITY = 64
+
+
+class _Mapping:
+    """One attached segment and the reference count its mapping has
+    with no array on it.
+
+    NumPy keeps no buffer export on what it wraps, only a reference to
+    the exporter (the segment's ``mmap``), so ``close`` would succeed
+    under a live view and leave it pointing at unmapped memory: a
+    mapping is closed only once that count is back to what it was.
+    """
+
+    def __init__(self, shm: shared_memory.SharedMemory):
+        self.shm = shm
+        self.idle_refs = sys.getrefcount(shm._mmap)
+
+    def try_close(self) -> bool:
+        if sys.getrefcount(self.shm._mmap) > self.idle_refs:
+            return False
+        self.shm.close()
+        return True
+
+
 class AttachedArrays:
-    """Worker-side cache of mapped segments.
+    """Worker-side LRU of mapped segments.
 
     One job batch touches the same input set repeatedly; the cache
-    keeps each segment mapped once per worker process.  Every attach
-    applies :func:`attach_unregister`, so no process's resource
-    tracker ever wrongly believes it owns a server segment.
+    keeps each segment mapped once per worker process, up to
+    ``ATTACH_CAPACITY`` segments: a miss beyond that closes the least
+    recently used mapping (the server unlinks segments it evicts, so
+    without this a worker would keep every input set it ever saw
+    alive in ``/dev/shm``).  A mapping an array still uses is closed on a later
+    miss, once the array is gone.  Every attach applies
+    :func:`attach_unregister`, so no process's resource tracker ever
+    wrongly believes it owns a server segment.
     """
 
     def __init__(self):
-        self._attached: dict[str, shared_memory.SharedMemory] = {}
+        self.capacity = ATTACH_CAPACITY
+        self.evictions = 0
+        self._attached: collections.OrderedDict[str, _Mapping] = \
+            collections.OrderedDict()
+        self._unclosed: list[_Mapping] = []
 
     def get(self, handle: ArrayHandle) -> np.ndarray:
-        shm = self._attached.get(handle.segment)
-        if shm is None:
+        mapping = self._attached.get(handle.segment)
+        if mapping is None:
             shm = shared_memory.SharedMemory(name=handle.segment)
             attach_unregister(shm)
-            self._attached[handle.segment] = shm
+            mapping = self._attached[handle.segment] = _Mapping(shm)
+            self._trim()
+        else:
+            self._attached.move_to_end(handle.segment)
         return np.ndarray(handle.shape, dtype=handle.dtype,
-                          buffer=shm.buf)
+                          buffer=mapping.shm.buf)
+
+    def _trim(self) -> None:
+        self._unclosed = [mapping for mapping in self._unclosed
+                          if not mapping.try_close()]
+        while len(self._attached) > self.capacity:
+            _segment, mapping = self._attached.popitem(last=False)
+            self.evictions += 1
+            if not mapping.try_close():
+                self._unclosed.append(mapping)
 
     def materialize(self, handle: ArrayHandle) -> np.ndarray:
         """The kernel-facing value: zero-copy view for read-only
@@ -242,17 +292,15 @@ class AttachedArrays:
         view = self.get(handle)
         return view if handle.read_only else view.copy()
 
-    def drop(self, segment: str) -> None:
-        shm = self._attached.pop(segment, None)
-        if shm is not None:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - view still alive
-                pass
+    def names(self) -> list[str]:
+        """Mapped segments, least recently used first."""
+        return list(self._attached)
 
     def close_all(self) -> None:
-        for segment in list(self._attached):
-            self.drop(segment)
+        self._unclosed.extend(self._attached.values())
+        self._attached.clear()
+        self._unclosed = [mapping for mapping in self._unclosed
+                          if not mapping.try_close()]
 
 
 def attach_array(handle: ArrayHandle) -> tuple[

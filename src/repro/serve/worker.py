@@ -47,7 +47,7 @@ from repro.cruntime import cruntime
 from repro.runtime import pure_runtime
 from repro.serve.catalog import build_inputs, execute
 from repro.serve.protocol import overrides_key, result_digest
-from repro.serve.shm import ArrayHandle, AttachedArrays
+from repro.serve.shm import ArrayHandle, AttachedArrays, attach_array
 
 RUNTIMES = (pure_runtime, cruntime)
 
@@ -80,12 +80,15 @@ class _JobRunner:
 
     def __init__(self, config: dict):
         self.attached = AttachedArrays()
-        self.slab = None
+        # The slab is mapped for the worker's lifetime (the process
+        # exit unmaps it), outside the input LRU, which must never
+        # evict it.
+        self._slab_shm = self.slab = None
         self.slab_floats = 0
         slab_doc = config.get("slab")
         if slab_doc:
             handle = ArrayHandle.from_wire(slab_doc)
-            self.slab = self.attached.get(handle)
+            self._slab_shm, self.slab = attach_array(handle)
             self.slab_floats = int(handle.shape[0])
         #: (app, profile, overrides_key) -> locally rebuilt inputs.
         self.rebuilt: dict[tuple, dict] = {}
@@ -167,7 +170,9 @@ def _state_payload(runner: _JobRunner) -> dict:
             "backend": pure_runtime.backend.value,
             "pools": {runtime.name: runtime.pool().snapshot()
                       for runtime in RUNTIMES},
-            "last_app": runner.last_app}
+            "last_app": runner.last_app,
+            "attached": {"segments": len(runner.attached.names()),
+                         "evictions": runner.attached.evictions}}
 
 
 def worker_entry(conn, config: dict) -> None:

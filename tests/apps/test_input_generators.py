@@ -103,6 +103,31 @@ class TestStructuralGuarantees:
         lengths = [len(line.split()) for line in corpus]
         assert max(lengths) > 6 * (sum(lengths) / len(lengths))
 
+    def test_corpus_matches_per_line_weights(self):
+        """The corpus cumulates its Zipf weights once; the draws are
+        those of passing the weights on every line."""
+        import random
+        from repro.apps.wordcount import _make_vocabulary, make_corpus
+
+        def per_line_weights(lines, vocabulary_size, seed):
+            rng = random.Random(seed)
+            vocabulary = _make_vocabulary(vocabulary_size, rng)
+            weights = [1.0 / (rank + 1)
+                       for rank in range(vocabulary_size)]
+            corpus = []
+            for index in range(lines):
+                length = rng.randint(200, 400) if index % 97 == 0 \
+                    else rng.randint(3, 30)
+                corpus.append(" ".join(
+                    rng.choices(vocabulary, weights=weights, k=length)))
+            return corpus
+
+        for lines, vocabulary_size, seed in ((500, 600, 1003),
+                                             (400, 300, 5),
+                                             (100, 2000, 777)):
+            assert make_corpus(lines, vocabulary_size, seed) == \
+                per_line_weights(lines, vocabulary_size, seed)
+
     def test_md_particles_shapes(self):
         from repro.apps.md import make_particles
         pos, vel, acc = make_particles(30)

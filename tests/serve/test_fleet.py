@@ -146,3 +146,76 @@ def test_observability_env_of_the_server_arms_nothing_in_a_worker(
     # sampler and a metrics endpoint.
     served = reports / f"worker-{response['worker']}.json.result"
     assert json.loads(served.read_text()) == watchdog_only
+
+
+def _stillborn(births: pathlib.Path):
+    def worker_entry(conn, config):
+        (births / f"{config['worker_id']}-{os.getpid()}").touch()
+        raise RuntimeError("dies before ready")
+    return worker_entry
+
+
+def test_stillborn_workers_back_off_then_their_slots_fail(
+        tmp_path, monkeypatch):
+    from repro.serve import fleet as fleet_module
+    births = tmp_path / "births"
+    births.mkdir()
+    # Before the server exists: its nursery looks the name up when it
+    # forks a worker, in the memory it was itself forked with.
+    monkeypatch.setattr(fleet_module, "worker_entry", _stillborn(births))
+    srv = ServeServer(workers=2, tenants={"default": 2},
+                      report_dir=str(tmp_path / "reports"))
+    slabs = srv.shm.names()
+    begin = time.monotonic()
+    srv.start(wait_ready=False)
+    try:
+        assert srv.fleet.wait_ready() is False
+        elapsed = time.monotonic() - begin
+        backoff = sum(fleet_module.RESPAWN_DELAY * 2 ** attempt
+                      for attempt in range(fleet_module.MAX_STILLBIRTHS
+                                           - 1))
+        assert backoff <= elapsed < backoff + 20
+        slots = srv.state_payload()["workers"]
+        assert [slot["state"] for slot in slots] == ["failed", "failed"]
+        assert {slot["stillbirths"] for slot in slots} == {
+            fleet_module.MAX_STILLBIRTHS}
+        assert all("last_report" in slot for slot in slots)
+        time.sleep(0.6)  # three supervisor ticks: no fork follows
+        forks = sorted(name.split("-")[0] for name in os.listdir(births))
+        assert forks == ["0"] * fleet_module.MAX_STILLBIRTHS \
+            + ["1"] * fleet_module.MAX_STILLBIRTHS
+    finally:
+        srv.stop()
+    # (The module's own server is still up: its segments stay.)
+    assert not set(slabs) & set(leaked_segments())
+
+
+_STILLBORN_CLI = textwrap.dedent('''
+    import pathlib, sys
+    import repro.serve.fleet
+    from repro.serve import cli
+
+    def worker_entry(conn, config):
+        raise RuntimeError("dies before ready")
+
+    repro.serve.fleet.worker_entry = worker_entry
+    if __name__ == "__main__":
+        sys.exit(cli.main(["--port", "0", "--workers", "1"]))
+''')
+
+
+def test_cli_exits_nonzero_when_no_worker_becomes_ready(tmp_path):
+    script = tmp_path / "stillborn_server.py"
+    script.write_text(_STILLBORN_CLI, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    begin = time.monotonic()
+    process = subprocess.Popen([sys.executable, str(script)], env=env,
+                               stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True)
+    stdout, stderr = process.communicate(timeout=60)
+    assert process.returncode == 1, stderr
+    assert time.monotonic() - begin < 30
+    assert "fleet ready" not in stdout
+    assert "no worker became ready" in stderr
+    assert not [name for name in leaked_segments()
+                if f"_{process.pid}_" in name]

@@ -104,14 +104,17 @@ def test_duplicate_tenant_is_409(server):
 
 def test_shed_is_503_with_retry_after(server):
     # Occupy both workers, then close admission: the next request must
-    # shed with the Retry-After hint, not queue or hang.
+    # shed with the Retry-After hint, not queue or hang.  The holders'
+    # overrides differ: two equal requests queued together coalesce
+    # into one job and leave a worker idle.
     out = []
 
-    def occupy():
+    def occupy(seconds):
         out.append(server.submit({"app": "_spin", "threads": 1,
-                                  "overrides": {"seconds": 2.0}}))
+                                  "overrides": {"seconds": seconds}}))
 
-    holders = [threading.Thread(target=occupy) for _ in range(2)]
+    holders = [threading.Thread(target=occupy, args=(seconds,))
+               for seconds in (2.0, 2.01)]
     for thread in holders:
         thread.start()
     deadline = time.monotonic() + 10

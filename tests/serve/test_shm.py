@@ -156,3 +156,39 @@ def test_two_registries_in_one_process_never_share_a_name():
         first.close_all()
         second.close_all()
     assert leaked_segments() == []
+
+
+def _fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="counts /proc fds")
+def test_attached_lru_closes_the_least_recently_used_mapping(registry):
+    handles = [registry.create_array(np.full(64, float(index)))
+               for index in range(4)]
+    names = [handle.segment for handle in handles]
+    attached = AttachedArrays()
+    attached.capacity = 2
+    before = _fds()
+    try:
+        attached.get(handles[0])
+        attached.get(handles[1])
+        assert attached.get(handles[0])[0] == 0.0  # a hit refreshes 0
+        attached.get(handles[2])
+        assert attached.names() == [names[0], names[2]]
+        assert attached.evictions == 1
+        # Two mappings of two fds each, whatever was mapped before.
+        assert _fds() == before + 4
+        # A live view defers the close of its mapping to a later miss.
+        view = attached.get(handles[0])
+        attached.get(handles[3])
+        attached.get(handles[1])
+        assert attached.names() == [names[3], names[1]]
+        assert _fds() == before + 6
+        assert view[5] == 0.0
+        del view
+        attached.get(handles[2])
+        assert _fds() == before + 4
+    finally:
+        attached.close_all()
+    assert _fds() == before
