@@ -11,12 +11,18 @@ warm hot-team pools.
 
 Workers are *forked*, never spawned, so a server start pays one import
 chain instead of one per process — and every fork is made by the
-**nursery**: a helper the constructor forks once everything a worker
-needs is imported and before the fleet has a single thread.  The
-nursery stays single-threaded and does nothing but fork a worker per
-request on its command pipe, first starts and crash respawns alike,
-so no worker is ever forked from a process whose other threads might
-hold a lock.  What a fork does inherit is made safe where it lives:
+**nursery**: a helper the constructor forks last, before the fleet
+has a single thread.  The nursery imports the worker stack
+(:mod:`repro.serve.worker`: the apps, both runtimes, the watchdog,
+the arming) before its first fork, so every worker starts with it
+loaded while the server process, which only runs the front door,
+never imports it.  The nursery stays single-threaded and does nothing
+but fork a worker per request on its command pipe, first starts and
+crash respawns alike, so no worker is ever forked from a process
+whose other threads might hold a lock.  A nursery that cannot import
+the worker stack prints the traceback and exits; the server then
+finds its command pipe closed and marks every slot ``failed``.  What
+a fork does inherit is made safe where it lives:
 the runtimes start cold in every child (:mod:`repro.runtime.engine`),
 and :mod:`repro.serve.shm` knows a forked child shares the server's
 resource tracker.  The nursery waits for the workers it forked (their
@@ -43,8 +49,6 @@ import time
 import traceback
 from multiprocessing import reduction
 from multiprocessing.connection import Connection
-
-from repro.serve.worker import worker_entry
 
 #: Response slab size per worker: 1 MiB of float64 result values.
 SLAB_FLOATS = 131_072
@@ -81,6 +85,17 @@ def _run_forked(target, *args) -> None:
         os._exit(code)
 
 
+def worker_entry(conn, config: dict) -> None:
+    """A worker's body, :func:`repro.serve.worker.worker_entry`.
+
+    The nursery has imported the worker stack before its first fork,
+    so the import here finds it loaded.  A name of this module, looked
+    up by the nursery at every fork, so that tests can wrap it.
+    """
+    from repro.serve.worker import worker_entry as entry
+    entry(conn, config)
+
+
 def _nursery(commands) -> None:
     """The prefork helper: per worker config received on ``commands``
     (followed by the worker's end of its control pipe), fork a worker
@@ -91,6 +106,11 @@ def _nursery(commands) -> None:
     # installed mean nothing here.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # The worker stack, loaded here once so that every worker is
+    # forked with it; the server process never imports it.  Should
+    # this raise, the nursery ends with the traceback on stderr and
+    # the server finds its command pipe closed.
+    import repro.serve.worker  # noqa: F401
     children: set[int] = set()
     try:
         while (config := commands.recv()) is not None:
@@ -227,10 +247,13 @@ class Fleet:
                                       self.nursery_pid)
                 worker.pid = self._nursery.recv()
         except (EOFError, OSError):
-            # No nursery (killed, or shut down meanwhile), no forks:
-            # the slot stays dead and ``/state`` says so.
+            # No nursery (it failed to import the worker stack, was
+            # killed, or was shut down meanwhile), no forks, ever: the
+            # slot has failed, ``/state`` says so and ``wait_ready``
+            # gives up once every slot has.
             worker.pid = None
-            worker.state = "dead"
+            worker.state = "failed"
+            self._ready.set()
             return
         finally:
             child_conn.close()

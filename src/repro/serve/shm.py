@@ -141,6 +141,19 @@ def attach_unregister(shm: shared_memory.SharedMemory) -> bool:
     return True
 
 
+def _mapped(shm: shared_memory.SharedMemory) -> shared_memory.SharedMemory:
+    """Close the ``shm_open`` fd of a mapped segment and return it.
+
+    ``mmap`` holds a duplicate of its own, which is all the mapping
+    needs, so a kept segment costs one fd instead of two; ``close``
+    then finds no fd to close.
+    """
+    if getattr(shm, "_fd", -1) >= 0:
+        os.close(shm._fd)
+        shm._fd = -1
+    return shm
+
+
 #: One counter per process, not per registry: two registries with the
 #: same tag (two servers in one process) must never mint the same name.
 _SEGMENT_IDS = itertools.count(1)
@@ -162,26 +175,37 @@ class ShmRegistry:
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._tag = tag
 
+    def _create(self, nbytes: int) -> shared_memory.SharedMemory:
+        name = (f"{SEGMENT_PREFIX}_{self._tag}_{os.getpid()}_"
+                f"{next(_SEGMENT_IDS)}")
+        shm = _mapped(shared_memory.SharedMemory(
+            create=True, size=max(1, nbytes), name=name))
+        with self._lock:
+            self._segments[name] = shm
+        return shm
+
     def create_array(self, array: np.ndarray, *,
                      container: str = "ndarray",
                      read_only: bool = False) -> ArrayHandle:
         array = np.ascontiguousarray(array)
-        name = (f"{SEGMENT_PREFIX}_{self._tag}_{os.getpid()}_"
-                f"{next(_SEGMENT_IDS)}")
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, array.nbytes), name=name)
+        shm = self._create(array.nbytes)
         view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
         view[...] = array
-        with self._lock:
-            self._segments[name] = shm
-        return ArrayHandle(segment=name, dtype=array.dtype.str,
+        return ArrayHandle(segment=shm.name, dtype=array.dtype.str,
                            shape=tuple(array.shape),
                            container=container, read_only=read_only)
 
     def create_slab(self, floats: int) -> ArrayHandle:
-        """A reusable float64 response slab (see the worker protocol)."""
-        return self.create_array(np.zeros(floats, dtype=np.float64),
-                                 container="slab", read_only=False)
+        """A reusable float64 response slab (see the worker protocol).
+
+        Nothing is written: a fresh segment reads as zeros, and its
+        pages are touched only when returned values pass through.
+        """
+        dtype = np.dtype(np.float64)
+        shm = self._create(floats * dtype.itemsize)
+        return ArrayHandle(segment=shm.name, dtype=dtype.str,
+                           shape=(floats,), container="slab",
+                           read_only=False)
 
     def view(self, handle: ArrayHandle) -> np.ndarray:
         with self._lock:
@@ -217,9 +241,9 @@ class ShmRegistry:
             self.release(segment)
 
 
-#: Segments one worker keeps mapped.  Each mapping holds two fds (the
-#: segment's and the duplicate ``mmap`` takes), so a worker's fds stay
-#: under its start-up count plus twice this, whatever the traffic.
+#: Segments one worker keeps mapped.  Each mapping holds one fd (the
+#: one ``mmap`` takes), so a worker's fds stay under its start-up
+#: count plus this, whatever the traffic.
 ATTACH_CAPACITY = 64
 
 
@@ -268,7 +292,7 @@ class AttachedArrays:
     def get(self, handle: ArrayHandle) -> np.ndarray:
         mapping = self._attached.get(handle.segment)
         if mapping is None:
-            shm = shared_memory.SharedMemory(name=handle.segment)
+            shm = _mapped(shared_memory.SharedMemory(name=handle.segment))
             attach_unregister(shm)
             mapping = self._attached[handle.segment] = _Mapping(shm)
             self._trim()
@@ -306,7 +330,7 @@ class AttachedArrays:
 def attach_array(handle: ArrayHandle) -> tuple[
         shared_memory.SharedMemory, np.ndarray]:
     """Map one segment (unregister discipline applied); caller closes."""
-    shm = shared_memory.SharedMemory(name=handle.segment)
+    shm = _mapped(shared_memory.SharedMemory(name=handle.segment))
     attach_unregister(shm)
     view = np.ndarray(handle.shape, dtype=handle.dtype, buffer=shm.buf)
     return shm, view

@@ -3,8 +3,10 @@
 Each worker is a process forked by the fleet's nursery
 (:mod:`repro.serve.fleet`), holding both OMP4Py runtimes warm.  This
 module imports at the top everything a worker needs up to and including
-its first kernel out of the ``@omp`` code cache, so that the fork hands
-it over loaded; nothing here transforms or arms anything at import.
+its first kernel out of the ``@omp`` code cache; the nursery imports
+this module before its first fork, so that the fork hands it all over
+loaded, and the server process never imports it.  Nothing here
+transforms or arms anything at import.
 The transformer is not part of that: a worker imports it for itself if
 and when a request misses the cache.  At startup a worker
 attaches its response slab, arms the stall watchdog on both runtimes

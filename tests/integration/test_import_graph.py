@@ -165,6 +165,54 @@ def test_a_served_request_on_a_warm_cache_never_loads_it(tmp_path):
     assert passes["warm"] == {"ready": [], "result": []}
 
 
+_WORKER_STACK = ("repro.runtime", "repro.cruntime", "repro.diagnostics",
+                 "repro.arming", "repro.serve.worker")
+
+_LEAN_SERVER = f"""
+import json, sys
+import repro.serve.fleet
+from repro.serve import ServeServer
+
+def worker_stack():
+    return sorted(name for name in sys.modules
+                  if name.startswith({_WORKER_STACK!r}))
+
+def probed_worker(conn, config):
+    with open(sys.argv[1], "w", encoding="utf-8") as handle:
+        json.dump(worker_stack(), handle)
+    from repro.serve.worker import worker_entry
+    worker_entry(conn, config)
+
+if __name__ == "__main__":
+    repro.serve.fleet.worker_entry = probed_worker
+    server = ServeServer(workers=1, queue_capacity=4, max_batch=1,
+                         tenants={{"default": 2}}, job_timeout=60.0)
+    server.start()
+    try:
+        reply = server.submit({{"app": "jacobi", "mode": "hybrid",
+                               "threads": 2}})
+        held = worker_stack()
+    finally:
+        server.stop()
+    print(json.dumps({{"ok": reply["ok"], "verified": reply["verified"],
+                      "server": held}}))
+"""
+
+
+def test_only_the_workers_hold_the_worker_stack(tmp_path):
+    """The server process answers a request without ever importing
+    the runtimes, the watchdog, the arming or the worker module; its
+    nursery imports them before the first fork, so a worker starts
+    with all of them loaded, before it warms its pools."""
+    probe = tmp_path / "worker.json"
+    reply = _run(_LEAN_SERVER, tmp_path / "cache", probe)
+    assert reply == {"ok": True, "verified": True, "server": []}
+    at_entry = json.loads(probe.read_text(encoding="utf-8"))
+    assert {"repro.runtime", "repro.runtime.pool", "repro.cruntime",
+            "repro.diagnostics.watchdog", "repro.arming",
+            "repro.serve.worker"} <= set(at_entry)
+
+
 def test_the_second_runtime_brings_no_primitive_set_of_its_own(tmp_path):
     """``repro.cruntime`` is the engine over ``repro.runtime.lowlevel``
     again: nothing named ``atomics`` rides in with it."""

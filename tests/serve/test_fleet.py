@@ -219,3 +219,46 @@ def test_cli_exits_nonzero_when_no_worker_becomes_ready(tmp_path):
     assert "no worker became ready" in stderr
     assert not [name for name in leaked_segments()
                 if f"_{process.pid}_" in name]
+
+
+_BROKEN_NURSERY_CLI = textwrap.dedent('''
+    import os, runpy, sys
+
+    def poison():
+        # Runs in whatever this process forks first, its nursery: the
+        # worker-stack import made there raises.
+        sys.modules["repro.serve.worker"] = None
+
+    os.register_at_fork(after_in_child=poison)
+    if __name__ == "__main__":
+        sys.argv = ["repro.serve", "--port", "0", "--workers", "1"]
+        runpy.run_module("repro.serve", run_name="__main__",
+                         alter_sys=True)
+''')
+
+
+def test_cli_exits_nonzero_when_the_nursery_cannot_import_workers(
+        tmp_path):
+    """The nursery imports the worker stack before its first fork; if
+    that fails, ``python -m repro.serve`` says so and exits 1 at once
+    instead of waiting out the ready timeout."""
+    script = tmp_path / "broken_nursery_server.py"
+    script.write_text(_BROKEN_NURSERY_CLI, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    begin = time.monotonic()
+    process = subprocess.Popen([sys.executable, str(script)], env=env,
+                               stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True)
+    try:
+        stdout, stderr = process.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        process.terminate()
+        stdout, stderr = process.communicate(timeout=30)
+        pytest.fail(f"still serving after 30 s; stdout: {stdout!r}")
+    assert process.returncode == 1, stderr
+    assert time.monotonic() - begin < 10
+    assert "fleet ready" not in stdout
+    assert "Traceback" in stderr and "repro.serve.worker" in stderr
+    assert "no worker became ready" in stderr
+    assert not [name for name in leaked_segments()
+                if f"_{process.pid}_" in name]

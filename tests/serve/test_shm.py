@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 import pytest
@@ -86,7 +86,6 @@ def test_inherited_tracker_is_left_alone(registry, monkeypatch):
     # Simulate a spawned worker: the tracker has a borrowed fd and no
     # pid of its own.  attach_unregister must refuse to touch it even
     # for a foreign-named segment.
-    from multiprocessing import resource_tracker
     handle = registry.create_array(np.zeros(64))
     shm = shared_memory.SharedMemory(name=handle.segment)
     try:
@@ -126,6 +125,9 @@ def test_independent_attacher_unregisters():
         other = shared_memory.SharedMemory(name=name)
         try:
             assert attach_unregister(other) is True
+            # This process is the creator as well: the unregister took
+            # the create-registration ``owner.unlink()`` is to drop.
+            resource_tracker.register(other._name, "shared_memory")
         finally:
             other.close()
     finally:
@@ -177,18 +179,73 @@ def test_attached_lru_closes_the_least_recently_used_mapping(registry):
         attached.get(handles[2])
         assert attached.names() == [names[0], names[2]]
         assert attached.evictions == 1
-        # Two mappings of two fds each, whatever was mapped before.
-        assert _fds() == before + 4
+        # Two mappings of one fd each, whatever was mapped before.
+        assert _fds() == before + 2
         # A live view defers the close of its mapping to a later miss.
         view = attached.get(handles[0])
         attached.get(handles[3])
         attached.get(handles[1])
         assert attached.names() == [names[3], names[1]]
-        assert _fds() == before + 6
+        assert _fds() == before + 3
         assert view[5] == 0.0
         del view
         attached.get(handles[2])
-        assert _fds() == before + 4
+        assert _fds() == before + 2
     finally:
         attached.close_all()
     assert _fds() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="counts /proc fds")
+def test_each_kept_segment_costs_one_fd(registry):
+    """Server side (the registry's inputs and slabs) and worker side
+    (the input LRU and the slab mapping) alike: ``mmap``'s duplicate is
+    the only fd a kept segment holds."""
+    resource_tracker.ensure_running()  # its pipe is no segment's fd
+    before = _fds()
+    handles = [registry.create_array(np.arange(64.0)),
+               registry.create_slab(1024)]
+    assert _fds() == before + 2
+    attached = AttachedArrays()
+    try:
+        attached.get(handles[0])
+        assert _fds() == before + 3
+        slab_shm, slab = attach_array(handles[1])
+        assert _fds() == before + 4
+        del slab
+        slab_shm.close()
+        assert _fds() == before + 3
+    finally:
+        attached.close_all()
+    assert _fds() == before + 2
+    for handle in handles:
+        registry.release(handle.segment)
+    assert _fds() == before
+
+
+def _rss_kib(segment: str) -> int:
+    """Resident KiB of this process's mapping of ``segment``."""
+    path = f"/dev/shm/{segment}"
+    with open("/proc/self/smaps", encoding="utf-8",
+              errors="replace") as smaps:
+        inside = False
+        for line in smaps:
+            fields = line.split()
+            if not fields:
+                continue
+            if "-" in fields[0] and not fields[0].endswith(":"):
+                inside = fields[-1] == path
+            elif inside and fields[0] == "Rss:":
+                return int(fields[1])
+    raise AssertionError(f"{path} is not mapped")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads smaps")
+def test_a_fresh_slab_is_not_written(registry):
+    """A response slab costs no resident memory until values pass
+    through it: a fresh segment already reads as zeros."""
+    from repro.serve.fleet import SLAB_FLOATS
+    handle = registry.create_slab(SLAB_FLOATS)
+    assert (handle.shape, handle.dtype) == ((SLAB_FLOATS,), "<f8")
+    assert _rss_kib(handle.segment) == 0
+    assert not registry.view(handle).any()
