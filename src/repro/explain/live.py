@@ -1,8 +1,8 @@
 """Live observability endpoint: ``/metrics`` and ``/explain`` over
 HTTP while a workload runs.
 
-A daemon thread runs a stdlib :class:`http.server.ThreadingHTTPServer`
-serving:
+The package's one HTTP front (:class:`repro.httpd.HttpFront`, a
+stdlib ``ThreadingHTTPServer`` on a daemon thread) serves:
 
 * ``GET /metrics`` — Prometheus text exposition of the attached
   metrics registry (scrapeable by a stock Prometheus);
@@ -20,9 +20,7 @@ binds an ephemeral port, exposed via :attr:`MetricsServer.port`.  Binds
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from repro.httpd import PROMETHEUS, HttpFront, json_reply
 
 
 class MetricsServer:
@@ -32,9 +30,15 @@ class MetricsServer:
                  host: str = "127.0.0.1"):
         self.runtime = runtime
         self.registry = registry
-        self._requested = (host, port)
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        self._front = HttpFront({
+            ("GET", "/metrics"): lambda _http: (
+                200, PROMETHEUS, self.metrics_text().encode()),
+            ("GET", "/explain"): lambda _http: json_reply(
+                200, self.explain_payload()),
+            ("GET", "/profile"): self._profile,
+            ("GET", "/healthz"): lambda _http: json_reply(
+                200, {"ok": True}),
+        }, (host, port), "omp4py-metrics-server")
 
     # -- payloads (also used directly by tests) -------------------------
 
@@ -67,90 +71,27 @@ class MetricsServer:
         from repro.sampling.exporters import collapsed_text
         return collapsed_text(sampler.store)
 
-    # -- lifecycle -------------------------------------------------------
+    def _profile(self, http):
+        if "format=collapsed" in http.query:
+            return (200, "text/plain; charset=utf-8",
+                    self.samples_collapsed().encode())
+        return json_reply(200, self.samples_payload())
+
+    # -- lifecycle (the shared front: repro.httpd) ------------------------
 
     def start(self) -> "MetricsServer":
-        if self._httpd is not None:
-            return self
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *_args):  # noqa: D102 - quiet server
-                pass
-
-            def _send(self, status: int, content_type: str,
-                      body: bytes) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):  # noqa: N802 - http.server API
-                try:
-                    if self.path.split("?")[0] == "/metrics":
-                        self._send(200,
-                                   "text/plain; version=0.0.4; "
-                                   "charset=utf-8",
-                                   server.metrics_text().encode())
-                    elif self.path.split("?")[0] == "/explain":
-                        body = json.dumps(
-                            server.explain_payload()).encode()
-                        self._send(200, "application/json", body)
-                    elif self.path.split("?")[0] == "/profile":
-                        if "format=collapsed" in self.path:
-                            self._send(200,
-                                       "text/plain; charset=utf-8",
-                                       server.samples_collapsed()
-                                       .encode())
-                        else:
-                            body = json.dumps(
-                                server.samples_payload()).encode()
-                            self._send(200, "application/json", body)
-                    elif self.path.split("?")[0] == "/healthz":
-                        self._send(200, "application/json",
-                                   b'{"ok": true}')
-                    else:
-                        self._send(404, "text/plain", b"not found\n")
-                except BrokenPipeError:  # pragma: no cover - client gone
-                    pass
-                except Exception as error:  # noqa: BLE001 - keep serving
-                    try:
-                        self._send(500, "text/plain",
-                                   f"error: {error}\n".encode())
-                    except OSError:  # pragma: no cover
-                        pass
-
-        self._httpd = ThreadingHTTPServer(self._requested, Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="omp4py-metrics-server", daemon=True)
-        self._thread.start()
+        self._front.start()
         return self
 
     @property
     def port(self) -> int | None:
         """The bound port (resolves port-0 requests), or ``None``
         before :meth:`start`."""
-        if self._httpd is None:
-            return None
-        return self._httpd.server_address[1]
+        return self._front.port
 
     @property
     def url(self) -> str | None:
-        if self._httpd is None:
-            return None
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
+        return self._front.url
 
     def stop(self) -> None:
-        httpd = self._httpd
-        if httpd is None:
-            return
-        self._httpd = None
-        httpd.shutdown()
-        httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self._front.stop()

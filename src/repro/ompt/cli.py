@@ -41,7 +41,6 @@ from repro.decorator import runtime_for
 from repro.modes import Mode
 from repro.ompt.exporters import (chrome_trace, metrics_report,
                                   prometheus_text, validate_chrome_trace)
-from repro.runtime.trace import TraceSummary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,8 +97,8 @@ def profile_app(app: str, mode: Mode, threads: int, profile: str,
                                 repeats).measurement
     registry = armed.tool.registry
     events = runtime.tracer.events()
-    report = metrics_report(registry, runtime.stats.snapshot(),
-                            trace_summary=TraceSummary(events))
+    report = metrics_report(registry, runtime.stats.snapshot())
+    report["trace"] = {"events": len(events), "dropped": events.dropped}
     report["run"] = {
         "app": app, "mode": mode.value, "threads": threads,
         "profile": profile, "repeats": repeats,

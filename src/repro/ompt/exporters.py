@@ -292,8 +292,7 @@ def _per_thread_counter(registry, name: str) -> dict:
         totals.items(), key=lambda item: int(item[0]))}
 
 
-def metrics_report(registry=None, stats_records=(),
-                   trace_summary=None) -> dict:
+def metrics_report(registry=None, stats_records=()) -> dict:
     """The structured observability block (profile CLI + bench rows).
 
     Always contains the acceptance-relevant keys — per-thread chunks
@@ -346,22 +345,6 @@ def metrics_report(registry=None, stats_records=(),
             elif metric == "omp_mutex_wait_seconds":
                 report["mutex"]["wait_s"][kind] = instrument.total
         report["metrics"] = registry.as_dict()
-    if trace_summary is not None:
-        per_thread = report["per_thread"]
-        if not per_thread["chunks"]:
-            per_thread["chunks"] = {
-                str(thread): count for thread, count
-                in sorted(trace_summary.chunks_per_thread().items())}
-        if not per_thread["iterations"]:
-            per_thread["iterations"] = {
-                str(thread): count for thread, count
-                in sorted(trace_summary.iterations_per_thread().items())}
-        if not per_thread["tasks"]:
-            per_thread["tasks"] = {
-                str(thread): count for thread, count
-                in sorted(trace_summary.task_executors().items())}
-        report["trace"] = {"events": len(trace_summary.events),
-                           "dropped": trace_summary.dropped}
     records = list(stats_records)
     if records:
         report["regions"] = [

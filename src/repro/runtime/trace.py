@@ -20,7 +20,6 @@ import os
 import sys
 import threading
 import time
-from collections import Counter, defaultdict
 
 from repro.ompt.hooks import ToolHooks
 
@@ -95,9 +94,8 @@ class TraceLog(list):
 
     ``Tracer.stop()``/``events()`` return this so overflow is never
     silently swallowed: consumers that treat the result as a plain list
-    keep working, and consumers that care (``TraceSummary``, the
-    Chrome exporter, the profile CLI's truncation warning) read
-    ``.dropped``.  ``.anchor`` carries the epoch anchor captured at
+    keep working, and consumers that care (the Chrome exporter, the
+    profile and explain CLIs' truncation warnings) read ``.dropped``.  ``.anchor`` carries the epoch anchor captured at
     ``Tracer.start()`` — ``(unix seconds, perf_counter seconds)`` at
     the same instant — so monotonic trace timestamps from separate
     runs/processes can be aligned on one wall-clock timeline.
@@ -236,128 +234,3 @@ class Tracer(ToolHooks):
                         payload["partitions"], payload["colors"],
                         payload["conflict_edges"], *caller_site())
 
-
-class TraceSummary:
-    """Aggregations over a recorded event list."""
-
-    def __init__(self, events: list[TraceEvent],
-                 dropped: int | None = None):
-        self.events = events
-        if dropped is None:
-            dropped = getattr(events, "dropped", 0)
-        #: Events the tracer discarded because the buffer was full.
-        self.dropped = dropped
-
-    def count(self, kind: str) -> int:
-        return sum(1 for event in self.events if event.kind == kind)
-
-    def chunks_per_thread(self) -> dict[int, int]:
-        counts: Counter[int] = Counter()
-        for event in self.events:
-            if event.kind == "chunk":
-                counts[event.thread] += 1
-        return dict(counts)
-
-    def iterations_per_thread(self) -> dict[int, int]:
-        totals: defaultdict[int, int] = defaultdict(int)
-        for event in self.events:
-            if event.kind == "chunk":
-                low, high = event.detail[:2]
-                totals[event.thread] += max(0, high - low)
-        return dict(totals)
-
-    def steals_per_thread(self) -> dict[int, int]:
-        """Tasks each thread stole from another thread's deque."""
-        counts: Counter[int] = Counter()
-        for event in self.events:
-            if event.kind == "task_steal":
-                counts[event.thread] += 1
-        return dict(counts)
-
-    def steal_victims(self) -> dict[int, int]:
-        """Tasks stolen *from* each thread's deque."""
-        counts: Counter[int] = Counter()
-        for event in self.events:
-            if event.kind == "task_steal" and len(event.detail) > 1:
-                counts[event.detail[1]] += 1
-        return dict(counts)
-
-    def task_executors(self) -> dict[int, int]:
-        counts: Counter[int] = Counter()
-        for event in self.events:
-            if event.kind == "task_start":
-                counts[event.thread] += 1
-        return dict(counts)
-
-    def task_latencies(self) -> list[float]:
-        """Submit-to-start latency per task that actually started.
-
-        Tasks that were submitted but never started (e.g. the trace was
-        stopped mid-region) are excluded; count them with
-        :meth:`unstarted_task_count`.
-        """
-        submitted: dict[int, float] = {}
-        latencies: list[float] = []
-        for event in self.events:
-            if event.kind == "task_submit":
-                submitted[event.detail[0]] = event.timestamp
-            elif event.kind == "task_start":
-                start = submitted.pop(event.detail[0], None)
-                if start is not None:
-                    latencies.append(event.timestamp - start)
-        return latencies
-
-    def task_durations(self) -> list[float]:
-        """Submit-to-finish duration per task that completed."""
-        submitted: dict[int, float] = {}
-        durations: list[float] = []
-        for event in self.events:
-            if event.kind == "task_submit":
-                submitted[event.detail[0]] = event.timestamp
-            elif event.kind == "task_finish":
-                start = submitted.pop(event.detail[0], None)
-                if start is not None:
-                    durations.append(event.timestamp - start)
-        return durations
-
-    def unstarted_task_count(self) -> int:
-        """Tasks submitted but never started within the trace."""
-        pending: set[int] = set()
-        for event in self.events:
-            if event.kind == "task_submit":
-                pending.add(event.detail[0])
-            elif event.kind == "task_start":
-                pending.discard(event.detail[0])
-        return len(pending)
-
-    def barrier_waits(self) -> dict[int, float]:
-        """Total measured barrier wait time per thread, in seconds.
-
-        Only ``barrier_release`` events carrying a wait-time detail
-        contribute (older traces without the detail count as zero).
-        """
-        waits: defaultdict[int, float] = defaultdict(float)
-        for event in self.events:
-            if event.kind == "barrier_release" and event.detail:
-                wait = event.detail[0]
-                if isinstance(wait, (int, float)):
-                    waits[event.thread] += wait
-        return dict(waits)
-
-    def timeline(self, width: int = 60) -> str:
-        """ASCII chunk timeline, one row per thread."""
-        chunk_events = [e for e in self.events if e.kind == "chunk"]
-        if not chunk_events:
-            return "(no chunk events)"
-        begin = min(e.timestamp for e in chunk_events)
-        end = max(e.timestamp for e in chunk_events)
-        span = max(end - begin, 1e-9)
-        rows: dict[int, list[str]] = {}
-        for event in chunk_events:
-            row = rows.setdefault(event.thread, [" "] * width)
-            slot = min(width - 1,
-                       int((event.timestamp - begin) / span * width))
-            row[slot] = "#"
-        return "\n".join(
-            f"t{thread:<3}|{''.join(cells)}|"
-            for thread, cells in sorted(rows.items()))

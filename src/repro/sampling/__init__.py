@@ -16,11 +16,10 @@ sampler is a tool on the runtime's one event channel
 
 from repro.sampling.sampler import FoldedStore, Sampler
 from repro.sampling.exporters import (collapsed_text,
-                                      chrome_trace_samples,
                                       speedscope_profile,
                                       validate_collapsed,
                                       validate_speedscope)
 
 __all__ = ["Sampler", "FoldedStore", "collapsed_text",
-           "speedscope_profile", "chrome_trace_samples",
-           "validate_collapsed", "validate_speedscope"]
+           "speedscope_profile", "validate_collapsed",
+           "validate_speedscope"]

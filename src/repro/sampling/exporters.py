@@ -1,6 +1,6 @@
-"""Sample exporters: collapsed stacks, speedscope, Chrome trace.
+"""Sample exporters: collapsed stacks and speedscope.
 
-Three flamegraph-ready formats over one :class:`~repro.sampling.sampler.
+Two flamegraph-ready formats over one :class:`~repro.sampling.sampler.
 FoldedStore`:
 
 * :func:`collapsed_text` — Brendan-Gregg folded stacks
@@ -9,10 +9,6 @@ FoldedStore`:
   ``[wait]`` frame so CPU and wait time separate visually.
 * :func:`speedscope_profile` — a https://speedscope.app "sampled"
   profile document, one profile per sample state, weights in seconds.
-* :func:`chrome_trace_samples` — instant events on the Trace Event
-  Format timeline (validated by the same
-  :func:`repro.ompt.exporters.validate_chrome_trace` used for runtime
-  traces), so samples can be overlaid on an OMPT trace in Perfetto.
 
 Each format has a schema validator used by the test suite and the
 profile CLI.
@@ -161,47 +157,6 @@ def validate_speedscope(payload) -> list[str]:
                for weight in weights):
             problems.append(f"{where}: negative or non-numeric weight")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Chrome trace
-
-
-def chrome_trace_samples(store, *, interval: float, anchor=None,
-                         metadata=None, pid: int = 1) -> dict:
-    """Samples as instant events on the Trace Event timeline."""
-    rows: list[dict] = []
-    threads = sorted({thread for _t, thread, _s, _stack
-                      in store.samples})
-    tids = {thread: number for number, thread in enumerate(threads)}
-    for thread in threads:
-        rows.append({"name": "thread_name", "ph": "M", "pid": pid,
-                     "tid": tids[thread], "ts": 0,
-                     "args": {"name": f"sampled thread {thread}"}})
-    for t_rel, thread, state, stack in store.samples:
-        rows.append({
-            "name": stack[-1] if stack else "?",
-            "cat": f"sample.{state}", "ph": "i", "s": "t",
-            "ts": t_rel * 1e6, "pid": pid, "tid": tids[thread],
-            "args": {"state": state, "stack": list(stack)},
-        })
-    other = {
-        "producer": "repro.sampling",
-        "events": len(rows),
-        "dropped_events": store.dropped_samples,
-        "threads_observed": len(threads),
-        "sample_interval_s": interval,
-    }
-    from repro.runtime.gilstate import current_backend
-    other["backend"] = current_backend().value
-    if anchor is not None:
-        unix_s, monotonic_s = anchor
-        other["monotonic_to_unix_offset_s"] = unix_s - monotonic_s
-        other["epoch_start_unix_s"] = unix_s
-    if metadata:
-        other.update(metadata)
-    return {"traceEvents": rows, "displayTimeUnit": "ms",
-            "otherData": other}
 
 
 # ---------------------------------------------------------------------------

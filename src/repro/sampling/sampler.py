@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-import time
 from collections import Counter, deque
 
 from repro.diagnostics.origin import resolve
@@ -84,8 +83,7 @@ class FoldedStore:
     slightly stale counts.
     """
 
-    def __init__(self, max_stacks: int = 20_000,
-                 max_samples: int = 200_000):
+    def __init__(self, max_stacks: int = 20_000):
         #: (stack tuple, state) -> sample count.
         self.stacks: dict[tuple, int] = {}
         #: directive label -> {"self", "total", "wait"} sample counts.
@@ -94,18 +92,12 @@ class FoldedStore:
         self.directives: dict[str, dict[str, int]] = {}
         #: directive label -> Counter of innermost on-CPU frame labels.
         self.hot_frames: dict[str, Counter] = {}
-        #: Raw timeline samples ``(t_rel_s, thread_key, state,
-        #: stack tuple)`` for the Chrome-trace exporter, bounded.
-        self.samples: list[tuple] = []
         self.max_stacks = max_stacks
-        self.max_samples = max_samples
         self.dropped_stacks = 0
-        self.dropped_samples = 0
         self.by_state: Counter = Counter()
         self.total = 0
 
-    def add(self, directives: tuple, stack: tuple, state: str,
-            t_rel: float, thread_key: int) -> None:
+    def add(self, directives: tuple, stack: tuple, state: str) -> None:
         """Record one sample.  ``stack`` is the fully composed folded
         stack (caller frames, then the ``directives`` markers, then the
         frames executing inside the innermost region)."""
@@ -138,10 +130,6 @@ class FoldedStore:
                     hot = Counter()
                     self.hot_frames[innermost] = hot
                 hot[leaf] += 1
-        if len(self.samples) < self.max_samples:
-            self.samples.append((t_rel, thread_key, state, stack))
-        else:
-            self.dropped_samples += 1
 
     def top_stacks(self, limit: int = 20) -> list[dict]:
         ranked = sorted(self.stacks.items(), key=lambda item: item[1],
@@ -187,7 +175,7 @@ class Sampler(ToolHooks):
 
     def __init__(self, runtime, interval: float = DEFAULT_INTERVAL, *,
                  registry=None, recent: int = 8,
-                 max_stacks: int = 20_000, max_samples: int = 200_000):
+                 max_stacks: int = 20_000):
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
         self.runtime = runtime
@@ -195,8 +183,7 @@ class Sampler(ToolHooks):
         #: Optional :class:`~repro.ompt.metrics.MetricsRegistry` fed
         #: ``omp_sample_*`` series while sampling runs.
         self.registry = registry
-        self.store = FoldedStore(max_stacks=max_stacks,
-                                 max_samples=max_samples)
+        self.store = FoldedStore(max_stacks=max_stacks)
         #: thread ident -> directive-marker stack [(kind, label), ...].
         self._active: dict[int, list] = {}
         #: region id -> fork site, task id -> submit site: noted on the
@@ -210,9 +197,6 @@ class Sampler(ToolHooks):
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._installed_diag = None
-        #: ``(time.time(), time.perf_counter())`` at ``start()`` — the
-        #: same epoch anchor the tracer records, for cross-run merging.
-        self.anchor: tuple[float, float] | None = None
         self.ticks = 0
 
     # -- directive tracking (tool callbacks; owner-thread only) ---------
@@ -293,7 +277,6 @@ class Sampler(ToolHooks):
         self._installed_diag = install(self.runtime)
         self.runtime.sampler = self
         self.runtime.attach_tool(self)
-        self.anchor = (time.time(), time.perf_counter())
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._run,
@@ -318,14 +301,13 @@ class Sampler(ToolHooks):
     # -- the sampling loop ----------------------------------------------
 
     def _run(self) -> None:
-        base = time.perf_counter()
         while not self._stop.wait(self.interval):
             try:
-                self._sample_once(time.perf_counter() - base)
+                self._sample_once()
             except Exception:  # noqa: BLE001 - never kill the workload
                 pass
 
-    def _sample_once(self, t_rel: float) -> None:
+    def _sample_once(self) -> None:
         self.ticks += 1
         frames = sys._current_frames()
         names = {thread.ident: thread.name
@@ -354,7 +336,7 @@ class Sampler(ToolHooks):
             stack = tuple(self._fold(frame, directives))
             if not stack:
                 continue  # parked infrastructure: nothing to charge
-            self.store.add(directives, stack, state, t_rel, ident)
+            self.store.add(directives, stack, state)
             recent = self._recent.get(ident)
             if recent is None:
                 recent = deque(maxlen=self._recent_limit)
@@ -458,5 +440,4 @@ class Sampler(ToolHooks):
             for label in self.store.directives}
         payload["top_stacks"] = self.store.top_stacks()
         payload["dropped_stacks"] = self.store.dropped_stacks
-        payload["dropped_samples"] = self.store.dropped_samples
         return payload

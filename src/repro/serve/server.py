@@ -14,12 +14,13 @@
   partition, and hands it to an idle worker; crashed jobs are requeued
   at the front with bounded retries, so an accepted request survives a
   worker kill;
-* the **front door** is a stdlib ``ThreadingHTTPServer`` in the
-  :mod:`repro.explain.live` style: ``POST /v1/run`` executes a kernel,
+* the **front door** is a route table on the package's one HTTP front
+  (:mod:`repro.httpd`): ``POST /v1/run`` executes a kernel,
   ``POST /v1/tenants`` registers a tenant (409 on duplicates),
   ``GET /v1/apps``, ``/state``, ``/metrics`` (Prometheus text via the
   existing exporter), and ``/healthz``.  A full queue sheds with 503
-  plus ``Retry-After``.
+  plus ``Retry-After``; a malformed ``Content-Length`` gets 400 and a
+  body over 1 MiB 413, before the body is read.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import json
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import OmpError
+from repro.httpd import PROMETHEUS, HttpFront, json_reply
 from repro.ompt.metrics import MetricsRegistry
 from repro.serve import catalog
 from repro.serve.admission import AdmissionQueue, QueueFull
@@ -226,7 +227,20 @@ class ServeServer:
         self.max_batch = max(1, max_batch)
         self.max_retries = max(0, max_retries)
         self.job_timeout = job_timeout
-        self._requested = (host, port)
+        self._front = HttpFront({
+            ("GET", "/metrics"): lambda _http: (
+                200, PROMETHEUS, self.metrics_text().encode()),
+            ("GET", "/state"): lambda _http: json_reply(
+                200, self.state_payload()),
+            ("GET", "/v1/apps"): lambda _http: json_reply(
+                200, {"apps": self.known_apps(),
+                      "modes": ["pure", "hybrid"],
+                      "tenants": self.tenants.names()}),
+            ("GET", "/healthz"): lambda _http: json_reply(
+                200, {"ok": True}),
+            ("POST", "/v1/run"): self._http_run,
+            ("POST", "/v1/tenants"): self._http_register_tenant,
+        }, (host, port), "omp4py-serve-http")
         budgets = dict(tenants or {"default": 4})
         self.default_tenant = sorted(budgets)[0]
         self.tenants = TenantDirectory()
@@ -259,8 +273,6 @@ class ServeServer:
         self._wakeup = threading.Condition()
         self._stopping = False
         self._dispatcher: threading.Thread | None = None
-        self._httpd: ThreadingHTTPServer | None = None
-        self._http_thread: threading.Thread | None = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -270,7 +282,7 @@ class ServeServer:
             target=self._dispatch_loop, name="omp4py-serve-dispatcher",
             daemon=True)
         self._dispatcher.start()
-        self._start_http()
+        self._front.start()
         if wait_ready:
             self.fleet.wait_ready()
         return self
@@ -279,12 +291,7 @@ class ServeServer:
         with self._wakeup:
             self._stopping = True
             self._wakeup.notify_all()
-        if self._httpd is not None:
-            httpd, self._httpd = self._httpd, None
-            httpd.shutdown()
-            httpd.server_close()
-            if self._http_thread is not None:
-                self._http_thread.join(timeout=5)
+        self._front.stop()
         for request in self.queue.drain():
             request.complete({"ok": False, "id": request.id,
                               "error": "server shutting down"})
@@ -297,16 +304,11 @@ class ServeServer:
 
     @property
     def port(self) -> int | None:
-        if self._httpd is None:
-            return None
-        return self._httpd.server_address[1]
+        return self._front.port
 
     @property
     def url(self) -> str | None:
-        if self._httpd is None:
-            return None
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
+        return self._front.url
 
     def _wake(self) -> None:
         with self._wakeup:
@@ -601,125 +603,48 @@ class ServeServer:
                 "stats": self.stats.snapshot(),
                 "restarts_total": self.fleet.restarts_total}
 
-    # -- HTTP front door -------------------------------------------------
+    # -- HTTP front door (the shared front: repro.httpd) ----------------
 
-    def _start_http(self) -> None:
-        server = self
+    def _json_body(self, http) -> dict:
+        try:
+            doc = json.loads(http.read_body().decode("utf-8") or "{}")
+        except (ValueError, UnicodeDecodeError) as error:
+            raise OmpError(f"invalid JSON body: {error}") from error
+        if not isinstance(doc, dict):
+            raise OmpError("request body must be a JSON object")
+        return doc
 
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *_args):  # noqa: D102 - quiet server
-                pass
+    def _http_run(self, http):
+        try:
+            response = self.submit(self._json_body(http))
+        except OmpError as error:
+            with self.stats.lock:
+                self.stats.rejected += 1
+            return json_reply(400, {"error": str(error)})
+        except QueueFull as shed:
+            return json_reply(
+                503, {"error": str(shed), "shed": True,
+                      "retry_after_s": shed.retry_after},
+                {"Retry-After": str(max(1, round(shed.retry_after)))})
+        status = 200 if response.get("ok") else 500
+        if response.get("timeout"):
+            status = 504
+        return json_reply(status, response)
 
-            def _send(self, status: int, content_type: str,
-                      body: bytes, headers: dict | None = None) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                for key, value in (headers or {}).items():
-                    self.send_header(key, value)
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _send_json(self, status: int, payload: dict,
-                           headers: dict | None = None) -> None:
-                self._send(status, "application/json",
-                           json.dumps(payload).encode(), headers)
-
-            def _read_body(self) -> dict:
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else b"{}"
-                try:
-                    doc = json.loads(raw.decode("utf-8") or "{}")
-                except (ValueError, UnicodeDecodeError) as error:
-                    raise OmpError(f"invalid JSON body: {error}") \
-                        from error
-                if not isinstance(doc, dict):
-                    raise OmpError("request body must be a JSON object")
-                return doc
-
-            def do_GET(self):  # noqa: N802 - http.server API
-                try:
-                    path = self.path.split("?")[0]
-                    if path == "/metrics":
-                        self._send(200,
-                                   "text/plain; version=0.0.4; "
-                                   "charset=utf-8",
-                                   server.metrics_text().encode())
-                    elif path == "/state":
-                        self._send_json(200, server.state_payload())
-                    elif path == "/v1/apps":
-                        self._send_json(
-                            200, {"apps": server.known_apps(),
-                                  "modes": ["pure", "hybrid"],
-                                  "tenants": server.tenants.names()})
-                    elif path == "/healthz":
-                        self._send_json(200, {"ok": True})
-                    else:
-                        self._send(404, "text/plain", b"not found\n")
-                except BrokenPipeError:  # pragma: no cover
-                    pass
-                except Exception as error:  # noqa: BLE001 - keep serving
-                    self._send_json(500, {"error": str(error)})
-
-            def do_POST(self):  # noqa: N802 - http.server API
-                try:
-                    path = self.path.split("?")[0]
-                    if path == "/v1/run":
-                        self._run()
-                    elif path == "/v1/tenants":
-                        self._register_tenant()
-                    else:
-                        self._send(404, "text/plain", b"not found\n")
-                except BrokenPipeError:  # pragma: no cover
-                    pass
-                except Exception as error:  # noqa: BLE001 - keep serving
-                    self._send_json(500, {"error": str(error)})
-
-            def _run(self) -> None:
-                try:
-                    doc = self._read_body()
-                    response = server.submit(doc)
-                except OmpError as error:
-                    with server.stats.lock:
-                        server.stats.rejected += 1
-                    self._send_json(400, {"error": str(error)})
-                    return
-                except QueueFull as shed:
-                    self._send_json(
-                        503,
-                        {"error": str(shed), "shed": True,
-                         "retry_after_s": shed.retry_after},
-                        headers={"Retry-After":
-                                 str(max(1, round(shed.retry_after)))})
-                    return
-                status = 200 if response.get("ok") else 500
-                if response.get("timeout"):
-                    status = 504
-                self._send_json(status, response)
-
-            def _register_tenant(self) -> None:
-                try:
-                    doc = self._read_body()
-                    name = doc.get("name")
-                    budget = doc.get("max_threads", 1)
-                    if not isinstance(name, str):
-                        raise OmpError("tenant name must be a string")
-                    if not isinstance(budget, int):
-                        raise OmpError("max_threads must be an integer")
-                    tenant = server.tenants.register(name, budget)
-                except DuplicateTenantError as error:
-                    self._send_json(409, {"error": str(error)})
-                    return
-                except OmpError as error:
-                    self._send_json(400, {"error": str(error)})
-                    return
-                self._send_json(201, {"ok": True, "name": tenant.name,
-                                      "max_threads": tenant.max_threads,
-                                      "places": tenant.places_spec})
-
-        self._httpd = ThreadingHTTPServer(self._requested, Handler)
-        self._httpd.daemon_threads = True
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="omp4py-serve-http", daemon=True)
-        self._http_thread.start()
+    def _http_register_tenant(self, http):
+        try:
+            doc = self._json_body(http)
+            name = doc.get("name")
+            budget = doc.get("max_threads", 1)
+            if not isinstance(name, str):
+                raise OmpError("tenant name must be a string")
+            if not isinstance(budget, int):
+                raise OmpError("max_threads must be an integer")
+            tenant = self.tenants.register(name, budget)
+        except DuplicateTenantError as error:
+            return json_reply(409, {"error": str(error)})
+        except OmpError as error:
+            return json_reply(400, {"error": str(error)})
+        return json_reply(201, {"ok": True, "name": tenant.name,
+                                "max_threads": tenant.max_threads,
+                                "places": tenant.places_spec})

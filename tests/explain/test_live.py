@@ -54,6 +54,27 @@ class TestMetricsServer:
         finally:
             server.stop()
 
+    def test_failing_route_is_500_json_and_keeps_serving(self,
+                                                         monkeypatch):
+        server = MetricsServer(pure_runtime, port=0)
+
+        def broken():
+            raise RuntimeError("dag exploded")
+
+        monkeypatch.setattr(server, "explain_payload", broken)
+        server.start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                fetch(server.url + "/explain")
+            assert excinfo.value.code == 500
+            assert excinfo.value.headers["Content-Type"] \
+                == "application/json"
+            assert json.loads(excinfo.value.read()) \
+                == {"error": "dag exploded"}
+            assert fetch(server.url + "/healthz")[0] == 200
+        finally:
+            server.stop()
+
     def test_no_registry_metrics_placeholder(self):
         server = MetricsServer(pure_runtime, registry=None, port=0)
         assert "registry" in server.metrics_text()

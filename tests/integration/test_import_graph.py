@@ -169,7 +169,7 @@ _WORKER_STACK = ("repro.runtime", "repro.cruntime", "repro.diagnostics",
                  "repro.arming", "repro.serve.worker")
 
 _LEAN_SERVER = f"""
-import json, sys
+import json, sys, urllib.request
 import repro.serve.fleet
 from repro.serve import ServeServer
 
@@ -191,11 +191,18 @@ if __name__ == "__main__":
     try:
         reply = server.submit({{"app": "jacobi", "mode": "hybrid",
                                "threads": 2}})
+        request = urllib.request.Request(
+            server.url + "/v1/run", data=b'{{"app": "pi", "threads": 2}}')
+        with urllib.request.urlopen(request, timeout=60) as response:
+            over_http = json.load(response)
         held = worker_stack()
+        observers = sorted(name for name in sys.modules if name.startswith(
+            ("repro.explain", "repro.sampling")))
     finally:
         server.stop()
     print(json.dumps({{"ok": reply["ok"], "verified": reply["verified"],
-                      "server": held}}))
+                      "http": over_http["verified"], "server": held,
+                      "observers": observers}}))
 """
 
 
@@ -203,10 +210,13 @@ def test_only_the_workers_hold_the_worker_stack(tmp_path):
     """The server process answers a request without ever importing
     the runtimes, the watchdog, the arming or the worker module; its
     nursery imports them before the first fork, so a worker starts
-    with all of them loaded, before it warms its pools."""
+    with all of them loaded, before it warms its pools.  A request
+    over HTTP loads neither the explainer nor the sampler: the shared
+    front (``repro.httpd``) stays stdlib-only."""
     probe = tmp_path / "worker.json"
     reply = _run(_LEAN_SERVER, tmp_path / "cache", probe)
-    assert reply == {"ok": True, "verified": True, "server": []}
+    assert reply == {"ok": True, "verified": True, "http": True,
+                     "server": [], "observers": []}
     at_entry = json.loads(probe.read_text(encoding="utf-8"))
     assert {"repro.runtime", "repro.runtime.pool", "repro.cruntime",
             "repro.diagnostics.watchdog", "repro.arming",

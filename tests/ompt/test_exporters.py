@@ -10,7 +10,7 @@ from repro.ompt.exporters import (chrome_trace, chrome_trace_events,
                                   write_chrome_trace)
 from repro.ompt.metrics import MetricsTool
 from repro.runtime.stats import RegionRecord
-from repro.runtime.trace import TraceEvent, TraceLog, TraceSummary
+from repro.runtime.trace import TraceEvent
 
 
 def _sample_events():
@@ -195,23 +195,6 @@ class TestMetricsReport:
             == [pytest.approx(1.0), pytest.approx(1.5)]
         assert report["imbalance"]["max"] == pytest.approx(1.5)
         assert report["imbalance"]["mean"] == pytest.approx(1.25)
-
-    def test_trace_summary_fallback_and_drop_count(self):
-        events = TraceLog([TraceEvent(1.0, "chunk", 0, (0, 4)),
-                           TraceEvent(1.1, "chunk", 1, (4, 8))],
-                          dropped=6)
-        report = metrics_report(trace_summary=TraceSummary(events))
-        assert report["per_thread"]["chunks"] == {"0": 1, "1": 1}
-        assert report["per_thread"]["iterations"] == {"0": 4, "1": 4}
-        assert report["trace"] == {"events": 2, "dropped": 6}
-
-    def test_registry_sections_win_over_trace_fallback(self):
-        tool = MetricsTool()
-        tool.work(0, "loop", 0, 10)
-        events = TraceLog([TraceEvent(1.0, "chunk", 5, (0, 99))])
-        report = metrics_report(tool.registry,
-                                trace_summary=TraceSummary(events))
-        assert report["per_thread"]["chunks"] == {"0": 1}
 
     def test_report_is_json_serializable(self):
         tool = MetricsTool()

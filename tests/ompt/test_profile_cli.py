@@ -39,10 +39,12 @@ class TestProfileApp:
 
     def test_trace_capacity_override_is_restored(self):
         old_capacity = pure_runtime.tracer.capacity
-        _m, _report, trace, _prom = profile_app(
+        _m, report, trace, _prom = profile_app(
             "pi", Mode.PURE, threads=2, profile="test", trace_capacity=2)
         assert pure_runtime.tracer.capacity == old_capacity
         assert trace["otherData"]["dropped_events"] > 0
+        assert report["trace"] == {
+            "events": 2, "dropped": trace["otherData"]["dropped_events"]}
         assert len(trace["traceEvents"]) <= 2 + 2  # events + metadata
 
     def test_unknown_app_raises(self):

@@ -1,12 +1,13 @@
-"""Tests of the runtime event tracer and its summaries."""
+"""Tests of the runtime event tracer and the events the runtimes emit."""
+
+from collections import Counter
 
 import pytest
 
 from repro import Mode, transform
 from repro.cruntime import cruntime
 from repro.runtime import pure_runtime
-from repro.runtime.trace import (TraceEvent, TraceLog, Tracer,
-                                 TraceSummary)
+from repro.runtime.trace import TraceEvent, TraceLog, Tracer
 
 
 @pytest.fixture(params=["pure", "cruntime"])
@@ -136,9 +137,10 @@ class TestRuntimeIntegration:
             rt.for_end(bounds)
 
         rt.parallel_run(region, num_threads=3)
-        summary = TraceSummary(rt.tracer.stop())
-        assert summary.count("chunk") == 10
-        assert sum(summary.iterations_per_thread().values()) == 40
+        chunks = [e for e in rt.tracer.stop() if e.kind == "chunk"]
+        assert len(chunks) == 10
+        assert sum(high - low for low, high in
+                   (e.detail[:2] for e in chunks)) == 40
 
     def test_task_lifecycle_events(self, rt):
         rt.tracer.start()
@@ -151,11 +153,15 @@ class TestRuntimeIntegration:
             rt.single_end(state)
 
         rt.parallel_run(region, num_threads=2)
-        summary = TraceSummary(rt.tracer.stop())
-        assert summary.count("task_submit") == 6
-        assert summary.count("task_start") == 6
-        assert summary.count("task_finish") == 6
-        assert all(latency >= 0 for latency in summary.task_latencies())
+        events = rt.tracer.stop()
+        kinds = Counter(e.kind for e in events)
+        assert kinds["task_submit"] == 6
+        assert kinds["task_start"] == 6
+        assert kinds["task_finish"] == 6
+        submitted = {e.detail[0]: e.timestamp for e in events
+                     if e.kind == "task_submit"}
+        assert all(e.timestamp >= submitted[e.detail[0]]
+                   for e in events if e.kind == "task_start")
 
     def test_barrier_events(self, rt):
         rt.tracer.start()
@@ -164,9 +170,9 @@ class TestRuntimeIntegration:
             rt.barrier()
 
         rt.parallel_run(region, num_threads=2)
-        summary = TraceSummary(rt.tracer.stop())
-        assert summary.count("barrier_enter") == 2
-        assert summary.count("barrier_release") == 2
+        kinds = Counter(e.kind for e in rt.tracer.stop())
+        assert kinds["barrier_enter"] == 2
+        assert kinds["barrier_release"] == 2
 
     def test_static_chunks_assigned_round_robin(self, rt):
         rt.tracer.start()
@@ -179,73 +185,17 @@ class TestRuntimeIntegration:
             rt.for_end(bounds)
 
         rt.parallel_run(region, num_threads=2)
-        summary = TraceSummary(rt.tracer.stop())
-        assert summary.chunks_per_thread() == {0: 4, 1: 4}
+        chunks = Counter(e.thread for e in rt.tracer.stop()
+                         if e.kind == "chunk")
+        assert chunks == {0: 4, 1: 4}
 
     def test_transformed_code_is_traceable(self):
         fn = transform(_traced_subject, Mode.HYBRID)
         cruntime.tracer.start()
         fn(30)
-        summary = TraceSummary(cruntime.tracer.stop())
-        assert summary.count("region_fork") == 1
-        assert summary.count("chunk") >= 2
-
-
-class TestSummaryTaskAccounting:
-    def test_latencies_exclude_never_started_tasks(self):
-        events = [TraceEvent(1.0, "task_submit", 0, (11,)),
-                  TraceEvent(2.0, "task_submit", 0, (22,)),
-                  TraceEvent(3.0, "task_start", 1, (11,))]
-        summary = TraceSummary(events)
-        assert summary.task_latencies() == [pytest.approx(2.0)]
-        assert summary.unstarted_task_count() == 1
-
-    def test_durations_are_submit_to_finish(self):
-        events = [TraceEvent(1.0, "task_submit", 0, (7,)),
-                  TraceEvent(1.5, "task_start", 1, (7,)),
-                  TraceEvent(4.0, "task_finish", 1, (7,)),
-                  TraceEvent(5.0, "task_submit", 0, (8,))]
-        summary = TraceSummary(events)
-        assert summary.task_durations() == [pytest.approx(3.0)]
-
-    def test_finish_without_submit_is_ignored(self):
-        events = [TraceEvent(1.0, "task_finish", 0, (99,))]
-        assert TraceSummary(events).task_durations() == []
-
-    def test_empty_summary(self):
-        summary = TraceSummary([])
-        assert summary.task_latencies() == []
-        assert summary.task_durations() == []
-        assert summary.unstarted_task_count() == 0
-        assert summary.barrier_waits() == {}
-        assert summary.dropped == 0
-
-    def test_dropped_flows_from_trace_log(self):
-        log = TraceLog([], dropped=17)
-        assert TraceSummary(log).dropped == 17
-        assert TraceSummary(log, dropped=3).dropped == 3
-
-    def test_barrier_waits_sum_per_thread(self):
-        events = [TraceEvent(1.0, "barrier_release", 0, (0.25,)),
-                  TraceEvent(2.0, "barrier_release", 0, (0.5,)),
-                  TraceEvent(2.0, "barrier_release", 1, (0.125,)),
-                  TraceEvent(3.0, "barrier_release", 2, ())]
-        waits = TraceSummary(events).barrier_waits()
-        assert waits == {0: pytest.approx(0.75), 1: pytest.approx(0.125)}
-
-
-class TestSummaryRendering:
-    def test_timeline_renders_rows(self):
-        events = [TraceEvent(1.0, "chunk", 0, (0, 5)),
-                  TraceEvent(1.5, "chunk", 1, (5, 10)),
-                  TraceEvent(2.0, "chunk", 0, (10, 15))]
-        timeline = TraceSummary(events).timeline(width=20)
-        assert "t0  |" in timeline
-        assert "t1  |" in timeline
-        assert "#" in timeline
-
-    def test_timeline_without_chunks(self):
-        assert "no chunk" in TraceSummary([]).timeline()
+        kinds = Counter(e.kind for e in cruntime.tracer.stop())
+        assert kinds["region_fork"] == 1
+        assert kinds["chunk"] >= 2
 
 
 def _traced_subject(n):

@@ -5,8 +5,7 @@ import json
 from repro.arming import _rank_path
 from repro.ompt.exporters import (merge_chrome_traces,
                                   validate_chrome_trace)
-from repro.sampling.exporters import (chrome_trace_samples,
-                                      collapsed_text,
+from repro.sampling.exporters import (collapsed_text,
                                       speedscope_profile,
                                       validate_collapsed,
                                       validate_speedscope,
@@ -20,8 +19,8 @@ def make_store() -> FoldedStore:
     hot = ("main (app.py:3)", "<omp for @ app.py:9>",
            "kernel (app.py:10)")
     for _ in range(3):
-        store.add(("<omp for @ app.py:9>",), hot, "cpu", 0.001, 11)
-    store.add(("<omp for @ app.py:9>",), hot[:2], "wait", 0.004, 12)
+        store.add(("<omp for @ app.py:9>",), hot, "cpu")
+    store.add(("<omp for @ app.py:9>",), hot[:2], "wait")
     return store
 
 
@@ -36,7 +35,7 @@ class TestCollapsed:
 
     def test_semicolons_in_frames_are_escaped(self):
         store = FoldedStore()
-        store.add((), ("weird;frame ()",), "cpu", 0.0, 1)
+        store.add((), ("weird;frame ()",), "cpu")
         text = collapsed_text(store)
         assert validate_collapsed(text) == []
         assert "weird,frame" in text
@@ -86,27 +85,6 @@ class TestSpeedscope:
         write_speedscope(path, make_store(), interval=0.005)
         payload = json.loads(path.read_text())
         assert validate_speedscope(payload) == []
-
-
-class TestChromeSamples:
-    def test_instants_validate_against_trace_schema(self):
-        payload = chrome_trace_samples(
-            make_store(), interval=0.005,
-            anchor=(1_000_000.0, 10.0), metadata={"rank": 2})
-        assert validate_chrome_trace(payload) == []
-        other = payload["otherData"]
-        assert other["producer"] == "repro.sampling"
-        assert other["epoch_start_unix_s"] == 1_000_000.0
-        assert other["rank"] == 2
-        instants = [row for row in payload["traceEvents"]
-                    if row["ph"] == "i"]
-        assert len(instants) == 4
-        assert {row["cat"] for row in instants} \
-            == {"sample.cpu", "sample.wait"}
-        # One named metadata row per observed thread.
-        meta = [row for row in payload["traceEvents"]
-                if row["ph"] == "M"]
-        assert len(meta) == 2
 
 
 class TestMerge:

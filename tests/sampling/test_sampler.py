@@ -16,9 +16,9 @@ class TestFoldedStore:
         store = FoldedStore()
         stack = ("main (app.py:3)", "<omp for @ app.py:9>",
                  "kernel (app.py:10)")
-        store.add(("<omp for @ app.py:9>",), stack, "cpu", 0.0, 1)
-        store.add(("<omp for @ app.py:9>",), stack, "cpu", 0.005, 1)
-        store.add(("<omp for @ app.py:9>",), stack, "wait", 0.010, 2)
+        store.add(("<omp for @ app.py:9>",), stack, "cpu")
+        store.add(("<omp for @ app.py:9>",), stack, "cpu")
+        store.add(("<omp for @ app.py:9>",), stack, "wait")
         assert store.total == 3
         assert store.by_state == {"cpu": 2, "wait": 1}
         assert store.stacks[(stack, "cpu")] == 2
@@ -29,8 +29,7 @@ class TestFoldedStore:
     def test_self_goes_to_innermost_total_to_all(self):
         store = FoldedStore()
         directives = ("<omp parallel @ a.py:3>", "<omp for @ a.py:5>")
-        store.add(directives, (*directives, "leaf (a.py:6)"), "cpu",
-                  0.0, 1)
+        store.add(directives, (*directives, "leaf (a.py:6)"), "cpu")
         assert store.directives["<omp for @ a.py:5>"]["self"] == 1
         assert store.directives["<omp parallel @ a.py:3>"]["self"] == 0
         assert store.directives["<omp parallel @ a.py:3>"]["total"] == 1
@@ -40,24 +39,22 @@ class TestFoldedStore:
     def test_top_stacks_ranked_and_summary_scaled(self):
         store = FoldedStore()
         for _ in range(3):
-            store.add((), ("hot ()",), "cpu", 0.0, 1)
-        store.add((), ("cold ()",), "cpu", 0.0, 1)
+            store.add((), ("hot ()",), "cpu")
+        store.add((), ("cold ()",), "cpu")
         top = store.top_stacks(limit=1)
         assert top == [{"stack": ["hot ()"], "state": "cpu",
                         "count": 3}]
-        store.add(("<omp for>",), ("<omp for>", "x ()"), "cpu", 0.0, 1)
+        store.add(("<omp for>",), ("<omp for>", "x ()"), "cpu")
         summary = store.directive_summary(0.005)
         assert summary["<omp for>"]["self_s"] == pytest.approx(0.005)
 
     def test_bounds_drop_new_keys_not_counts(self):
-        store = FoldedStore(max_stacks=1, max_samples=2)
-        store.add((), ("a ()",), "cpu", 0.0, 1)
-        store.add((), ("a ()",), "cpu", 0.0, 1)  # existing key: counted
-        store.add((), ("b ()",), "cpu", 0.0, 1)  # new key: dropped
+        store = FoldedStore(max_stacks=1)
+        store.add((), ("a ()",), "cpu")
+        store.add((), ("a ()",), "cpu")  # existing key: counted
+        store.add((), ("b ()",), "cpu")  # new key: dropped
         assert store.stacks[(("a ()",), "cpu")] == 2
         assert store.dropped_stacks == 1
-        assert len(store.samples) == 2
-        assert store.dropped_samples == 1
 
 
 class TestDirectiveLabel:
@@ -223,7 +220,7 @@ class TestReports:
         assert status["ticks"] > 0
         report = sampler.report()
         for key in ("directives", "hot_frames", "top_stacks",
-                    "by_state", "dropped_stacks", "dropped_samples"):
+                    "by_state", "dropped_stacks"):
             assert key in report
 
     def test_watchdog_report_carries_sampler_evidence(self):

@@ -11,6 +11,7 @@ emits a structured doctor report.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -90,6 +91,43 @@ def test_unknown_app_is_400(server):
                                    {"app": "nope"})
     assert status == 400
     assert "unknown app" in body["error"]
+
+
+def _raw_post(server, content_length: bytes, body: bytes = b""):
+    """POST /v1/run with a hand-written ``Content-Length`` over a raw
+    socket; returns ``(status, json body)``.  The 1 s socket timeout
+    fails the test instead of hanging it when the server waits for a
+    body that never comes."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=1.0) as sock:
+        sock.sendall(b"POST /v1/run HTTP/1.1\r\nHost: localhost\r\n"
+                     b"Content-Length: " + content_length
+                     + b"\r\n\r\n" + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _sep, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+@pytest.mark.parametrize("content_length, body", [
+    (b"-1", b""), (b"abc", b'{"app": "pi"}')])
+def test_malformed_content_length_is_400(server, content_length, body):
+    status, reply = _raw_post(server, content_length, body)
+    assert status == 400
+    assert "Content-Length" in reply["error"]
+    assert _get(server.url, "/healthz")[0] == 200
+
+
+@pytest.mark.parametrize("content_length", [
+    b"1000000000", str((1 << 20) + 1).encode()])
+def test_oversized_body_is_413_unread(server, content_length):
+    status, reply = _raw_post(server, content_length, b'{"app": "pi"}')
+    assert status == 413
+    assert "exceeds" in reply["error"]
+    status, _headers, body = _post(server.url, "/v1/run",
+                                   {"app": "pi", "threads": 1})
+    assert status == 200 and body["verified"]
 
 
 def test_duplicate_tenant_is_409(server):
