@@ -23,10 +23,13 @@ import dataclasses
 import statistics
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from repro.decorator import runtime_for
 from repro.modes import Mode
-from repro.runtime.gilstate import Backend, current_backend
+
+if TYPE_CHECKING:
+    from repro.runtime.gilstate import Backend
 
 
 @dataclasses.dataclass
@@ -45,7 +48,7 @@ class Measurement:
     #: Execution backend that produced this measurement (``"gil"`` or
     #: ``"nogil"``): decides whether ``projected`` is modelled or
     #: measured.
-    backend: str = Backend.GIL.value
+    backend: str = "gil"
     #: The projection model's raw output (``wall − Σcpu + maxcpu``,
     #: floored at the critical path).  Equals ``projected`` on the gil
     #: backend; on nogil it is the cross-check the validation harness
@@ -67,6 +70,9 @@ def _runtime_of(fn, runtime):
 
 
 def _backend_of(runtime) -> Backend:
+    # Imported here, as in ``repro.modes``: importing the harness must
+    # not load the runtime package (its engine and ``pure_runtime``).
+    from repro.runtime.gilstate import current_backend
     backend = getattr(runtime, "backend", None)
     return backend if backend is not None else current_backend()
 
@@ -92,7 +98,7 @@ def measure(fn, /, *args, runtime=None, repeats: int = 1,
     # scheduling granularity; restored afterwards.  Meaningless without
     # a GIL, so the nogil backend leaves the interpreter untouched.
     old_interval = None
-    if backend is Backend.GIL:
+    if not backend.measures_parallelism:
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(0.0005)
     try:

@@ -19,27 +19,25 @@ import random
 import numpy as np
 
 from repro.apps.base import AppSpec
+from repro.apps.draws import as_arrays, as_lists, uniform
 from repro.api import omp
 
 
-def make_signal(n: int, seed: int = 2718):
-    rng = random.Random(seed)
-    re = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-    im = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-    return re, im
+def draw_signal(n: int, seed: int = 2718):
+    """Real parts, then imaginary parts (see :mod:`repro.apps.draws`)."""
+    if n & (n - 1):
+        raise ValueError("fft size must be a power of two")
+    draw = random.Random(seed).random
+    yield "re", (n,), uniform(draw, -1.0, 1.0, n)
+    yield "im", (n,), uniform(draw, -1.0, 1.0, n)
 
 
 def make_input(n: int, seed: int = 2718) -> dict:
-    if n & (n - 1):
-        raise ValueError("fft size must be a power of two")
-    re, im = make_signal(n, seed)
-    return {"re": re, "im": im, "n": n}
+    return {**as_lists(draw_signal(n, seed)), "n": n}
 
 
 def make_input_dt(n: int, seed: int = 2718) -> dict:
-    plain = make_input(n, seed)
-    return {"re": np.array(plain["re"]), "im": np.array(plain["im"]),
-            "n": n}
+    return {**as_arrays(draw_signal(n, seed)), "n": n}
 
 
 def sequential(re, im, n):

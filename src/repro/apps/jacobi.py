@@ -12,29 +12,32 @@ import random
 import numpy as np
 
 from repro.apps.base import AppSpec
+from repro.apps.draws import as_arrays, as_lists, dominant_rows, uniform
 from repro.api import omp
 
 
+def draw_system(n: int, seed: int = 1234):
+    """A's rows, diagonally dominant so the iteration converges, then
+    b (see :mod:`repro.apps.draws`)."""
+    draw = random.Random(seed).random
+    yield "a", (n, n), dominant_rows(draw, n)
+    yield "b", (n,), uniform(draw, -10.0, 10.0, n)
+
+
 def make_system(n: int, seed: int = 1234):
-    rng = random.Random(seed)
-    a = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        # Diagonal dominance guarantees convergence.
-        a[i][i] = sum(abs(v) for v in a[i]) + 1.0
-    b = [rng.uniform(-10.0, 10.0) for _ in range(n)]
-    return a, b
+    system = as_lists(draw_system(n, seed))
+    return system["a"], system["b"]
 
 
 def make_input(n: int, iterations: int = 1000, tol: float = 1e-6,
                seed: int = 1234) -> dict:
-    a, b = make_system(n, seed)
-    return {"a": a, "b": b, "n": n, "iterations": iterations, "tol": tol}
+    return {**as_lists(draw_system(n, seed)), "n": n,
+            "iterations": iterations, "tol": tol}
 
 
 def make_input_dt(n: int, iterations: int = 1000, tol: float = 1e-6,
                   seed: int = 1234) -> dict:
-    a, b = make_system(n, seed)
-    return {"a": np.array(a), "b": np.array(b), "n": n,
+    return {**as_arrays(draw_system(n, seed)), "n": n,
             "iterations": iterations, "tol": tol}
 
 

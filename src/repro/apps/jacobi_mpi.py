@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.jacobi import make_system
+from repro.apps.jacobi import make_input_dt, make_system
 from repro.decorator import transform
 from repro.modes import Mode
 from repro.mpi import mpirun
@@ -107,8 +107,8 @@ def solve(nodes, threads, n, iterations=1000, tol=1e-6, seed=1234,
 
 
 def reference(n, seed=1234):
-    a, b = make_system(n, seed)
-    return np.linalg.solve(np.array(a), np.array(b))
+    system = make_input_dt(n, seed=seed)
+    return np.linalg.solve(system["a"], system["b"])
 
 
 def verify(result, n, seed=1234, atol=1e-4) -> bool:

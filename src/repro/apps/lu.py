@@ -13,23 +13,25 @@ import random
 import numpy as np
 
 from repro.apps.base import AppSpec
+from repro.apps.draws import as_arrays, as_lists, dominant_rows
 from repro.api import omp
 
 
+def draw_matrix(n: int, seed: int = 4321):
+    """The matrix's rows (see :mod:`repro.apps.draws`)."""
+    yield "a", (n, n), dominant_rows(random.Random(seed).random, n)
+
+
 def make_matrix(n: int, seed: int = 4321):
-    rng = random.Random(seed)
-    a = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        a[i][i] = sum(abs(v) for v in a[i]) + 1.0
-    return a
+    return as_lists(draw_matrix(n, seed))["a"]
 
 
 def make_input(n: int, seed: int = 4321) -> dict:
-    return {"a": make_matrix(n, seed), "n": n}
+    return {**as_lists(draw_matrix(n, seed)), "n": n}
 
 
 def make_input_dt(n: int, seed: int = 4321) -> dict:
-    return {"a": np.array(make_matrix(n, seed)), "n": n}
+    return {**as_arrays(draw_matrix(n, seed)), "n": n}
 
 
 def sequential(a, n):
@@ -107,7 +109,7 @@ def verify(result, reference) -> bool:
     n = factored.shape[0]
     lower = np.tril(factored, -1) + np.eye(n)
     upper = np.triu(factored)
-    original = np.array(make_matrix(n), dtype=float)
+    original = make_input_dt(n)["a"]
     return bool(np.allclose(lower @ upper, original, atol=1e-6))
 
 

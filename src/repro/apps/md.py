@@ -12,12 +12,12 @@ reduction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
-import numpy as np
-
 from repro.apps.base import AppSpec
+from repro.apps.draws import as_arrays, as_lists, uniform
 from repro.api import omp
 
 D0 = 1.0  # equilibrium pair distance
@@ -25,27 +25,26 @@ DT = 1e-4
 MASS = 1.0
 
 
-def make_particles(n: int, seed: int = 97):
-    rng = random.Random(seed)
+def draw_particles(n: int, seed: int = 97):
+    """Positions in a cube of about unit density, then velocities;
+    accelerations start at zero (see :mod:`repro.apps.draws`)."""
+    draw = random.Random(seed).random
     side = max(1.0, n ** (1.0 / 3.0))
-    pos = [[rng.uniform(0.0, side) for _ in range(n)] for _ in range(3)]
-    vel = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(3)]
-    acc = [[0.0] * n for _ in range(3)]
-    return pos, vel, acc
+    for name in ("px", "py", "pz"):
+        yield name, (n,), uniform(draw, 0.0, side, n)
+    for name in ("vx", "vy", "vz"):
+        yield name, (n,), uniform(draw, -1.0, 1.0, n)
+    for name in ("ax", "ay", "az"):
+        yield name, (n,), itertools.repeat(0.0, n)
 
 
 def make_input(n: int, steps: int = 2, seed: int = 97) -> dict:
-    pos, vel, acc = make_particles(n, seed)
-    return {"px": pos[0], "py": pos[1], "pz": pos[2],
-            "vx": vel[0], "vy": vel[1], "vz": vel[2],
-            "ax": acc[0], "ay": acc[1], "az": acc[2],
-            "n": n, "steps": steps}
+    return {**as_lists(draw_particles(n, seed)), "n": n, "steps": steps}
 
 
 def make_input_dt(n: int, steps: int = 2, seed: int = 97) -> dict:
-    plain = make_input(n, steps, seed)
-    return {key: (np.array(value) if isinstance(value, list) else value)
-            for key, value in plain.items()}
+    return {**as_arrays(draw_particles(n, seed)), "n": n,
+            "steps": steps}
 
 
 def _forces_seq(px, py, pz, ax, ay, az, n):

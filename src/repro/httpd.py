@@ -16,6 +16,10 @@ routes and keep only their payload code; the front owns the rest:
 * :meth:`read_body` answers 400 for a non-integer or negative
   ``Content-Length`` and 413 above :data:`MAX_BODY`, before reading a
   byte of the body, so a bad header can never hold a handler thread;
+* a client that stalls for :data:`TIMEOUT` seconds mid-request is let
+  go: a short body answers 408, a request line or header that never
+  ends closes the connection.  The clock runs only while the handler
+  waits on the socket, so a route may take as long as it needs;
 * the server logs nothing.
 
 Stdlib only: the lean serving process imports it without pulling in
@@ -30,6 +34,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 #: Largest request body a route may read (bytes).
 MAX_BODY = 1 << 20
+
+#: Seconds a handler waits on a silent client socket before giving up.
+TIMEOUT = 10.0
 
 #: The Prometheus text exposition content type.
 PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
@@ -51,6 +58,8 @@ def json_reply(status: int, payload, headers: dict | None = None):
 class _Handler(BaseHTTPRequestHandler):
     #: ``{(method, path): route}``, set per front by :class:`HttpFront`.
     routes: dict
+    #: Socket timeout of every connection (``StreamRequestHandler``).
+    timeout = TIMEOUT
 
     def log_message(self, *_args):  # noqa: D102 - quiet server
         pass
@@ -66,7 +75,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length > MAX_BODY:
             raise HttpError(413, f"request body of {length} bytes "
                                  f"exceeds {MAX_BODY}")
-        return self.rfile.read(length)
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            raise HttpError(408, f"request body of {length} bytes stalled "
+                                 f"for {self.timeout} s") from None
 
     def _dispatch(self) -> None:
         path, _sep, self.query = self.path.partition("?")
@@ -87,8 +100,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(key, value)
             self.end_headers()
             self.wfile.write(body)
-        except ConnectionError:  # pragma: no cover - client gone
-            pass
+        except (ConnectionError, TimeoutError):  # pragma: no cover
+            pass  # client gone or not reading
 
 
 class HttpFront:

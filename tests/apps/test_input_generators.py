@@ -129,13 +129,70 @@ class TestStructuralGuarantees:
                 per_line_weights(lines, vocabulary_size, seed)
 
     def test_md_particles_shapes(self):
-        from repro.apps.md import make_particles
-        pos, vel, acc = make_particles(30)
-        assert len(pos) == len(vel) == len(acc) == 3
-        assert all(len(axis) == 30 for axis in pos + vel + acc)
+        from repro.apps.md import make_input
+        inputs = make_input(30)
+        axes = [inputs[kind + axis] for kind in "pva" for axis in "xyz"]
+        assert all(len(values) == 30 for values in axes)
+        assert all(v == 0.0 for values in axes[6:] for v in values)
+
+
+#: The builders' sizes in ``benchmarks/e2e/workloads.py``: the timed
+#: terms, then the served mixes.
+_E2E_SIZES = {"jacobi": (384, 32, 8), "lu": (110, 16), "md": (180, 28),
+              "fft": (4096, 512, 128), "qsort": (33_000, 1000, 200)}
+_DT_APPS = [name for name in list_apps() if get_app(name).make_input_dt]
+
+
+def _builder_sizes(name):
+    spec = get_app(name)
+    return sorted({1, spec.sizes["test"]["n"], spec.sizes["default"]["n"],
+                   *_E2E_SIZES[name]})
 
 
 class TestDtInputVariants:
+    def test_every_dt_app_has_its_e2e_sizes_listed(self):
+        assert set(_DT_APPS) == set(_E2E_SIZES)
+
+    @pytest.mark.parametrize("name", _DT_APPS)
+    def test_dt_values_are_the_pure_values(self, name):
+        """One draw, two containers: the typed builder holds the very
+        bytes of the list builder, at every size the suite and the
+        benchmark use and for several seeds."""
+        spec = get_app(name)
+        for n in _builder_sizes(name):
+            for seed in (None, 1, 7, 1003):
+                params = {"n": n} if seed is None else {"n": n,
+                                                        "seed": seed}
+                pure = spec.make_input(**params)
+                dt = spec.make_input_dt(**params)
+                assert list(pure) == list(dt), (name, n, seed)
+                for field, value in pure.items():
+                    typed = dt[field]
+                    if not isinstance(value, list):
+                        assert typed == value, (name, field, n, seed)
+                        continue
+                    assert np.array(value).tobytes() == \
+                        np.asarray(typed).tobytes(), (name, field, n, seed)
+                    if isinstance(typed, np.ndarray):
+                        assert typed.dtype == np.float64
+                        assert typed.flags.c_contiguous
+                        assert typed.shape == np.shape(value)
+
+    def test_jacobi_dt_builder_peaks_at_its_arrays(self):
+        """The typed builder never holds the list of Python floats: its
+        allocation peak stays near the arrays it returns (building the
+        lists first peaks at about five times that)."""
+        import tracemalloc
+        from repro.apps import jacobi
+        tracemalloc.start()
+        try:
+            inputs = jacobi.make_input_dt(384)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = inputs["a"].nbytes + inputs["b"].nbytes
+        assert peak <= 1.5 * nbytes, (peak, nbytes)
+
     def test_dt_inputs_are_numpy_where_declared(self):
         for name in ("jacobi", "lu", "md", "fft"):
             spec = get_app(name)

@@ -148,6 +148,23 @@ def test_importing_the_package_loads_what_it_always_did(tmp_path):
         assert report["numpy_found"]
 
 
+def test_the_harness_imports_leave_the_runtime_unloaded(tmp_path):
+    """What a measuring program imports up front — the apps, the
+    decorator, the timing harness and the serving package — holds no
+    runtime engine, affinity or tool interface: the harness reads the
+    backend from the runtime it is handed, at measure time."""
+    script = ("import json, sys\n"
+              "import repro.apps, repro.decorator, repro.analysis.timing,"
+              " repro.serve\n"
+              "print(json.dumps(sorted(name for name in sys.modules\n"
+              "    if name.startswith('repro'))))\n")
+    loaded = _run(script, tmp_path / "cache", site=False)
+    assert "repro.analysis.timing" in loaded
+    assert [name for name in loaded
+            if name == "repro.runtime.engine"
+            or name.startswith(("repro.affinity", "repro.ompt"))] == []
+
+
 def test_a_served_request_on_a_warm_cache_never_loads_it(tmp_path):
     """The same through ``repro.serve``: the fork hands a worker no
     transformer, a worker that misses imports it for itself and still

@@ -7,11 +7,13 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import httpd
 from repro.httpd import MAX_BODY, HttpError, HttpFront, json_reply
 
 
@@ -29,8 +31,18 @@ def _raise_value_error(_http):
     raise ValueError("route exploded")
 
 
+#: The socket timeout the stalled-client tests run the front with.
+_STALL = 0.5
+
+
+def _slow(_http):
+    time.sleep(2 * _STALL)
+    return 200, "text/plain", b"slow\n"
+
+
 ROUTES = {
     ("GET", "/plain"): lambda _http: (200, "text/plain", b"hello\n"),
+    ("GET", "/slow"): _slow,
     ("POST", "/echo"): _echo,
     ("GET", "/conflict"): _raise_http_error,
     ("GET", "/broken"): _raise_value_error,
@@ -165,3 +177,58 @@ def test_missing_content_length_reads_an_empty_body(front):
                                 b"Connection: close\r\n\r\n")
     assert status == 200
     assert reply == {"query": "", "length": 0}
+
+
+def test_handlers_time_out_after_the_module_constant():
+    assert HttpFront(ROUTES, ("127.0.0.1", 0), "x")._handler.timeout \
+        == httpd.TIMEOUT
+
+
+@pytest.fixture
+def stall_front(monkeypatch):
+    """A front whose connections time out after :data:`_STALL` s
+    instead of :data:`repro.httpd.TIMEOUT`."""
+    monkeypatch.setattr(httpd._Handler, "timeout", _STALL)
+    front = HttpFront(ROUTES, ("127.0.0.1", 0), "test-httpd-stall")
+    front.start()
+    try:
+        yield front
+    finally:
+        front.stop()
+
+
+def _stalled(front, head: bytes) -> tuple[bytes, float]:
+    """Send ``head`` and go silent; ``(reply, seconds until the front
+    closed the connection)``.  The socket's own timeout fails the test
+    rather than hanging it if the front never lets go."""
+    with socket.create_connection(("127.0.0.1", front.port),
+                                  timeout=_STALL + 5) as sock:
+        sock.sendall(head)
+        begin = time.monotonic()
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+        return reply, time.monotonic() - begin
+
+
+def test_short_body_answers_408_after_the_timeout(stall_front):
+    reply, waited = _stalled(stall_front,
+                             b"POST /echo HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 100\r\n\r\n12 bytes sent")
+    status_line, _sep, payload = reply.partition(b"\r\n\r\n")
+    assert int(status_line.split()[1]) == 408
+    assert "100 bytes stalled" in json.loads(payload)["error"]
+    assert _STALL * 0.9 <= waited < _STALL + 2
+    assert _request(stall_front.url + "/plain")[0] == 200
+
+
+def test_unfinished_request_line_is_closed_after_the_timeout(stall_front):
+    reply, waited = _stalled(stall_front, b"GET /x HT")
+    assert reply == b""
+    assert _STALL * 0.9 <= waited < _STALL + 2
+    assert _request(stall_front.url + "/plain")[0] == 200
+
+
+def test_route_slower_than_the_timeout_still_answers(stall_front):
+    status, _headers, body = _request(stall_front.url + "/slow")
+    assert (status, body) == (200, b"slow\n")
