@@ -16,10 +16,10 @@ routes and keep only their payload code; the front owns the rest:
 * :meth:`read_body` answers 400 for a non-integer or negative
   ``Content-Length`` and 413 above :data:`MAX_BODY`, before reading a
   byte of the body, so a bad header can never hold a handler thread;
-* a client that stalls for :data:`TIMEOUT` seconds mid-request is let
-  go: a short body answers 408, a request line or header that never
-  ends closes the connection.  The clock runs only while the handler
-  waits on the socket, so a route may take as long as it needs;
+* a connection gets :data:`TIMEOUT` seconds for its whole request,
+  however the client spaces its bytes: a body still short then answers
+  408, an unfinished request line or header closes the connection; a
+  route's own run time and the reply write are outside the deadline;
 * the server logs nothing.
 
 Stdlib only: the lean serving process imports it without pulling in
@@ -28,14 +28,16 @@ the runtime or the explainer.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 #: Largest request body a route may read (bytes).
 MAX_BODY = 1 << 20
 
-#: Seconds a handler waits on a silent client socket before giving up.
+#: Seconds a connection gets to deliver its whole request.
 TIMEOUT = 10.0
 
 #: The Prometheus text exposition content type.
@@ -55,11 +57,36 @@ def json_reply(status: int, payload, headers: dict | None = None):
         headers or {}
 
 
+class _DeadlineSocket(io.RawIOBase):
+    """A connection's read side: each ``recv`` waits only for the time
+    left before one deadline."""
+
+    def __init__(self, sock, seconds: float):
+        self._sock = sock
+        self._deadline = time.monotonic() + seconds
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request deadline passed")
+        self._sock.settimeout(left)
+        return self._sock.recv_into(buffer)
+
+
 class _Handler(BaseHTTPRequestHandler):
     #: ``{(method, path): route}``, set per front by :class:`HttpFront`.
     routes: dict
-    #: Socket timeout of every connection (``StreamRequestHandler``).
+    #: Seconds for the whole request; the socket timeout of the reply.
     timeout = TIMEOUT
+
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()
+        self.rfile = io.BufferedReader(
+            _DeadlineSocket(self.connection, self.timeout))
 
     def log_message(self, *_args):  # noqa: D102 - quiet server
         pass
@@ -79,7 +106,7 @@ class _Handler(BaseHTTPRequestHandler):
             return self.rfile.read(length)
         except TimeoutError:
             raise HttpError(408, f"request body of {length} bytes stalled "
-                                 f"for {self.timeout} s") from None
+                                 f"past {self.timeout} s") from None
 
     def _dispatch(self) -> None:
         path, _sep, self.query = self.path.partition("?")
@@ -92,6 +119,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as error:  # noqa: BLE001 - keep serving
             reply = json_reply(500, {"error": str(error)})
         status, content_type, body, *extra = reply
+        self.connection.settimeout(self.timeout)
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)

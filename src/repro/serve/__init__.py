@@ -7,8 +7,8 @@ long-running multi-tenant service:
   requests against the shipped apps plus the fig8 hybrid
   ``jacobi_mpi`` multi-node tenant;
 * a shared-memory data plane (:mod:`repro.serve.shm`) — request
-  arrays live in ``multiprocessing.shared_memory`` segments and only
-  tiny handles cross process boundaries;
+  arrays live in POSIX shared-memory segments the server alone creates
+  and unlinks, and only tiny handles cross process boundaries;
 * batching and sharding across pooled worker processes
   (:mod:`repro.serve.fleet`, :mod:`repro.serve.worker`), each holding
   a warm hot-team runtime with the stall watchdog armed;

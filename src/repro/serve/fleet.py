@@ -10,24 +10,21 @@ doctor report, which the crash path collects and surfaces through
 warm hot-team pools.
 
 Workers are *forked*, never spawned, so a server start pays one import
-chain instead of one per process — and every fork is made by the
-**nursery**: a helper the constructor forks last, before the fleet
-has a single thread.  The nursery imports the worker stack
-(:mod:`repro.serve.worker`: the apps, both runtimes, the watchdog,
-the arming) before its first fork, so every worker starts with it
-loaded while the server process, which only runs the front door,
-never imports it.  The nursery stays single-threaded and does nothing
-but fork a worker per request on its command pipe, first starts and
-crash respawns alike, so no worker is ever forked from a process
-whose other threads might hold a lock.  A nursery that cannot import
-the worker stack prints the traceback and exits; the server then
-finds its command pipe closed and marks every slot ``failed``.  What
-a fork does inherit is made safe where it lives:
-the runtimes start cold in every child (:mod:`repro.runtime.engine`),
-and :mod:`repro.serve.shm` knows a forked child shares the server's
-resource tracker.  The nursery waits for the workers it forked (their
-resource usage stays accounted to the server), and leaves at EOF of
-its command pipe as a worker does at EOF of its control pipe, so
+chain — and every fork is made by the **nursery**, a helper the
+constructor forks last, before the fleet has a thread.  It imports the
+worker stack (:mod:`repro.serve.worker`) before its first fork, so the
+server process, which only runs the front door, never does; it stays
+single-threaded and only forks a worker per request on its command
+pipe, so no worker is forked from a process whose other threads might
+hold a lock.  A nursery that cannot import the stack prints the
+traceback and exits; the server finds the pipe closed and marks every
+slot ``failed``.  The runtimes start cold in every forked child
+(:mod:`repro.runtime.engine`), and a worker only maps and closes the
+server's segments.  The nursery waits for its workers (their resource
+usage stays accounted to the server) and leaves at EOF of its command
+pipe, as a worker does at EOF of its control pipe.  An EOF with no
+shutdown message before it means the server died: the nursery then
+unlinks the server's segments (:func:`repro.serve.shm.sweep`), so
 nothing outlives a killed server.
 
 Crash semantics: when a worker dies with a job in flight the fleet
@@ -49,6 +46,8 @@ import time
 import traceback
 from multiprocessing import reduction
 from multiprocessing.connection import Connection
+
+from repro.serve.shm import sweep
 
 #: Response slab size per worker: 1 MiB of float64 result values.
 SLAB_FLOATS = 131_072
@@ -99,7 +98,9 @@ def worker_entry(conn, config: dict) -> None:
 def _nursery(commands) -> None:
     """The prefork helper: per worker config received on ``commands``
     (followed by the worker's end of its control pipe), fork a worker
-    and answer its pid; ``None`` or EOF ends it."""
+    and answer its pid; ``None`` or EOF ends it.  An EOF means the
+    server died: its segments are unlinked once the workers are gone."""
+    server = os.getppid()
     # The server coordinates shutdown over the pipes: a terminal
     # Ctrl-C must not take the nursery or (they inherit this) a worker
     # down mid-job, and whatever handlers the forking process had
@@ -112,6 +113,7 @@ def _nursery(commands) -> None:
     # the server finds its command pipe closed.
     import repro.serve.worker  # noqa: F401
     children: set[int] = set()
+    server_died = False
     try:
         while (config := commands.recv()) is not None:
             fd = reduction.recv_handle(commands)
@@ -126,9 +128,11 @@ def _nursery(commands) -> None:
             children.add(pid)
             commands.send(pid)
     except (EOFError, OSError):
-        pass  # the server is gone; its workers see EOF as well
+        server_died = True  # its workers see EOF as well
     for pid in children:
         os.waitpid(pid, 0)
+    if server_died:
+        sweep(lambda pid: pid == server)
 
 
 class WorkerHandle:
@@ -201,8 +205,8 @@ class Fleet:
         for worker_id in range(workers):
             slab = registry.create_slab(SLAB_FLOATS)
             self._workers[worker_id] = WorkerHandle(worker_id, slab)
-        # Last: the slabs exist, so the resource tracker the workers
-        # are to share is running; no thread of the fleet does yet.
+        # Last: the slabs the workers map exist, and no thread of the
+        # fleet does yet.
         self._nursery, theirs = multiprocessing.Pipe()
         self._nursery_lock = threading.Lock()
         self.nursery_pid = os.fork()

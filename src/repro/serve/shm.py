@@ -1,41 +1,15 @@
 """Shared-memory data plane: array registry and the handle protocol.
 
-The serving layer never pickles request arrays.  The server process
-materializes every numeric input once into a
-:mod:`multiprocessing.shared_memory` segment owned by a
-:class:`ShmRegistry`, and jobs carry only :class:`ArrayHandle`
-descriptors (segment name, dtype, shape) over the control pipe.
-Workers map the segment with :func:`attach_array` — a zero-copy NumPy
-view — and copy locally only when the kernel mutates its input.
+Request arrays are never pickled: the server copies each into a POSIX
+shared-memory segment, jobs carry :class:`ArrayHandle` descriptors,
+and workers map the segment as a zero-copy NumPy view.
 
-Resource-tracker discipline (the satellite fix): on CPython ≤ 3.12
-*attaching* a segment registers it with a ``resource_tracker`` too,
-and what that does depends on whose tracker the attacher talks to:
-
-* a **forked worker** (the fleet's, through its nursery) shares the
-  server's tracker: the fd *and* the tracker pid are copied by the
-  fork, so from the stdlib's fields alone it looks like a process
-  with a tracker of its own.  Its attach-register is a no-op set-add —
-  but an unregister would strip the *server's* registration,
-  producing tracker ``KeyError`` noise at release and losing crash
-  cleanup.  Workers must leave the tracker alone.  An at-fork hook
-  here records that the fork happened with a tracker already running.
-* a **spawned child** inherits the tracker fd as well (``_pid is
-  None`` there, per CPython's own comment) and is the same case.
-* an **independent process** (a client attaching by handle) gets its
-  own tracker, which then believes it owns the segment: its exit
-  unlinks data the server still serves and prints ``leaked
-  shared_memory objects`` warnings.  There the attach must be followed
-  by an immediate unregister.
-* the **creator process** re-attaching its own segment must also not
-  unregister, or the legitimate create-registration is lost.
-
-:func:`attach_unregister` encodes exactly that decision (the creator
-case via the owner pid embedded in every segment name) and every
-attach path here applies it.  The serve test suite kills a worker
-mid-request and asserts no segment leaks or vanishes
-(``tests/serve/test_server.py``,
-``tests/integration/test_serve_e2e.py``).
+Ownership: the :class:`ShmRegistry` that creates a segment is the only
+one that unlinks it; every other process only maps and closes, and
+none talks to a resource tracker.  A segment's name carries its
+owner's pid namespace and pid, so what a dead owner left is found by
+:func:`sweep`: the fleet's nursery runs it when its server dies, and
+every new :class:`ShmRegistry` for owners that no longer exist.
 """
 
 from __future__ import annotations
@@ -43,11 +17,13 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import mmap
 import os
+import re
 import sys
 import threading
-from multiprocessing import resource_tracker, shared_memory
 
+import _posixshmem
 import numpy as np
 
 from repro.errors import OmpError
@@ -95,91 +71,89 @@ class ArrayHandle:
         return count * np.dtype(self.dtype).itemsize
 
 
-def _tracker_name(shm: shared_memory.SharedMemory) -> str:
-    # ``SharedMemory`` registers its private ``_name`` (with the
-    # leading slash on POSIX); ``.name`` strips it, so unregistering
-    # must use the same spelling registration did.
-    return getattr(shm, "_name", shm.name)
+class Segment:
+    """One mapped POSIX shared-memory segment; ``buf`` is its ``mmap``.
 
-
-#: This process was forked from one whose tracker was already running.
-_forked_under_tracker = False
-
-
-def _note_fork() -> None:
-    global _forked_under_tracker
-    _forked_under_tracker = getattr(
-        resource_tracker._resource_tracker, "_fd", None) is not None
-
-
-os.register_at_fork(after_in_child=_note_fork)
-
-
-def _tracker_is_inherited() -> bool:
-    # Registering or unregistering from here mutates an ancestor's
-    # bookkeeping: a forked child keeps the tracker fd it was forked
-    # with; a spawned one receives it with no tracker pid of its own
-    # (multiprocessing.spawn.spawn_main).
-    tracker = resource_tracker._resource_tracker
-    return getattr(tracker, "_fd", None) is not None \
-        and (_forked_under_tracker
-             or getattr(tracker, "_pid", None) is None)
-
-
-def attach_unregister(shm: shared_memory.SharedMemory) -> bool:
-    """Undo the attach-time tracker registration when — and only when —
-    this process owns a private tracker and is not the segment's
-    creator (see the module docstring).  Returns whether it did."""
-    if _tracker_is_inherited():
-        return False
-    if f"_{os.getpid()}_" in shm.name:
-        return False
-    try:
-        resource_tracker.unregister(_tracker_name(shm), "shared_memory")
-    except Exception:  # pragma: no cover - tracker already gone
-        return False
-    return True
-
-
-def _mapped(shm: shared_memory.SharedMemory) -> shared_memory.SharedMemory:
-    """Close the ``shm_open`` fd of a mapped segment and return it.
-
+    The ``shm_open`` fd is closed as soon as the segment is mapped:
     ``mmap`` holds a duplicate of its own, which is all the mapping
-    needs, so a kept segment costs one fd instead of two; ``close``
-    then finds no fd to close.
+    needs, so a kept segment costs one fd.
     """
-    if getattr(shm, "_fd", -1) >= 0:
-        os.close(shm._fd)
-        shm._fd = -1
-    return shm
 
+    def __init__(self, name: str, create_size: int | None = None):
+        create = os.O_CREAT | os.O_EXCL if create_size is not None else 0
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR | create,
+                                  mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, create_size)
+            self.buf = mmap.mmap(fd, os.fstat(fd).st_size)
+        except BaseException:
+            if create:
+                unlink(name)
+            raise
+        finally:
+            os.close(fd)
+        self.name = name
+
+    def close(self) -> None:
+        self.buf.close()
+
+
+#: Every name this process mints carries it, so a ``/dev/shm`` shared
+#: between pid namespaces is never swept across them.
+_PID_NS = os.stat("/proc/self/ns/pid").st_ino \
+    if os.path.exists("/proc/self/ns/pid") else 0
+
+#: A name minted in this pid namespace; the group is the owner's pid.
+_NAME = re.compile(rf"{SEGMENT_PREFIX}_.+_{_PID_NS}_(\d+)_\d+")
 
 #: One counter per process, not per registry: two registries with the
 #: same tag (two servers in one process) must never mint the same name.
 _SEGMENT_IDS = itertools.count(1)
 
 
+def _gone(pid: int) -> bool:
+    # Where there is a /dev/shm to sweep there is a /proc.
+    return not os.path.exists(f"/proc/{pid}")
+
+
+def unlink(name: str) -> None:
+    """Unlink a segment; one already gone (swept first) is no error."""
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
+        pass
+
+
+def sweep(dead=_gone) -> None:
+    """Unlink the segments minted in this pid namespace by an owner
+    ``dead(pid)`` holds for: by default one that no longer exists (the
+    nursery names its server instead, which may not be reaped yet)."""
+    for name in leaked_segments():
+        owner = _NAME.fullmatch(name)
+        if owner and dead(int(owner[1])):
+            unlink(name)
+
+
 class ShmRegistry:
     """Server-side owner of every shared segment.
 
     ``create_array`` copies a NumPy array into a fresh segment and
-    returns its handle; ``release``/``close_all`` unlink.  The segment
-    objects are kept referenced so the mappings stay alive for the
-    registry's lifetime, and names embed the owner pid plus a
-    process-wide monotonic counter so a crashed run's leftovers are
-    attributable.
+    returns its handle; ``release``/``close_all`` unlink.  Names embed
+    the owner pid plus a process-wide counter; a new registry first
+    sweeps what dead owners left (:func:`sweep`).
     """
 
     def __init__(self, tag: str = "srv"):
         self._lock = threading.Lock()
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
+        self._segments: dict[str, Segment] = {}
         self._tag = tag
+        sweep()
 
-    def _create(self, nbytes: int) -> shared_memory.SharedMemory:
-        name = (f"{SEGMENT_PREFIX}_{self._tag}_{os.getpid()}_"
+    def _create(self, nbytes: int) -> Segment:
+        name = (f"{SEGMENT_PREFIX}_{self._tag}_{_PID_NS}_{os.getpid()}_"
                 f"{next(_SEGMENT_IDS)}")
-        shm = _mapped(shared_memory.SharedMemory(
-            create=True, size=max(1, nbytes), name=name))
+        shm = Segment(name, create_size=max(1, nbytes))
         with self._lock:
             self._segments[name] = shm
         return shm
@@ -221,7 +195,7 @@ class ShmRegistry:
 
     def total_bytes(self) -> int:
         with self._lock:
-            return sum(shm.size for shm in self._segments.values())
+            return sum(len(shm.buf) for shm in self._segments.values())
 
     def release(self, segment: str) -> None:
         with self._lock:
@@ -229,10 +203,7 @@ class ShmRegistry:
         if shm is None:
             return
         shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        unlink(segment)
 
     def close_all(self) -> None:
         with self._lock:
@@ -257,12 +228,12 @@ class _Mapping:
     mapping is closed only once that count is back to what it was.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory):
+    def __init__(self, shm: Segment):
         self.shm = shm
-        self.idle_refs = sys.getrefcount(shm._mmap)
+        self.idle_refs = sys.getrefcount(shm.buf)
 
     def try_close(self) -> bool:
-        if sys.getrefcount(self.shm._mmap) > self.idle_refs:
+        if sys.getrefcount(self.shm.buf) > self.idle_refs:
             return False
         self.shm.close()
         return True
@@ -276,10 +247,8 @@ class AttachedArrays:
     ``ATTACH_CAPACITY`` segments: a miss beyond that closes the least
     recently used mapping (the server unlinks segments it evicts, so
     without this a worker would keep every input set it ever saw
-    alive in ``/dev/shm``).  A mapping an array still uses is closed on a later
-    miss, once the array is gone.  Every attach applies
-    :func:`attach_unregister`, so no process's resource tracker ever
-    wrongly believes it owns a server segment.
+    alive in ``/dev/shm``).  A mapping an array still uses is closed
+    on a later miss, once the array is gone.
     """
 
     def __init__(self):
@@ -292,9 +261,8 @@ class AttachedArrays:
     def get(self, handle: ArrayHandle) -> np.ndarray:
         mapping = self._attached.get(handle.segment)
         if mapping is None:
-            shm = _mapped(shared_memory.SharedMemory(name=handle.segment))
-            attach_unregister(shm)
-            mapping = self._attached[handle.segment] = _Mapping(shm)
+            mapping = self._attached[handle.segment] = _Mapping(
+                Segment(handle.segment))
             self._trim()
         else:
             self._attached.move_to_end(handle.segment)
@@ -327,11 +295,9 @@ class AttachedArrays:
                           if not mapping.try_close()]
 
 
-def attach_array(handle: ArrayHandle) -> tuple[
-        shared_memory.SharedMemory, np.ndarray]:
-    """Map one segment (unregister discipline applied); caller closes."""
-    shm = _mapped(shared_memory.SharedMemory(name=handle.segment))
-    attach_unregister(shm)
+def attach_array(handle: ArrayHandle) -> tuple[Segment, np.ndarray]:
+    """Map one segment; the caller closes it."""
+    shm = Segment(handle.segment)
     view = np.ndarray(handle.shape, dtype=handle.dtype, buffer=shm.buf)
     return shm, view
 

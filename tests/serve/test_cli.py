@@ -16,7 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve.shm import leaked_segments
+from repro.serve.shm import ShmRegistry, leaked_segments
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 ENV = dict(os.environ, PYTHONPATH=str(REPO / "src"))
@@ -96,6 +96,19 @@ def _alive(pid: int) -> bool:
         return False
 
 
+def _children(pid: int) -> list[int]:
+    children = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                parent = int(handle.read().rsplit(")", 1)[1].split()[1])
+        except OSError:
+            continue
+        if parent == pid:
+            children.append(int(entry))
+    return children
+
+
 def _wait_until(condition, timeout: float) -> bool:
     deadline = time.monotonic() + timeout
     while not condition():
@@ -138,13 +151,60 @@ def test_a_killed_server_leaves_no_process_behind(cli):
     with open(f"/proc/{workers[0]}/stat", encoding="ascii") as handle:
         nursery = int(handle.read().rsplit(")", 1)[1].split()[1])
     assert nursery != server.process.pid and _alive(nursery)
+    # The nursery is the server's only child: no resource tracker.
+    assert _children(server.process.pid) == [nursery]
+    assert sorted(_children(nursery)) == sorted(workers)
+    assert server.segments()
     server.process.kill()
     server.process.wait(timeout=10)
     # EOF on the command pipe ends the nursery, EOF on a control pipe
-    # a worker; then the shared resource tracker unlinks the segments.
+    # a worker; the nursery, having waited for the workers, unlinks
+    # the dead server's segments.
     assert _wait_until(
         lambda: not any(map(_alive, [nursery, *workers])), 2.0)
     assert _wait_until(lambda: server.segments() == [], 10.0)
+
+
+_HOLDER = textwrap.dedent('''
+    """Own one segment until stdin closes."""
+    import sys
+    import numpy as np
+    from repro.serve.shm import ShmRegistry
+    registry = ShmRegistry(tag="holder")
+    print(registry.create_array(np.zeros(8)).segment, flush=True)
+    sys.stdin.read()
+    registry.close_all()
+''')
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_a_killed_group_is_swept_by_the_next_registry(cli):
+    """``killpg`` takes the server, its nursery and its workers at
+    once, so no process of its own is left to unlink its segments: the
+    next :class:`ShmRegistry` does, and leaves a live owner's alone."""
+    server = cli()
+    assert server.first_line == "fleet ready\n"
+    holder = subprocess.Popen([sys.executable, "-c", _HOLDER], env=ENV,
+                              stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        live = holder.stdout.readline().strip()
+        dead = server.segments()
+        assert dead and live
+        # Stopped first, none of the group runs again before it dies.
+        os.killpg(server.process.pid, signal.SIGSTOP)
+        os.killpg(server.process.pid, signal.SIGKILL)
+        server.process.wait(timeout=10)
+        assert set(dead) <= set(leaked_segments())
+        ShmRegistry()
+        assert server.segments() == []
+        assert live in leaked_segments()
+    finally:
+        holder.stdin.close()
+        holder.wait(timeout=30)
+        holder.stdout.close()
+    assert holder.returncode == 0
+    assert live not in leaked_segments()
 
 
 _SIGNAL_UNDER_LOCK = textwrap.dedent('''

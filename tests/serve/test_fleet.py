@@ -148,6 +148,23 @@ def test_observability_env_of_the_server_arms_nothing_in_a_worker(
     assert json.loads(served.read_text()) == watchdog_only
 
 
+def test_stopping_one_of_two_servers_leaves_the_others_segments(server):
+    """Both servers' segments carry this process's pid; a graceful
+    stop unlinks its own registry's and nothing else."""
+    other = ServeServer(workers=1, tenants={"default": 2})
+    try:
+        other.start()
+        theirs = other.shm.names()
+        ours = server.shm.names()
+        assert theirs and ours and not set(theirs) & set(ours)
+    finally:
+        other.stop()
+    assert not set(theirs) & set(leaked_segments())
+    assert set(ours) <= set(leaked_segments())
+    response = server.submit({"app": "pi", "threads": 2})
+    assert response["ok"] and response["verified"], response
+
+
 def _stillborn(births: pathlib.Path):
     def worker_entry(conn, config):
         (births / f"{config['worker_id']}-{os.getpid()}").touch()

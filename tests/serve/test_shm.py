@@ -1,21 +1,28 @@
-"""Shared-memory data plane: registry, handles, tracker discipline."""
+"""Shared-memory data plane: registry, handles, segment ownership."""
 
 from __future__ import annotations
 
+import json
 import os
-from multiprocessing import resource_tracker, shared_memory
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import OmpError
 from repro.serve.shm import (
+    _PID_NS,
     ArrayHandle,
     AttachedArrays,
+    Segment,
     ShmRegistry,
     attach_array,
-    attach_unregister,
     leaked_segments,
+    unlink,
 )
 
 
@@ -71,69 +78,132 @@ def test_release_unlinks_segment(registry):
         registry.view(handle)
 
 
-def test_creator_reattach_keeps_registration(registry):
-    # The creator's own pid is embedded in the name; re-attaching from
-    # the creator process must not strip the create-registration.
-    handle = registry.create_array(np.zeros(64))
-    shm, _view = attach_array(handle)
-    try:
-        assert attach_unregister(shm) is False
-    finally:
-        shm.close()
+def _python_s(script: str, *arguments, **run) -> subprocess.CompletedProcess:
+    """Run ``script`` under ``python -S`` on this process's import path
+    (no ``.pth`` start-up hook imports anything first)."""
+    package_root = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, *(
+        entry for entry in sys.path if entry and entry != package_root)]))
+    return subprocess.run(
+        [sys.executable, "-S", "-c", textwrap.dedent(script),
+         *map(str, arguments)],
+        env=env, capture_output=True, text=True, timeout=60, **run)
 
 
-def test_inherited_tracker_is_left_alone(registry, monkeypatch):
-    # Simulate a spawned worker: the tracker has a borrowed fd and no
-    # pid of its own.  attach_unregister must refuse to touch it even
-    # for a foreign-named segment.
-    handle = registry.create_array(np.zeros(64))
-    shm = shared_memory.SharedMemory(name=handle.segment)
-    try:
-        tracker = resource_tracker._resource_tracker
-        monkeypatch.setattr(tracker, "_fd", 99, raising=False)
-        monkeypatch.setattr(tracker, "_pid", None, raising=False)
-        assert attach_unregister(shm) is False
-    finally:
+_CREATE_ATTACH_RELEASE = """
+    import json, os, sys
+    import numpy as np
+    from repro.serve.shm import AttachedArrays, ShmRegistry, attach_array
+
+    registry = ShmRegistry(tag="test")
+    handle = registry.create_array(np.arange(64.0))
+    slab = registry.create_slab(16)
+    attached = AttachedArrays()
+    total = float(attached.get(handle).sum())
+    attached.close_all()
+    shm, view = attach_array(slab)
+    del view
+    shm.close()
+    registry.close_all()
+    children = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as stat:
+                parent = int(stat.read().rsplit(")", 1)[1].split()[1])
+        except OSError:
+            continue
+        if parent == os.getpid():
+            children.append(int(entry))
+    print(json.dumps({"total": total, "children": children,
+                      "modules": sorted(name for name in sys.modules
+                                        if name.startswith("multi"))}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_segments_start_no_process_and_no_tracker():
+    """Creating, attaching and releasing segments is the registry's and
+    the mapping's business alone: no helper process, no
+    ``multiprocessing.resource_tracker`` (which the stdlib's
+    ``SharedMemory`` starts)."""
+    out = _python_s(_CREATE_ATTACH_RELEASE, check=True)
+    doc = json.loads(out.stdout.splitlines()[-1])
+    assert doc["total"] == sum(range(64))
+    assert doc["children"] == []
+    assert "multiprocessing.resource_tracker" not in doc["modules"]
+    assert out.stderr == ""
+
+
+def test_an_independent_attacher_leaves_the_segment(registry):
+    handle = registry.create_array(np.arange(64.0), read_only=True)
+    out = _python_s("""
+        import sys
+        from repro.serve.shm import ArrayHandle, AttachedArrays, attach_array
+        handle = ArrayHandle(sys.argv[1], "<f8", (64,), read_only=True)
+        shm, view = attach_array(handle)
+        attached = AttachedArrays()
+        print(float(view.sum()) + float(attached.get(handle)[63]))
+        del view
         shm.close()
+        attached.close_all()
+        """, handle.segment, check=True)
+    assert float(out.stdout) == sum(range(64)) + 63
+    assert out.stderr == ""
+    assert handle.segment in leaked_segments()
+    assert registry.view(handle)[63] == 63.0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_leaves_the_shared_tracker_alone(registry):
-    # A real fork copies the tracker's fd *and* its pid, so the child
-    # looks like the owner of a private tracker — and the segment's
-    # name embeds the parent's pid, not the child's.  It is still the
-    # parent's tracker: an unregister would strip the registration.
-    handle = registry.create_array(np.zeros(64))
+def test_a_forked_child_that_attaches_and_closes_leaves_the_segment(
+        registry):
+    handle = registry.create_array(np.arange(64.0))
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            shm = shared_memory.SharedMemory(name=handle.segment)
-            code = 0 if attach_unregister(shm) is False else 2
+            attached = AttachedArrays()
+            value = attached.get(handle)[7]
+            attached.close_all()
+            shm, view = attach_array(handle)
+            value += view[8]
+            del view
+            shm.close()
+            code = 0 if value == 15.0 else 2
         finally:
             os._exit(code)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert handle.segment in leaked_segments()
+    assert registry.view(handle)[7] == 7.0
 
 
-def test_independent_attacher_unregisters():
-    # A segment whose name embeds a *different* pid looks like another
-    # process's property: the attacher must drop its own tracker claim
-    # so its exit does not unlink data the owner still serves.
-    name = "o4pserve_test_999999_77"
-    owner = shared_memory.SharedMemory(create=True, size=64, name=name)
-    try:
-        other = shared_memory.SharedMemory(name=name)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_new_registry_sweeps_what_a_dead_owner_left(registry):
+    """A registry whose process died without ``close_all`` leaves its
+    segments; the next registry in the pid namespace unlinks them, and
+    leaves those of a live owner and names it did not mint."""
+    ours = registry.create_array(np.zeros(8)).segment
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
         try:
-            assert attach_unregister(other) is True
-            # This process is the creator as well: the unregister took
-            # the create-registration ``owner.unlink()`` is to drop.
-            resource_tracker.register(other._name, "shared_memory")
+            name = ShmRegistry(tag="test").create_array(np.ones(8)).segment
+            os.write(write, name.encode())
         finally:
-            other.close()
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        theirs = pipe.read().decode()
+    os.waitpid(pid, 0)
+    # The dead pid again, but as another pid namespace would spell it.
+    foreign = Segment(theirs.replace(f"_{_PID_NS}_", "_1_"), create_size=8)
+    try:
+        assert {ours, theirs, foreign.name} <= set(leaked_segments())
+        ShmRegistry(tag="test")
+        assert theirs not in leaked_segments()
+        assert {ours, foreign.name} <= set(leaked_segments())
     finally:
-        owner.close()
-        owner.unlink()
-    assert name not in leaked_segments()
+        foreign.close()
+        unlink(foreign.name)
 
 
 def test_close_all_leaves_nothing(registry):
@@ -201,7 +271,6 @@ def test_each_kept_segment_costs_one_fd(registry):
     """Server side (the registry's inputs and slabs) and worker side
     (the input LRU and the slab mapping) alike: ``mmap``'s duplicate is
     the only fd a kept segment holds."""
-    resource_tracker.ensure_running()  # its pipe is no segment's fd
     before = _fds()
     handles = [registry.create_array(np.arange(64.0)),
                registry.create_slab(1024)]

@@ -5,6 +5,7 @@ metrics endpoint or the serving front door."""
 from __future__ import annotations
 
 import json
+import select
 import socket
 import threading
 import time
@@ -232,3 +233,60 @@ def test_unfinished_request_line_is_closed_after_the_timeout(stall_front):
 def test_route_slower_than_the_timeout_still_answers(stall_front):
     status, _headers, body = _request(stall_front.url + "/slow")
     assert (status, body) == (200, b"slow\n")
+
+
+#: The per-connection deadline the trickling-client tests run with.
+_DEADLINE = 1.0
+
+
+@pytest.fixture
+def deadline_front(monkeypatch):
+    monkeypatch.setattr(httpd._Handler, "timeout", _DEADLINE)
+    front = HttpFront(ROUTES, ("127.0.0.1", 0), "test-httpd-deadline")
+    front.start()
+    try:
+        yield front
+    finally:
+        front.stop()
+
+
+def _trickled(front, head: bytes) -> tuple[bytes, float]:
+    """Send ``head``, then one more byte every 0.2 s until the front
+    answers and closes; ``(reply, seconds from connect to close)``.
+    Gives up :data:`_DEADLINE` + 5 s in, as a front that waits for as
+    long as bytes keep coming would never let go."""
+    with socket.create_connection(("127.0.0.1", front.port),
+                                  timeout=5) as sock:
+        begin = time.monotonic()
+        sock.sendall(head)
+        reply = b""
+        while time.monotonic() - begin < _DEADLINE + 5:
+            try:
+                if not select.select([sock], [], [], 0.2)[0]:
+                    sock.sendall(b"x")
+                elif chunk := sock.recv(65536):
+                    reply += chunk
+                else:
+                    break
+            except (BrokenPipeError, ConnectionResetError):
+                break
+        return reply, time.monotonic() - begin
+
+
+def test_a_trickled_header_is_closed_at_the_deadline(deadline_front):
+    reply, waited = _trickled(deadline_front,
+                              b"GET /plain HTTP/1.1\r\nX-Trickle: ")
+    assert reply == b""
+    assert _DEADLINE * 0.9 <= waited < _DEADLINE + 1.5
+    assert _request(deadline_front.url + "/plain")[0] == 200
+
+
+def test_a_trickled_body_answers_408_at_the_deadline(deadline_front):
+    reply, waited = _trickled(deadline_front,
+                              b"POST /echo HTTP/1.1\r\nHost: x\r\n"
+                              b"Content-Length: 1000\r\n\r\n")
+    status_line, _sep, payload = reply.partition(b"\r\n\r\n")
+    assert int(status_line.split()[1]) == 408
+    assert "1000 bytes stalled" in json.loads(payload)["error"]
+    assert _DEADLINE * 0.9 <= waited < _DEADLINE + 1.5
+    assert _request(deadline_front.url + "/plain")[0] == 200
