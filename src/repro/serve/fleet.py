@@ -23,9 +23,9 @@ slot ``failed``.  The runtimes start cold in every forked child
 server's segments.  The nursery waits for its workers (their resource
 usage stays accounted to the server) and leaves at EOF of its command
 pipe, as a worker does at EOF of its control pipe.  An EOF with no
-shutdown message before it means the server died: the nursery then
-unlinks the server's segments (:func:`repro.serve.shm.sweep`), so
-nothing outlives a killed server.
+shutdown message before it, once the nursery has been reparented,
+means the server died: the nursery then unlinks the server's segments
+(:func:`repro.serve.shm.sweep`), so nothing outlives a killed server.
 
 Crash semantics: when a worker dies with a job in flight the fleet
 reports the job back through ``on_crash`` — the server requeues the
@@ -98,8 +98,8 @@ def worker_entry(conn, config: dict) -> None:
 def _nursery(commands) -> None:
     """The prefork helper: per worker config received on ``commands``
     (followed by the worker's end of its control pipe), fork a worker
-    and answer its pid; ``None`` or EOF ends it.  An EOF means the
-    server died: its segments are unlinked once the workers are gone."""
+    and answer its pid; ``None`` or EOF ends it.  The segments of a
+    server that died are unlinked at once, before its workers end."""
     server = os.getppid()
     # The server coordinates shutdown over the pipes: a terminal
     # Ctrl-C must not take the nursery or (they inherit this) a worker
@@ -113,7 +113,6 @@ def _nursery(commands) -> None:
     # the server finds its command pipe closed.
     import repro.serve.worker  # noqa: F401
     children: set[int] = set()
-    server_died = False
     try:
         while (config := commands.recv()) is not None:
             fd = reduction.recv_handle(commands)
@@ -128,11 +127,17 @@ def _nursery(commands) -> None:
             children.add(pid)
             commands.send(pid)
     except (EOFError, OSError):
-        server_died = True  # its workers see EOF as well
+        commands.close()  # a failed fork ends the nursery too
+        # EOF alone does not prove the server died (a live process
+        # that drops its fleet unshut closes the pipe too); being
+        # reparented does, a moment after its fds are closed.
+        deadline = time.monotonic() + 2.0
+        while os.getppid() == server and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if os.getppid() != server:
+            sweep(lambda pid: pid == server)
     for pid in children:
         os.waitpid(pid, 0)
-    if server_died:
-        sweep(lambda pid: pid == server)
 
 
 class WorkerHandle:

@@ -63,13 +63,6 @@ class ArrayHandle:
                    container=doc.get("container", "ndarray"),
                    read_only=bool(doc.get("read_only", False)))
 
-    @property
-    def nbytes(self) -> int:
-        count = 1
-        for extent in self.shape:
-            count *= extent
-        return count * np.dtype(self.dtype).itemsize
-
 
 class Segment:
     """One mapped POSIX shared-memory segment; ``buf`` is its ``mmap``.
@@ -118,10 +111,11 @@ def _gone(pid: int) -> bool:
 
 
 def unlink(name: str) -> None:
-    """Unlink a segment; one already gone (swept first) is no error."""
+    """Unlink a segment; one already gone (swept first) is no error,
+    nor is another user's (a sweep's: ``/dev/shm`` is sticky)."""
     try:
         _posixshmem.shm_unlink("/" + name)
-    except FileNotFoundError:
+    except (FileNotFoundError, PermissionError):
         pass
 
 

@@ -96,17 +96,17 @@ def _alive(pid: int) -> bool:
         return False
 
 
+def _parent(pid: int) -> int | None:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return int(handle.read().rsplit(")", 1)[1].split()[1])
+    except OSError:
+        return None
+
+
 def _children(pid: int) -> list[int]:
-    children = []
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
-                parent = int(handle.read().rsplit(")", 1)[1].split()[1])
-        except OSError:
-            continue
-        if parent == pid:
-            children.append(int(entry))
-    return children
+    return [int(entry) for entry in filter(str.isdigit, os.listdir("/proc"))
+            if _parent(int(entry)) == pid]
 
 
 def _wait_until(condition, timeout: float) -> bool:
@@ -148,8 +148,7 @@ def test_quiet_stderr_from_start_to_sigterm(cli):
 def test_a_killed_server_leaves_no_process_behind(cli):
     server = cli()
     workers = [worker["pid"] for worker in server.state()["workers"]]
-    with open(f"/proc/{workers[0]}/stat", encoding="ascii") as handle:
-        nursery = int(handle.read().rsplit(")", 1)[1].split()[1])
+    nursery = _parent(workers[0])
     assert nursery != server.process.pid and _alive(nursery)
     # The nursery is the server's only child: no resource tracker.
     assert _children(server.process.pid) == [nursery]
@@ -158,8 +157,8 @@ def test_a_killed_server_leaves_no_process_behind(cli):
     server.process.kill()
     server.process.wait(timeout=10)
     # EOF on the command pipe ends the nursery, EOF on a control pipe
-    # a worker; the nursery, having waited for the workers, unlinks
-    # the dead server's segments.
+    # a worker; the nursery, reparented, unlinks the dead server's
+    # segments.
     assert _wait_until(
         lambda: not any(map(_alive, [nursery, *workers])), 2.0)
     assert _wait_until(lambda: server.segments() == [], 10.0)

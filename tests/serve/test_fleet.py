@@ -18,7 +18,8 @@ import time
 import pytest
 
 from repro.serve import ServeServer
-from repro.serve.shm import leaked_segments
+from repro.serve.fleet import Fleet
+from repro.serve.shm import ShmRegistry, leaked_segments
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -163,6 +164,27 @@ def test_stopping_one_of_two_servers_leaves_the_others_segments(server):
     assert set(ours) <= set(leaked_segments())
     response = server.submit({"app": "pi", "threads": 2})
     assert response["ok"] and response["verified"], response
+
+
+def test_a_fleet_dropped_unshut_in_a_live_process_unlinks_nothing(
+        server, tmp_path):
+    """A fleet dropped without ``shutdown`` (a ``start`` that raised,
+    then garbage collection) closes its nursery's command pipe with no
+    shutdown message, as a killed server would: the nursery, still
+    the child of a live process, must not sweep that process's
+    segments."""
+    registry = ShmRegistry(tag="test")
+    try:
+        fleet = Fleet(workers=1, registry=registry, report_dir=tmp_path)
+        slabs = registry.names()
+        fleet._nursery.close()
+        os.waitpid(fleet.nursery_pid, 0)
+        assert set(slabs) | set(server.shm.names()) \
+            <= set(leaked_segments())
+        response = server.submit({"app": "pi", "threads": 2})
+        assert response["ok"] and response["verified"], response
+    finally:
+        registry.close_all()
 
 
 def _stillborn(births: pathlib.Path):
