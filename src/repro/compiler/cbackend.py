@@ -14,18 +14,26 @@ C is kept *right* where it is not Python:
 * every subscript is bounds-checked with negative wrap-around and an
   out-of-range access makes the kernel return a status the caller
   raises ``IndexError`` from (``O4P_IDX``);
-* integer ``//`` and ``%`` floor like Python's and a zero divisor is a
-  status (``ZeroDivisionError``), never ``SIGFPE``; signed overflow
-  wraps (``-fwrapv``) like NumPy's ``int64``;
-* float arithmetic is IEEE — ``x / 0.0`` is ``inf`` where Python
-  raises ``ZeroDivisionError`` — with ``-ffp-contract=off`` so no fused
-  multiply-add rounds differently from the interpreter.
+* ``//`` and ``%`` floor like Python's; signed overflow wraps
+  (``-fwrapv``) like NumPy's ``int64``;
+* a zero divisor of ``/``, ``//`` or ``%`` is what it is in the
+  interpreter: between Python numbers a status (``ZeroDivisionError``),
+  never ``SIGFPE``; where an operand is a NumPy scalar (an array
+  element, or what arithmetic made of one) NumPy's ``inf``/``nan``, or
+  ``0`` for integers.  A scalar the caller passes in counts as the
+  Python number it is converted to;
+* a ``math`` function raises where CPython's does (``ValueError`` out of
+  its domain, ``OverflowError`` where ``exp``/``sinh``/``cosh``/``pow``
+  overflow, both for ``floor``/``ceil`` of ``nan``/``inf``);
+* float arithmetic is IEEE otherwise, with ``-ffp-contract=off`` so no
+  fused multiply-add rounds differently from the interpreter.
 
 What a site cannot express raises :class:`Unsupported` and the loop
 stays interpreted (``if``/``while``/``break`` statements, slices,
 calls other than the ``math``/``abs``/``min``/``max``/``int``/
 ``float`` forms, complex scalars, shifts by a variable count,
-``int ** <non-constant>``).
+``int ** <non-constant>``, a division whose operand may be a NumPy
+scalar in one iteration and a Python number in another).
 """
 
 from __future__ import annotations
@@ -52,13 +60,21 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv",
           "-fno-math-errno")
 _BUILD_TIMEOUT_S = 60.0
 
-#: ``math.<name>`` (and the bare name) -> C function and arity.
-#: ``floor``/``ceil`` stay ``double`` like ``np.floor``.
-_MATH = {name: (name, 1) for name in (
-    "sqrt", "sin", "cos", "tan", "exp", "log", "log2", "log10", "floor",
-    "ceil", "fabs", "atan", "asin", "acos", "sinh", "cosh", "tanh")}
-_MATH.update({name: (name, 2) for name in (
-    "atan2", "pow", "hypot", "copysign", "fmod")})
+#: ``math.<name>`` (and the bare name) -> arity and the C form of a call
+#: of the C function of that name, the arguments in place of ``{}``,
+#: wrapped in the check CPython makes of the result (``O4P_MATH*``,
+#: ``O4P_TOINT``) where it makes one.  ``floor``/``ceil`` stay
+#: ``double`` like ``np.floor``.
+_MATH = {name: (1, f"O4P_MATH1({name}, {{}}, 4)") for name in (
+    "sqrt", "sin", "cos", "tan", "log", "log2", "log10", "fabs", "atan",
+    "asin", "acos", "tanh")}
+_MATH.update({name: (1, f"O4P_MATH1({name}, {{}}, 5)")
+              for name in ("exp", "sinh", "cosh")})
+_MATH.update({name: (2, f"O4P_MATH2({name}, {{}}, 5)")
+              for name in ("atan2", "copysign", "fmod")})
+_MATH.update(pow=(2, "O4P_MATH2(pow, {}, x_ == 0.0 ? 4 : 5)"),
+             hypot=(2, "hypot({})"), floor=(1, "O4P_TOINT(floor, {})"),
+             ceil=(1, "O4P_TOINT(ceil, {})"))
 
 _ARITH = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
 _BITWISE = {ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^"}
@@ -70,7 +86,9 @@ PRELUDE = r"""/* omp4py native tier: kernel ABI 1 (see SiteCompiler._assemble) *
 #include <math.h>
 
 /* Status a kernel returns: 0 done, 1 IndexError (err = index, axis,
-   size), 2 ZeroDivisionError, 3 ValueError (zero range step). */
+   size), 2 ZeroDivisionError, 3 ValueError (zero range step),
+   4 ValueError (math domain error), 5 OverflowError (math range error).
+   Whatever the kernel stored before it returned stays stored. */
 
 #define O4P_IDX(k, n, axis) __extension__ ({ \
     int64_t k0_ = (k), k_ = k0_; \
@@ -78,25 +96,43 @@ PRELUDE = r"""/* omp4py native tier: kernel ABI 1 (see SiteCompiler._assemble) *
     if ((uint64_t)k_ >= (uint64_t)(n)) { \
         err[0] = k0_; err[1] = (axis); err[2] = (n); return 1; } \
     k_; })
-#define O4P_FLOORDIV(a, b) __extension__ ({ \
-    int64_t a_ = (a), b_ = (b); if (b_ == 0) return 2; \
-    o4p_floordiv(a_, b_); })
-#define O4P_MOD(a, b) __extension__ ({ \
-    int64_t a_ = (a), b_ = (b); if (b_ == 0) return 2; \
-    o4p_mod(a_, b_); })
+/* f(a, b) between Python numbers: a zero divisor raises. */
+#define O4P_NONZERO(f, T, a, b) __extension__ ({ \
+    T a_ = (a), b_ = (b); if (b_ == 0) return 2; \
+    f(a_, b_); })
+/* CPython's check of a math function's result: NaN from arguments that
+   are not is a domain error, an infinity from finite ones a domain (4)
+   or a range (5) error, as the status ``inf`` says (it may read x_). */
+#define O4P_MATH1(f, x, inf) __extension__ ({ \
+    double x_ = (x), r_ = f(x_); \
+    if (isnan(r_) && !isnan(x_)) return 4; \
+    if (isinf(r_) && isfinite(x_)) return (inf); \
+    r_; })
+#define O4P_MATH2(f, x, y, inf) __extension__ ({ \
+    double x_ = (x), y_ = (y), r_ = f(x_, y_); \
+    if (isnan(r_) && !isnan(x_) && !isnan(y_)) return 4; \
+    if (isinf(r_) && isfinite(x_) && isfinite(y_)) return (inf); \
+    r_; })
+/* math.floor/ceil return an int: NaN cannot be one, infinity neither. */
+#define O4P_TOINT(f, x) __extension__ ({ \
+    double x_ = (x); if (isnan(x_)) return 4; if (isinf(x_)) return 5; \
+    f(x_); })
 
+/* NumPy's integer // and % by zero are 0. */
 static inline int64_t o4p_floordiv(int64_t a, int64_t b)
 {
+    if (b == 0) return 0;
     if (b == -1) return (int64_t)(0 - (uint64_t)a);  /* INT64_MIN / -1 traps */
     int64_t q = a / b;
     return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
 }
 static inline int64_t o4p_mod(int64_t a, int64_t b)
 {
-    if (b == -1) return 0;
+    if (b == 0 || b == -1) return 0;
     int64_t r = a % b;
     return (r != 0 && (r < 0) != (b < 0)) ? r + b : r;
 }
+static inline double o4p_div(double a, double b) { return a / b; }
 static inline double o4p_fmod(double a, double b)
 {
     double r = fmod(a, b);
@@ -250,6 +286,9 @@ class SiteCompiler:
         self.int_arrays = self._integer_arrays()
         self.int_names = self._integer_names()
         self.types: dict[str, str] = {}
+        #: Per assigned name, whether it holds NumPy scalars (see
+        #: :meth:`_numpy`).
+        self.origins: dict[str, bool | None] = {}
 
     # -- public ----------------------------------------------------------
 
@@ -313,7 +352,7 @@ class SiteCompiler:
             raise Unsupported("assignment to a loop variable")
         # The value first: ``s = s + x`` reads the ``s`` of before.
         text, kind = self._expr(value)
-        self._note_type(name, kind)
+        self._note_type(name, kind, self._numpy(value))
         self.assigned.add(name)
         return f"v_{name} = {text};"
 
@@ -447,7 +486,7 @@ class SiteCompiler:
                 if label not in _LABEL_TYPE:
                     raise Unsupported(f"untyped scalar {name!r}")
                 self.carried.setdefault(name)
-                self._note_type(name, _LABEL_TYPE[label])
+                self._note_type(name, _LABEL_TYPE[label], False)
             return f"v_{name}", self.types[name]
         if label is None and name in self.int_names:
             label = "int"
@@ -458,11 +497,49 @@ class SiteCompiler:
         self.scalars[name] = _LABEL_TYPE[label]
         return f"v_{name}", _LABEL_TYPE[label]
 
-    def _note_type(self, name: str, kind: str) -> None:
+    def _note_type(self, name: str, kind: str, numpy: bool | None) -> None:
         joined = _join(self.types.get(name), kind)
         if self.types.get(name) != joined:
             self.types[name] = joined
             self.dirty = True
+        origin = numpy if self.origins.get(name, numpy) == numpy else None
+        if name not in self.origins or self.origins[name] != origin:
+            self.origins[name] = origin
+            self.dirty = True
+
+    def _numpy(self, node: ast.expr) -> bool | None:
+        """Is the value of ``node`` a NumPy scalar (``True``), a Python
+        number (``False``), or one in some iterations and the other in
+        others (``None``)?  Array elements are NumPy's and so is what
+        arithmetic makes of one; constants, loop variables, the caller's
+        scalars and what ``math``, ``int`` and ``float`` return are
+        Python's; ``abs``/``min``/``max``, ``if`` expressions and
+        ``and``/``or`` give back one of their operands."""
+        if isinstance(node, ast.Subscript):
+            return True
+        if isinstance(node, ast.Name):
+            return self.origins.get(node.id, False)
+        if isinstance(node, (ast.BinOp, ast.Compare)):
+            origins = {self._numpy(operand) for operand in (
+                (node.left, node.right) if isinstance(node, ast.BinOp)
+                else (node.left, *node.comparators))}
+            return True if True in origins else (
+                None if None in origins else False)
+        if isinstance(node, ast.UnaryOp):
+            return not isinstance(node.op, ast.Not) and self._numpy(
+                node.operand)
+        if isinstance(node, ast.IfExp):
+            operands = (node.body, node.orelse)
+        elif isinstance(node, ast.BoolOp):
+            operands = node.values
+        elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Name) and node.func.id in ("abs", "min",
+                                                          "max"):
+            operands = node.args
+        else:
+            return False
+        origins = {self._numpy(operand) for operand in operands}
+        return origins.pop() if len(origins) == 1 else None
 
     def _binop(self, node: ast.BinOp) -> tuple[str, str]:
         left, lk = self._expr(node.left)
@@ -471,15 +548,21 @@ class SiteCompiler:
         op = type(node.op)
         if op in _ARITH:
             return f"({left} {_ARITH[op]} {right})", kind
-        if op is ast.Div:
-            return f"((double){left} / (double){right})", DBL
-        if op in (ast.FloorDiv, ast.Mod):
-            if kind == INT:
-                macro = "O4P_FLOORDIV" if op is ast.FloorDiv else "O4P_MOD"
+        if op in (ast.Div, ast.FloorDiv, ast.Mod):
+            if op is ast.Div:
+                kind, func = DBL, "o4p_div"
+            elif op is ast.FloorDiv:
+                func = "o4p_floordiv" if kind == INT else "o4p_ffloordiv"
             else:
-                macro = "o4p_ffloordiv" if op is ast.FloorDiv \
-                    else "o4p_fmod"
-            return f"{macro}({left}, {right})", kind
+                func = "o4p_mod" if kind == INT else "o4p_fmod"
+            numpy = self._numpy(node)
+            if numpy is None:
+                raise Unsupported("division of what may be a NumPy scalar "
+                                  "or a Python number")
+            if not numpy:  # between Python numbers
+                return (f"O4P_NONZERO({func}, {_CTYPE[kind]}, {left}, "
+                        f"{right})"), kind
+            return f"{func}({left}, {right})", kind
         if op is ast.Pow:
             exponent = node.right
             if kind == DBL:
@@ -530,11 +613,11 @@ class SiteCompiler:
             if name == "float" and len(args) == 1:
                 return f"((double){texts[0]})", DBL
         if name in _MATH:
-            cfunc, arity = _MATH[name]
+            arity, form = _MATH[name]
             if len(args) != arity:
                 raise Unsupported(f"{name}() takes {arity} argument(s)")
-            return (f"{cfunc}(" + ", ".join(
-                f"(double){text}" for text in texts) + ")"), DBL
+            return form.format(", ".join(
+                f"(double){text}" for text in texts)), DBL
         raise Unsupported("call target is not a recognised numeric function")
 
     # -- arrays ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Pass manager of the *Compiled*/*CompiledDT* tiers."""
+"""The *CompiledDT* tier's one pass: typed loops become C kernels."""
 
 from __future__ import annotations
 
@@ -17,12 +17,11 @@ class NativeBuildFailed(Exception):
         self.reason = reason
 
 
-def optimize(node: ast.stmt, ctx: TransformContext, *, typed: bool,
-             debug: bool = False,
+def optimize(node: ast.stmt, ctx: TransformContext, *, debug: bool = False,
              native_dir: str | None = None) -> ast.stmt:
-    """Run the optimization pipeline over a transformed definition.
+    """Lower the typed loops of a transformed definition.
 
-    ``native_dir`` is where a typed definition's C kernels may be built
+    ``native_dir`` is where the definition's C kernels may be built
     (the directory of its cache entry); ``None`` leaves its loops
     interpreted.  The outcome is left on ``ctx.native``: what the entry
     records about the variant's shared object, ``{"pending": reason}``
@@ -30,28 +29,25 @@ def optimize(node: ast.stmt, ctx: TransformContext, *, typed: bool,
     with, ``None`` when there was nothing to compile; a build that
     fails raises :class:`NativeBuildFailed`.
     """
-    from repro.compiler.passes import fold, localize
     from repro.compiler.vectorize import VectorizePass
 
     ctx.native = None
-    if typed:
-        target, reason = None, ""
-        if native_dir is not None:
-            from repro.compiler.cbackend import NativeTarget
-            target, reason = NativeTarget.probe(native_dir)
-        if debug and reason:
-            print(f"[omp4py:native] unavailable: {reason}")
-        vectorizer = VectorizePass(ctx, debug=debug, native=target)
-        node = vectorizer.run(node)
-        if target is not None and target.sites:
-            ctx.native, reason = target.finish()
-            if ctx.native is None:
-                if debug:
-                    print(f"[omp4py:native] unavailable: {reason}")
-                raise NativeBuildFailed(reason)
-        elif native_dir is not None and vectorizer.pending:
-            # Loops with a C form, no way to build them here: the first
-            # process that has a compiler upgrades the entry.
-            ctx.native = {"pending": reason, "retry": True}
-    node = fold.FoldConstants().visit(node)
-    return localize.LocalizeGlobals(ctx).run(node)
+    target, reason = None, ""
+    if native_dir is not None:
+        from repro.compiler.cbackend import NativeTarget
+        target, reason = NativeTarget.probe(native_dir)
+    if debug and reason:
+        print(f"[omp4py:native] unavailable: {reason}")
+    vectorizer = VectorizePass(ctx, debug=debug, native=target)
+    node = vectorizer.run(node)
+    if target is not None and target.sites:
+        ctx.native, reason = target.finish()
+        if ctx.native is None:
+            if debug:
+                print(f"[omp4py:native] unavailable: {reason}")
+            raise NativeBuildFailed(reason)
+    elif native_dir is not None and vectorizer.pending:
+        # Loops with a C form, no way to build them here: the first
+        # process that has a compiler upgrades the entry.
+        ctx.native = {"pending": reason, "retry": True}
+    return node

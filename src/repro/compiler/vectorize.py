@@ -7,7 +7,7 @@ generated reduction accumulator — and lowers each one to a **C
 kernel** (:mod:`repro.compiler.cbackend`) that runs the whole chunk,
 inner loops included.  The loop itself stays behind the call as its
 guard branch, for operands the kernel was not typed for; it is the
-code *Compiled* mode runs.
+code *Hybrid* and *Compiled* modes run.
 
 Worksharing drivers are untouched, so chunks still flow through the
 OpenMP schedulers; only the per-chunk execution changes.

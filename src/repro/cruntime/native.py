@@ -289,9 +289,13 @@ def _raise(status: int, error) -> None:
         raise IndexError(f"index {error[0]} is out of bounds for axis "
                          f"{error[1]} with size {error[2]}")
     if status == 2:
-        raise ZeroDivisionError("integer division or modulo by zero")
+        raise ZeroDivisionError("division or modulo by zero")
     if status == 3:
         raise ValueError("range() arg 3 must not be zero")
+    if status == 4:
+        raise ValueError("math domain error")
+    if status == 5:
+        raise OverflowError("math range error")
     raise RuntimeError(f"native kernel returned status {status}")
 
 

@@ -258,11 +258,10 @@ def _generate(lines: list[str], mode: Mode, filename: str,
                 transform_function_def(item, ctx)
 
     native = None
-    if mode.compiles_user_code:
+    if mode is Mode.COMPILED_DT:
         from repro.compiler import NativeBuildFailed, optimize
         try:
-            node = optimize(node, ctx, typed=(mode is Mode.COMPILED_DT),
-                            debug=debug, native_dir=native_dir)
+            node = optimize(node, ctx, debug=debug, native_dir=native_dir)
         except NativeBuildFailed as failure:
             # The tree was rewritten to call kernels that do not exist:
             # generate again without them, and let the entry say why so
@@ -273,7 +272,7 @@ def _generate(lines: list[str], mode: Mode, filename: str,
         native = ctx.native
 
     # Every node is located by now (see transform_function_def; the
-    # compiler passes locate what they add), so no pass is needed here.
+    # typed-loop pass locates what it adds), so no pass is needed here.
     module = ast.Module(body=[node], type_ignores=[])
     return (compile(module, filename=filename, mode="exec"),
             ast.unparse(module), native)

@@ -8,10 +8,13 @@ The paper defines four modes (Section III-B and IV):
   the same primitives as ``runtime``); user code stays interpreted.
   This is the default.
 * **Compiled** — Hybrid plus compilation of the user's code.  In the
-  paper this is Cython; here it is the AST optimization pipeline in
-  :mod:`repro.compiler`.
+  paper this is Cython on unannotated code; here it runs Hybrid's
+  generated code unchanged (CPython 3.11's specialising interpreter
+  already removes what a bytecode pass could, see
+  :mod:`repro.compiler`).
 * **CompiledDT** — Compiled plus explicit ``int``/``float`` data-type
-  annotations, which enable the typed NumPy-kernel lowering.
+  annotations, which turn typed loops into C kernels
+  (:mod:`repro.compiler.cbackend`).
 
 Orthogonal to the four modes is the **execution backend**
 (:mod:`repro.runtime.gilstate`): every mode runs unchanged on either a
@@ -35,10 +38,6 @@ class Mode(enum.Enum):
     HYBRID = "hybrid"
     COMPILED = "compiled"
     COMPILED_DT = "compileddt"
-
-    @property
-    def compiles_user_code(self) -> bool:
-        return self in (Mode.COMPILED, Mode.COMPILED_DT)
 
     @classmethod
     def parse(cls, value: "Mode | str | int") -> "Mode":

@@ -227,7 +227,7 @@ class OmpRuntime:
                     # the DAG would fold join wait into member compute.
                     tool.implicit_task(index, "join", size)
                 try:
-                    team.barrier.wait(self._run_one_task, index)
+                    team.barrier.wait(team, self._run_one_task, index)
                 except BaseException as error:  # noqa: BLE001
                     team.record_error(index, error)
                 team.cpu_times[index] = time.thread_time() - begin
@@ -413,7 +413,8 @@ class OmpRuntime:
         if tool is not None:
             tool.sync_region(frame.thread_num, "barrier", "enter", None)
             begin = time.perf_counter()
-        frame.team.barrier.wait(self._run_one_task, frame.thread_num)
+        team = frame.team
+        team.barrier.wait(team, self._run_one_task, frame.thread_num)
         # A released barrier implies every team task completed, so the
         # frame's dependence history and child list are all dead weight.
         self._prune_dependences(frame)

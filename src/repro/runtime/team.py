@@ -61,11 +61,9 @@ def park(tool, thread_num: int, target, block, *timeout):
 class Barrier:
     """Generation-counted barrier that drains the team's task deques."""
 
-    __slots__ = ("team", "cond", "count", "generation", "waiters",
-                 "use_fallback")
+    __slots__ = ("cond", "count", "generation", "waiters", "use_fallback")
 
-    def __init__(self, team):
-        self.team = team
+    def __init__(self):
         self.cond = threading.Condition()
         self.count = 0
         self.generation = 0
@@ -77,8 +75,12 @@ class Barrier:
         #: alone keeps the runtime live.
         self.use_fallback = True
 
-    def wait(self, run_task, thread_num: int) -> None:
-        """Block until the whole team arrives and all tasks are done.
+    def wait(self, team, run_task, thread_num: int) -> None:
+        """Block until the whole ``team`` arrives and all tasks are done.
+
+        The team is passed in, not kept: a barrier that held its team
+        would make every region's team a reference cycle, left for the
+        cyclic collector instead of freed when the region ends.
 
         ``run_task(team, thread_num)`` is the runtime callback that
         claims and executes one task from the team's scheduler (it lives
@@ -90,7 +92,6 @@ class Barrier:
         barrier arrivals can no longer match up) releases every waiter
         immediately — the join will re-raise the recorded error.
         """
-        team = self.team
         if team.broken:
             return
         if team.size == 1 and team.pending.load() == 0:
@@ -189,7 +190,7 @@ class Team:
             self.active_level = parent_team.active_level + (
                 1 if size > 1 else 0)
         lowlevel = runtime.lowlevel
-        self.barrier = Barrier(self)
+        self.barrier = Barrier()
         #: Per-thread work-stealing task deques (see
         #: :mod:`repro.runtime.tasking`).
         self.scheduler = WorkStealingScheduler(lowlevel, size)

@@ -77,8 +77,6 @@ class TransformContext:
         #: threadprivate variable name -> storage key.
         self.threadprivate: dict[str, str] = {}
         self.filename = filename
-        #: ``int``/``float`` annotations harvested for CompiledDT.
-        self.annotations: dict[str, str] = {}
 
     # Scope management --------------------------------------------------
 

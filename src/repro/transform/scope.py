@@ -197,8 +197,3 @@ def function_params(node: ast.FunctionDef) -> set[str]:
     if node.args.kwarg is not None:
         params.add(node.args.kwarg.arg)
     return params
-
-
-def function_bound_names(node: ast.FunctionDef) -> set[str]:
-    """Parameters plus names assigned anywhere in the function body."""
-    return function_params(node) | assigned_names(node.body)

@@ -11,6 +11,7 @@ where there is no C compiler.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -145,6 +146,18 @@ class TestIntegerDivision:
                 q, r = lowered("f", np.zeros(9), np.zeros(9), 4.25, b, 9)
                 assert list(q) == [(4.25 - i) // b for i in range(9)]
                 assert list(r) == [(4.25 - i) % b for i in range(9)]
+
+    def test_numpy_integers_divide_by_zero_as_numpy_does(self):
+        source = (
+            "def f(q, b, n: int):\n"
+            "    for i in range(n):\n"
+            "        k: int = b[i]\n"
+            "        q[i] = i // k + i % k\n"
+            "    return q\n")
+        with np.errstate(divide="ignore"):
+            for lowered in lower_each(source):
+                q = lowered("f", np.ones(3), np.array([0, 2, 0]), 3)
+                assert list(q) == [0.0, 1.0, 0.0]
 
     def test_a_zero_range_step_is_a_value_error(self):
         source = (
@@ -320,6 +333,37 @@ class TestValuesReadAfterTheLoop:
         assert isinstance(site.operands[0], ast.Constant)
 
 
+class TestMathRaisesWhereCPythonDoes:
+    @pytest.mark.parametrize("call,x,error", [
+        ("math.log(x)", 0.0, ValueError),
+        ("math.asin(x)", 2.0, ValueError),
+        ("math.exp(x)", 1000.0, OverflowError),
+        ("math.pow(x, -1.0)", 0.0, ValueError),
+        ("math.pow(x, 2.0)", 1e200, OverflowError),
+        ("math.fmod(1.0, x)", 0.0, ValueError),
+        ("math.floor(x)", math.inf, OverflowError),
+        ("math.ceil(x)", math.nan, ValueError),
+        ("math.exp(x)", -math.inf, None),
+        ("math.sqrt(x)", math.nan, None),
+        ("math.hypot(x, x)", 1.5e308, None),
+        ("math.atan2(x, x)", 0.0, None),
+    ])
+    def test_only_where_the_interpreter_raises(self, call, x, error):
+        source = ("import math\n"
+                  "def f(out, x: float):\n"
+                  "    for i in range(1):\n"
+                  f"        out[i] = {call}\n"
+                  "    return out\n")
+        for lowered in lower_each(source, index=1):
+            assert lowered.took_a_loop()
+            if error is None:
+                assert lowered("f", np.zeros(1), x) == pytest.approx(
+                    [eval(call, {"math": math, "x": x})], nan_ok=True)
+            else:
+                with pytest.raises(error):
+                    lowered("f", np.zeros(1), x)
+
+
 class TestWhatHasNoCForm:
     def reason(self, source) -> str:
         import ast
@@ -343,6 +387,7 @@ class TestWhatHasNoCForm:
         ("s += x[i] + x[i][0]", "different ranks"),
         ("i = 3", "assignment to a loop variable"),
         ("n[i] = 1.0", "subscript of the scalar 'n'"),
+        ("s = s / 2.0 + x[i]", "may be a NumPy scalar or a Python number"),
     ])
     def test_reasons(self, body, why):
         assert why in self.reason(

@@ -341,6 +341,48 @@ class TestEveryTierAgreesWithTheInterpreter:
             "    return out\n", [0.0] * 5, np.arange(5.0), 5)
         assert expected == [0.0, 2.0, 4.0, 6.0, 8.0]
 
+    def raise_alike(self, error, source, *args):
+        """Every tier raises ``error`` and leaves the arrays holding
+        what the loop as written stored before it raised."""
+        source = "import math\n" + source
+        *lowerings, reference = lower_each(source, index=1)
+        expected = [_copy(a) for a in args]
+        with pytest.raises(error):
+            reference("f", *expected)
+        for lowered in lowerings:
+            assert lowered.outcomes == ["native"]
+            stored = [_copy(a) for a in args]
+            with pytest.raises(error):
+                lowered("f", *stored)
+            for got, want in zip(stored, expected):
+                np.testing.assert_array_equal(got, want)
+
+    def test_a_python_float_zero_divisor_raises(self):
+        self.raise_alike(
+            ZeroDivisionError,
+            "def f(out, s: float, n: int):\n"
+            "    for i in range(n):\n"
+            "        out[i] = 1.0 if i < 2 else i / s\n"
+            "    return out\n", np.zeros(4), 0.0, 4)
+
+    def test_a_math_domain_error_raises(self):
+        self.raise_alike(
+            ValueError,
+            "def f(out, s: float, n: int):\n"
+            "    for i in range(n):\n"
+            "        out[i] = math.sqrt(s + 2.0 - i)\n"
+            "    return out\n", np.zeros(4), -1.0, 4)
+
+    def test_a_numpy_zero_divisor_is_ieee(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = self.agree(
+                "def f(out, x, n: int):\n"
+                "    for i in range(n):\n"
+                "        out[i] = i / x[i]\n"
+                "    return out\n", np.zeros(3), np.array([0.0, 0.0, 2.0]),
+                3)
+        assert np.isnan(expected[0]) and list(expected[1:]) == [np.inf, 1.0]
+
     def test_an_integer_to_a_negative_power(self):
         expected = self.agree(
             "def f(a, n):\n"

@@ -125,6 +125,22 @@ def test_a_program_on_a_warm_cache_never_loads_the_transformer(tmp_path):
     assert warm["native"] == cold["native"]
 
 
+def test_a_cold_compiled_transform_loads_no_compiler(tmp_path):
+    """*Compiled* runs Hybrid's generated code: its miss runs the
+    rewriter and nothing of :mod:`repro.compiler`."""
+    script = ("import json, sys\n"
+              "from repro.apps import get_app\n"
+              "from repro.modes import Mode\n"
+              "variant = get_app('pi').variant(Mode.COMPILED)\n"
+              "print(json.dumps({'cached': variant.__omp_cached__,\n"
+              "    'loaded': sorted(name for name in sys.modules\n"
+              "        if name.startswith(('repro.compiler',\n"
+              "                            'repro.transform.rewriter')))}))\n")
+    report = _run(script, tmp_path / "cache")
+    assert report == {"cached": False,
+                      "loaded": ["repro.transform.rewriter"]}
+
+
 def test_importing_the_package_loads_what_it_always_did(tmp_path):
     """``import repro`` and ``import repro.decorator`` stay what they
     were before there was a native tier: no loader, no ``ctypes``, no

@@ -1,5 +1,6 @@
 """Tests of the OpenMP runtime library API on both runtimes."""
 
+import gc
 import threading
 
 import pytest
@@ -200,3 +201,23 @@ class TestSeparateContexts:
         cruntime.set_num_threads(7)
         assert pure_runtime.get_max_threads() == 5
         assert cruntime.get_max_threads() == 7
+
+
+class TestRegionsLeaveNoCycles:
+    """A region's team is freed by reference counting when the region
+    ends, not left to the cyclic collector."""
+
+    def test_regions_leave_no_garbage(self, rt):
+        def member():
+            rt.task_submit(lambda: None)
+            rt.barrier()
+
+        rt.parallel_run(member, num_threads=2)  # the pool, warm
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                rt.parallel_run(member, num_threads=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

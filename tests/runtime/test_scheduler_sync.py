@@ -196,8 +196,8 @@ class TestBarrierPoke:
         barrier are woken for new tasks and for the final release."""
         original_init = Barrier.__init__
 
-        def no_fallback_init(self, team):
-            original_init(self, team)
+        def no_fallback_init(self):
+            original_init(self)
             self.use_fallback = False
 
         monkeypatch.setattr(Barrier, "__init__", no_fallback_init)

@@ -101,6 +101,18 @@ def test_without_a_compiler_compileddt_is_the_numpy_tier(app_name,
         == _golden(compiler=False)[f"{app_name}/compileddt"]
 
 
+def test_compiled_generates_what_hybrid_generates():
+    """*Compiled* has no pass of its own (see :mod:`repro.compiler`):
+    under every key its digests are *Hybrid*'s."""
+    table = json.loads(_GOLDEN.read_text(encoding="utf-8"))
+    for key, golden in table.items():
+        assert {app: digest for app, digest in golden.items()
+                if app.endswith("/compiled")} == {
+            app.replace("/hybrid", "/compiled"): digest
+            for app, digest in golden.items() if app.endswith("/hybrid")
+        }, key
+
+
 def test_golden_covers_every_pair():
     golden = _golden()
     if golden:

@@ -110,12 +110,6 @@ class TestModeParsing:
         with pytest.raises(OmpError):
             Mode.parse(-1)
 
-    def test_mode_properties(self):
-        assert not Mode.PURE.compiles_user_code
-        assert not Mode.HYBRID.compiles_user_code
-        assert Mode.COMPILED.compiles_user_code
-        assert Mode.COMPILED_DT.compiles_user_code
-
     def test_all_modes_order_matches_paper(self):
         assert [m.value for m in ALL_MODES] == [
             "pure", "hybrid", "compiled", "compileddt"]
