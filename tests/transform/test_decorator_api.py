@@ -202,6 +202,62 @@ class TestUseRuntime:
         assert api.active_runtime() is cruntime
 
 
+def rebinds_len(words):
+    total = 0
+    for word in words:
+        total += len(word)
+        globals()["len"] = lambda _: 100
+    return total
+
+
+def documented_sum(n):
+    "Sum of the integers below n."
+    from repro import omp
+    total = 0
+    with omp("parallel for reduction(+:total) num_threads(2)"):
+        for i in range(n):
+            total += i
+    return total
+
+
+def divides_by_zero(x):
+    return x / 0
+
+
+def counts_digits(n):
+    count = 0
+
+    def bump(k):
+        nonlocal count
+        for i in range(k):
+            count += len(str(i))
+    bump(n)
+    return count
+
+
+class TestEveryModeRunsTheCodeAsWritten:
+    """No mode rewrites the user's own statements: *Compiled* runs
+    *Hybrid*'s generated code, so it keeps Python's semantics too."""
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_a_builtin_rebound_mid_call_is_seen(self, mode):
+        # The first word counts 2; the rebound len counts 100 each.
+        assert transform(rebinds_len, mode)(["ab", "cd", "ef"]) == 202
+
+    def test_compiled_keeps_the_docstring(self):
+        fn = transform(documented_sum, Mode.COMPILED)
+        assert fn.__doc__ == "Sum of the integers below n."
+        assert fn(10) == 45
+
+    def test_compiled_divides_by_zero_when_called(self):
+        fn = transform(divides_by_zero, Mode.COMPILED)
+        with pytest.raises(ZeroDivisionError):
+            fn(1.0)
+
+    def test_compiled_keeps_a_nested_nonlocal(self):
+        assert transform(counts_digits, Mode.COMPILED)(12) == 14
+
+
 class TestMultipleVariantsCoexist:
     def test_variants_do_not_interfere(self):
         pure_variant = transform(simple_sum, Mode.PURE)
