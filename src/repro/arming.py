@@ -57,7 +57,7 @@ class Armed:
     tool: object = None        # MetricsTool
     server: object = None      # MetricsServer
     diag: object = None        # the DiagnosticsState arm installed
-    recorder: object = None    # FlightRecorder
+    recorder: object = None    # keep-last Recorder (flight)
     watchdog: object = None
     sampler: object = None
     #: :func:`arm_from_env` already ran for this runtime.
@@ -121,10 +121,11 @@ def arm(runtime, *, trace: bool = False, metrics: bool = False,
         from repro.diagnostics.state import install
         entry.diag = install(runtime)
     if flight and entry.recorder is None:
-        from repro.diagnostics.flight import FlightRecorder
-        entry.recorder = (FlightRecorder(flight_capacity)
-                          if flight_capacity else FlightRecorder())
-        runtime.attach_tool(entry.recorder)
+        from repro.runtime.trace import Recorder
+        entry.recorder = Recorder(
+            flight_capacity or env.FlightSpec().capacity, keep="last",
+            runtime=runtime)
+        entry.recorder.start()
     if watchdog_interval is not None and entry.watchdog is None:
         from repro.diagnostics.watchdog import Watchdog
         entry.watchdog = Watchdog(runtime, watchdog_interval,
@@ -152,7 +153,7 @@ def disarm(runtime) -> None:
     if entry.watchdog is not None:
         entry.watchdog.stop()
     if entry.recorder is not None:
-        runtime.detach_tool(entry.recorder)
+        entry.recorder.stop()
     if entry.diag is not None:
         from repro.diagnostics.state import uninstall
         uninstall(runtime, entry.diag)

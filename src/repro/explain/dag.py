@@ -43,22 +43,31 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter, defaultdict, deque
 
-#: Event kinds that open a wait interval on their thread: every
-#: program-order edge leaving them is time spent waiting (or helping
-#: with tasks, which re-enters via task events), never compute.
+from repro.runtime.trace import on_timeline
+
+#: Steps (:func:`_step`) that open a wait interval on their thread:
+#: every program-order edge leaving them is time spent waiting (or
+#: helping with tasks, which re-enters via task events), never compute.
 _WAIT_SOURCES = {
     "barrier_enter": "barrier_wait",
     "taskwait_enter": "taskwait",
-    "join_enter": "join_wait",
+    ("implicit_task", "join"): "join_wait",
 }
 
-#: Event kinds that close a wait interval: the residual edge into them
+#: Steps that close a wait interval: the residual edge into them
 #: (after any interleaved task execution) is wait, never compute.
 _WAIT_TARGETS = {
     "barrier_release": "barrier_wait",
     "taskwait_release": "taskwait",
-    "itask_end": "join_wait",
+    ("implicit_task", "end"): "join_wait",
 }
+
+
+def _step(event):
+    """The event's kind — with the endpoint for an implicit task."""
+    if event.kind == "implicit_task":
+        return event.kind, event.detail[0]
+    return event.kind
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,7 +122,7 @@ class DagAnalysis:
     tasks_started: int = 0
     steals_by_thread: dict = dataclasses.field(default_factory=dict)
     #: plan source (map name) -> {"executions", "partitions",
-    #: "colors", "conflict_edges", "site"} from ``plan_execute``
+    #: "colors", "conflict_edges", "site"} from ``plan`` execute
     #: events (:mod:`repro.plan`): evidence that updates ran under an
     #: inspector–executor plan instead of locks.
     plans: dict = dataclasses.field(default_factory=dict)
@@ -123,25 +132,25 @@ class DagAnalysis:
         return self.serial_s / self.span_s if self.span_s > 0 else 0.0
 
 
-def _classify_edge(prev, cur, dt: float) -> tuple[float, str]:
-    """Weight and category of the program-order edge ``prev -> cur``."""
-    source_wait = _WAIT_SOURCES.get(prev.kind)
+def _classify_edge(prev_step, cur_step, cur, dt: float) -> tuple[float, str]:
+    """Weight and category of the program-order edge into ``cur``."""
+    source_wait = _WAIT_SOURCES.get(prev_step)
     if source_wait is not None:
         return 0.0, source_wait
-    target_wait = _WAIT_TARGETS.get(cur.kind)
+    target_wait = _WAIT_TARGETS.get(cur_step)
     if target_wait is not None:
         return 0.0, target_wait
-    if cur.kind == "itask_begin":
+    if cur_step == ("implicit_task", "begin"):
         # A pool worker parked between regions, or the master's fork
         # overhead: neither is user compute.
         return 0.0, "idle"
     if cur.kind == "mutex_acquired":
         wait = cur.detail[2] if len(cur.detail) >= 3 else 0.0
         return max(0.0, dt - wait), "compute"
-    if cur.kind == "ordered_wait":
+    if cur.kind == "ordered_release":
         wait = cur.detail[0] if cur.detail else 0.0
         return max(0.0, dt - wait), "compute"
-    if prev.kind == "region_join":
+    if prev_step == "parallel_end":
         return dt, "serial"
     return dt, "compute"
 
@@ -168,10 +177,12 @@ def build_dag(events, *, free_mutexes=frozenset(),
     comparisons).
     """
     analysis = DagAnalysis(dropped=getattr(events, "dropped", 0))
-    evs = sorted(events, key=lambda e: e.timestamp)
-    analysis.events_count = len(evs)
+    events = list(events)
+    analysis.events_count = len(events)
+    evs = sorted(filter(on_timeline, events), key=lambda e: e.timestamp)
     if not evs:
         return analysis
+    steps = [_step(event) for event in evs]
     analysis.span_s = evs[-1].timestamp - evs[0].timestamp
 
     n = len(evs)
@@ -189,8 +200,8 @@ def build_dag(events, *, free_mutexes=frozenset(),
     barrier_enter_ts: defaultdict[tuple, list] = defaultdict(list)
     barrier_site_by_instance: dict[tuple, tuple | None] = {}
     join_arrivals: dict[int, tuple] = {}        # region -> (dp, idx)
-    join_enter_ts: dict[tuple, float] = {}      # (region, thread) -> ts
-    itask_ends: dict[int, tuple] = {}           # region -> (dp, idx)
+    join_arrived_at: dict[tuple, float] = {}    # (region, thread) -> ts
+    join_releases: dict[int, tuple] = {}        # region -> (dp, idx)
     submit_queue: defaultdict = defaultdict(deque)  # task id -> deque
     exec_stack: defaultdict[int, list] = defaultdict(list)
     children_max: dict[int, tuple] = {}         # parent -> (dp, idx)
@@ -206,16 +217,16 @@ def build_dag(events, *, free_mutexes=frozenset(),
             table[key] = (value, index)
 
     for i, event in enumerate(evs):
-        kind = event.kind
+        kind = steps[i]
         detail = event.detail
         best = 0.0
         best_pred: tuple | None = None
 
         prev_i = last_on_thread.get(event.thread)
         if prev_i is not None:
-            prev = evs[prev_i]
-            dt = event.timestamp - prev.timestamp
-            weight, category = _classify_edge(prev, event, dt)
+            dt = event.timestamp - evs[prev_i].timestamp
+            weight, category = _classify_edge(steps[prev_i], kind, event,
+                                              dt)
             if weight > 0.0:
                 compute_by_thread[event.thread] += weight
             score = dp[prev_i] + weight
@@ -235,8 +246,8 @@ def build_dag(events, *, free_mutexes=frozenset(),
                 best = value + delta
                 best_pred = (index, delta, category, site)
 
-        if kind == "itask_begin":
-            region = detail[0] if detail else 0
+        if kind == ("implicit_task", "begin"):
+            region = detail[1]
             fork = fork_by_region.get(region)
             if fork is not None:
                 offer((dp[fork], fork), "fork")
@@ -250,13 +261,13 @@ def build_dag(events, *, free_mutexes=frozenset(),
             # A barrier is a task-scheduling point: it cannot release
             # before the team's tasks drained.
             offer(region_task_max.get(region), "barrier_wait")
-        elif kind == "itask_end":
-            region = detail[0] if detail else 0
+        elif kind == ("implicit_task", "end"):
+            region = detail[1]
             offer(join_arrivals.get(region), "join_wait")
             offer(region_task_max.get(region), "join_wait")
-        elif kind == "region_join":
+        elif kind == "parallel_end":
             region = detail[1] if len(detail) >= 2 else 0
-            offer(itask_ends.get(region), "join_wait")
+            offer(join_releases.get(region), "join_wait")
         elif kind == "task_start":
             task = detail[0] if detail else None
             queue = submit_queue.get(task)
@@ -267,7 +278,7 @@ def build_dag(events, *, free_mutexes=frozenset(),
                 parent = 0
             exec_stack[event.thread].append((task, parent))
         elif kind == "taskwait_release":
-            parent = detail[1] if len(detail) >= 2 else 0
+            parent = detail[2] if len(detail) >= 3 else 0
             offer(children_max.get(parent), "taskwait")
         elif kind == "mutex_acquired":
             handle = tuple(detail[:2])
@@ -281,7 +292,7 @@ def build_dag(events, *, free_mutexes=frozenset(),
         last_on_thread[event.thread] = i
 
         # Group-state updates that must see this event's dp.
-        if kind == "region_fork":
+        if kind == "parallel_begin":
             region = detail[1] if len(detail) >= 2 else 0
             fork_by_region[region] = i
             open_regions.append(region)
@@ -290,7 +301,7 @@ def build_dag(events, *, free_mutexes=frozenset(),
                 "begin": event.timestamp, "end": None,
                 "site": _site_of(detail, 2),
             }
-        elif kind == "region_join":
+        elif kind == "parallel_end":
             region = detail[1] if len(detail) >= 2 else 0
             if region in open_regions:
                 open_regions.remove(region)
@@ -298,31 +309,31 @@ def build_dag(events, *, free_mutexes=frozenset(),
             if meta is not None:
                 meta["end"] = event.timestamp
         elif kind == "barrier_enter":
-            region = detail[0] if detail else 0
+            region = detail[1] if len(detail) >= 2 else 0
             ordinal = barrier_enter_ord[(region, event.thread)]
             barrier_enter_ord[(region, event.thread)] += 1
             instance = (region, ordinal)
             raise_group(barrier_arrivals, instance, dp[i], i)
             barrier_enter_ts[instance].append(event.timestamp)
-            site = _site_of(detail, 1)
+            site = _site_of(detail, 3)
             if site is not None:
                 barrier_site_by_instance.setdefault(instance, site)
         elif kind == "barrier_release":
             wait = detail[0] if detail else 0.0
             if isinstance(wait, (int, float)):
                 analysis.barrier_wait_s += wait
-        elif kind == "join_enter":
-            region = detail[0] if detail else 0
+        elif kind == ("implicit_task", "join"):
+            region = detail[1]
             raise_group(join_arrivals, region, dp[i], i)
-            join_enter_ts[(region, event.thread)] = event.timestamp
-        elif kind == "itask_end":
-            region = detail[0] if detail else 0
-            raise_group(itask_ends, region, dp[i], i)
-            entered = join_enter_ts.pop((region, event.thread), None)
+            join_arrived_at[(region, event.thread)] = event.timestamp
+        elif kind == ("implicit_task", "end"):
+            region = detail[1]
+            raise_group(join_releases, region, dp[i], i)
+            entered = join_arrived_at.pop((region, event.thread), None)
             if entered is not None:
                 analysis.join_wait_s += max(
                     0.0, event.timestamp - entered)
-        elif kind == "task_submit":
+        elif kind == "task_create":
             parent = detail[1] if len(detail) >= 2 else 0
             submit_queue[detail[0] if detail else None].append(
                 (i, parent))
@@ -357,27 +368,27 @@ def build_dag(events, *, free_mutexes=frozenset(),
                 entry["site"] = _site_of(detail, 3)
         elif kind == "mutex_released":
             raise_group(mutex_release, tuple(detail[:2]), dp[i], i)
-        elif kind == "ordered_wait":
+        elif kind == "ordered_release":
             wait = detail[0] if detail else 0.0
-            site = _site_of(detail, 1)
+            site = _site_of(detail, 3)
             if isinstance(wait, (int, float)):
                 analysis.ordered_wait_s += wait
                 entry = analysis.ordered_sites.setdefault(
                     site, {"wait_s": 0.0, "count": 0})
                 entry["wait_s"] += wait
                 entry["count"] += 1
-        elif kind == "plan_execute":
-            source = detail[0] if detail else "?"
+        elif kind == "plan":
+            source = detail[1] if len(detail) >= 2 else "?"
             entry = analysis.plans.setdefault(
                 source, {"executions": 0, "partitions": 0, "colors": 0,
                          "conflict_edges": 0, "site": None})
             entry["executions"] += 1
-            if len(detail) >= 4:
-                entry["partitions"] = detail[1]
-                entry["colors"] = detail[2]
-                entry["conflict_edges"] = detail[3]
+            if len(detail) >= 5:
+                entry["partitions"] = detail[2]
+                entry["colors"] = detail[3]
+                entry["conflict_edges"] = detail[4]
             if entry["site"] is None:
-                entry["site"] = _site_of(detail, 4)
+                entry["site"] = _site_of(detail, 5)
 
     # Barrier-site aggregates: total arrival spread (slowest minus
     # fastest arrival) and summed release waits per enter site.

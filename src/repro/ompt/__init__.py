@@ -11,10 +11,11 @@ Prometheus text, and the structured JSON report
 :mod:`repro.arming`'s job, for this package and every other consumer
 of the event stream.
 
-The hang-diagnosis subsystem (:mod:`repro.diagnostics`) plugs into the
-same callback surface: its :class:`FlightRecorder` is a
-:class:`ToolHooks` tool (re-exported here), and ``python -m
-repro.doctor`` is its CLI.
+The event recorder (:class:`repro.runtime.trace.Recorder`) is a
+:class:`ToolHooks` tool on the same callback surface: keeping the
+first events of every thread it is the runtime's trace, keeping the
+last it is the flight recorder of the hang diagnostics
+(:mod:`repro.diagnostics`, ``python -m repro.doctor``).
 
 Quickstart::
 
@@ -53,7 +54,6 @@ _EXPORTS = {
     "prometheus_text": "repro.ompt.exporters",
     "validate_chrome_trace": "repro.ompt.exporters",
     "write_chrome_trace": "repro.ompt.exporters",
-    "FlightRecorder": "repro.diagnostics.flight",
 }
 
 __all__ = sorted(_EXPORTS)

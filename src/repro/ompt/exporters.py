@@ -4,8 +4,9 @@ Three output formats, one per consumer:
 
 * :func:`chrome_trace` — the Trace Event Format consumed by Perfetto
   and ``chrome://tracing``: parallel regions, barriers, and tasks as
-  duration (``B``/``E``) events, chunk dispatches and task submissions
-  as instant events, per-thread name metadata.
+  duration (``B``/``E``) events, loop chunks as ``chunk`` instants,
+  the timeline's other events as instants named by their kind,
+  per-thread name metadata.
 * :func:`prometheus_text` — the text exposition format for a
   :class:`~repro.ompt.metrics.MetricsRegistry` snapshot.
 * :func:`metrics_report` — the structured JSON block merged into the
@@ -19,10 +20,10 @@ import json
 #: Phase codes accepted by the trace-event schema validator.
 _KNOWN_PHASES = frozenset("BEXiIMCbensftPNOD")
 
-#: Trace event kinds that open/close a duration slice, per thread.
+#: Event kinds that open/close a duration slice, per thread.
 _DURATION_NAMES = {
-    "region_fork": ("B", "parallel region"),
-    "region_join": ("E", "parallel region"),
+    "parallel_begin": ("B", "parallel region"),
+    "parallel_end": ("E", "parallel region"),
     "barrier_enter": ("B", "barrier"),
     "barrier_release": ("E", "barrier"),
     "task_start": ("B", "task"),
@@ -31,8 +32,11 @@ _DURATION_NAMES = {
 
 
 def chrome_trace_events(events, *, pid: int = 1) -> list[dict]:
-    """Convert :class:`~repro.runtime.trace.TraceEvent` records to
-    trace-event dicts (timestamps in µs, rebased to the first event)."""
+    """Convert the timeline's :class:`~repro.runtime.trace.TraceEvent`
+    records (:func:`~repro.runtime.trace.on_timeline`) to trace-event
+    dicts (timestamps in µs, rebased to the first one)."""
+    from repro.runtime.trace import on_timeline
+    events = [event for event in events if on_timeline(event)]
     if not events:
         return []
     base = min(event.timestamp for event in events)
@@ -49,7 +53,7 @@ def chrome_trace_events(events, *, pid: int = 1) -> list[dict]:
             phase, name = duration
             row = {"name": name, "cat": "omp", "ph": phase, "ts": ts,
                    "pid": pid, "tid": event.thread}
-            if event.kind == "region_fork" and event.detail:
+            if event.kind == "parallel_begin" and event.detail:
                 row["args"] = {"team_size": event.detail[0]}
             elif event.kind == "barrier_release" and event.detail:
                 row["args"] = {"wait_s": event.detail[0]}
@@ -57,14 +61,13 @@ def chrome_trace_events(events, *, pid: int = 1) -> list[dict]:
                     and event.detail:
                 row["args"] = {"task": event.detail[0]}
             rows.append(row)
-        elif event.kind == "chunk":
-            low, high = (event.detail[:2] if len(event.detail) >= 2
-                         else (0, 0))
+        elif event.kind == "work" and event.detail[0] == "loop":
             rows.append({"name": "chunk", "cat": "omp", "ph": "i",
                          "s": "t", "ts": ts, "pid": pid,
                          "tid": event.thread,
-                         "args": {"low": low, "high": high}})
-        else:  # task_submit and any future instant kinds
+                         "args": {"low": event.detail[1],
+                                  "high": event.detail[2]}})
+        else:
             row = {"name": event.kind, "cat": "omp", "ph": "i", "s": "t",
                    "ts": ts, "pid": pid, "tid": event.thread}
             if event.detail:

@@ -9,9 +9,10 @@ cares about, and attaches itself with ``runtime.attach_tool(tool)``.
 This is the runtime's only event channel: every instrumented site
 reads one attribute (``runtime.tool``) and branches on ``None``, so a
 runtime with no tool attached pays a single attribute read per event
-site.  The tracer (:class:`repro.runtime.trace.Tracer`), the metrics
-tool, the flight recorder, the sampler's directive markers and the
-hang diagnostics' blocking records
+site.  The event recorder (:class:`repro.runtime.trace.Recorder`:
+the trace and the flight recorder, one event per callback), the
+metrics tool, the sampler's directive markers and the hang
+diagnostics' blocking records
 (:class:`repro.diagnostics.state.DiagnosticsState`) are all tools;
 multiple attached tools are fanned out through
 :class:`ToolDispatcher`.  A callback that needs more than its

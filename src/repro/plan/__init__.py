@@ -25,7 +25,7 @@ the PyOP2-style inspector–executor architecture:
 
 Plan activity (partitions, colors, conflict edges, cache hits) is
 reported through the OMPT-style tool interface (``ToolHooks.plan``)
-and the tracer (``plan_execute`` events), so ``repro.explain`` can
+and the trace (``plan`` events), so ``repro.explain`` can
 report "convoy fixed by plan" instead of a lock-convoy verdict.
 """
 

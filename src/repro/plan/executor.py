@@ -20,7 +20,7 @@ partition's data stays with one worker — and one place — for the
 plan's lifetime.
 
 Each execution is reported through the OMPT ``plan`` hook; the tracer
-turns it into the ``plan_execute`` trace event that the explain DAG
+turns it into the ``plan`` trace event that the explain DAG
 builder picks up to veto lock-convoy verdicts.
 """
 

@@ -24,7 +24,7 @@ from repro.runtime.locks import OmpLock, OmpNestLock
 from repro.runtime.stats import StatsCollector
 from repro.runtime.tasking import TaskNode
 from repro.runtime.team import BACKOFF_MIN, Team, next_backoff, park
-from repro.runtime.trace import Tracer
+from repro.runtime.trace import Recorder
 
 #: Process-wide parallel-region ids: the key the explain DAG builder
 #: uses to group fork/join, implicit-task, and barrier events of one
@@ -121,9 +121,10 @@ class OmpRuntime:
         #: sites read this one attribute and branch on ``None``.
         self.tool = None
         self._tools: list = []
-        #: Event tracer (:mod:`repro.runtime.trace`): a tool that
-        #: ``tracer.start()`` attaches and ``tracer.stop()`` detaches.
-        self.tracer = Tracer(runtime=self)
+        #: Event trace (:mod:`repro.runtime.trace`): a keep-first
+        #: recorder that ``tracer.start()`` attaches and
+        #: ``tracer.stop()`` detaches.
+        self.tracer = Recorder(runtime=self)
         #: The installed hang-diagnosis state
         #: (:mod:`repro.diagnostics.state`), for the watchdog, the
         #: doctor and the sampler to look up; it keeps its blocking

@@ -104,9 +104,6 @@ class TransformContext:
         self.construct_stack.append(name)
         return _ConstructGuard(self)
 
-    def innermost_construct(self) -> str | None:
-        return self.construct_stack[-1] if self.construct_stack else None
-
     def require_not_inside(self, directive: str,
                            forbidden: tuple[str, ...]) -> None:
         for construct in self.construct_stack:

@@ -123,8 +123,8 @@ class TestChromeTraceAnchor:
 
         tracer = pure_runtime.tracer
         tracer.start()
-        tracer.record("region_fork", 0, 2, 1, "app.py", 3)
-        tracer.record("region_join", 0, 2, 1)
+        tracer.record("parallel_begin", 0, 2, 1, "app.py", 3)
+        tracer.record("parallel_end", 0, 2, 1)
         events = tracer.stop()
         trace = chrome_trace(events, metadata={"threads": 2})
         other = trace["otherData"]

@@ -21,24 +21,25 @@ SITE = ("app.py", 3)
 def region(events, *, size, region_id=1, begin=0.0, end=1.0,
            master=0):
     """Append the fork/join skeleton of one parallel region."""
-    events.append(ev(begin, "region_fork", master, size, region_id,
+    events.append(ev(begin, "parallel_begin", master, size, region_id,
                      *SITE))
-    events.append(ev(end, "region_join", master, size, region_id))
+    events.append(ev(end, "parallel_end", master, size, region_id))
 
 
 class TestSerialChain:
     def test_critical_path_equals_span(self):
         events = [
-            ev(0.00, "region_fork", 0, 1, 1, *SITE),
-            ev(0.01, "itask_begin", 0, 1),
-            ev(1.01, "join_enter", 0, 1),
-            ev(1.01, "itask_end", 0, 1),
-            ev(1.02, "region_join", 0, 1, 1),
+            ev(0.00, "parallel_begin", 0, 1, 1, *SITE),
+            ev(0.01, "implicit_task", 0, "begin", 1),
+            ev(1.01, "implicit_task", 0, "join", 1),
+            ev(1.01, "implicit_task", 0, "end", 1),
+            ev(1.02, "parallel_end", 0, 1, 1),
         ]
         analysis = build_dag(events)
         assert abs(analysis.span_s - 1.02) < 1e-9
         assert abs(analysis.critical_path_s - 1.02) < 1e-6
-        # The 1.0 s between itask_begin and join_enter is compute.
+        # The 1.0 s between the implicit task's begin and its join is
+        # compute.
         assert analysis.path_breakdown.get("compute", 0.0) >= 1.0 - 1e-9
         assert analysis.regions[1]["size"] == 1
         assert analysis.regions[1]["site"] == SITE
@@ -52,12 +53,12 @@ class TestSerialChain:
 
 class TestPerfectFanOut:
     def make(self):
-        events = [ev(0.00, "region_fork", 0, 4, 1, *SITE)]
+        events = [ev(0.00, "parallel_begin", 0, 4, 1, *SITE)]
         for t in range(4):
-            events.append(ev(0.01, "itask_begin", t, 1))
-            events.append(ev(1.01, "join_enter", t, 1))
-            events.append(ev(1.01, "itask_end", t, 1))
-        events.append(ev(1.02, "region_join", 0, 4, 1))
+            events.append(ev(0.01, "implicit_task", t, "begin", 1))
+            events.append(ev(1.01, "implicit_task", t, "join", 1))
+            events.append(ev(1.01, "implicit_task", t, "end", 1))
+        events.append(ev(1.02, "parallel_end", 0, 4, 1))
         return sorted(events, key=lambda e: e.timestamp)
 
     def test_critical_path_is_one_member_not_the_sum(self):
@@ -79,19 +80,19 @@ class TestLockConvoy:
         handle = ("critical", "hot")
         lock_site = ("app.py", 7)
         events = [
-            ev(0.00, "region_fork", 0, 2, 1, *SITE),
-            ev(0.01, "itask_begin", 0, 1),
-            ev(0.01, "itask_begin", 1, 1),
+            ev(0.00, "parallel_begin", 0, 2, 1, *SITE),
+            ev(0.01, "implicit_task", 0, "begin", 1),
+            ev(0.01, "implicit_task", 1, "begin", 1),
             ev(0.10, "mutex_acquired", 0, *handle, 0.0, *lock_site),
             ev(0.60, "mutex_released", 0, *handle),
             # Thread 1 entered at ~0.10 and waited 0.5 s for thread 0.
             ev(0.60, "mutex_acquired", 1, *handle, 0.5, *lock_site),
             ev(1.10, "mutex_released", 1, *handle),
-            ev(0.61, "join_enter", 0, 1),
-            ev(1.11, "join_enter", 1, 1),
-            ev(1.11, "itask_end", 0, 1),
-            ev(1.11, "itask_end", 1, 1),
-            ev(1.12, "region_join", 0, 2, 1),
+            ev(0.61, "implicit_task", 0, "join", 1),
+            ev(1.11, "implicit_task", 1, "join", 1),
+            ev(1.11, "implicit_task", 0, "end", 1),
+            ev(1.11, "implicit_task", 1, "end", 1),
+            ev(1.12, "parallel_end", 0, 2, 1),
         ]
         return sorted(events, key=lambda e: e.timestamp)
 
@@ -119,6 +120,26 @@ class TestLockConvoy:
         gain = top.extra["what_if_critical_path_gain_s"]
         assert gain is not None and gain >= 0.45
 
+    def test_sleeps_inside_the_wait_change_nothing(self):
+        """The flight-record events inside thread 1's wait — the
+        blocking announcement and the sleep — are off the timeline: the
+        analysis is the one of the bare trace."""
+        handle = ("critical", "hot")
+        events = self.make() + [
+            ev(0.10, "mutex_wait", 1, *handle),
+            ev(0.11, "wait_begin", 1, "Lock", 7),
+            ev(0.59, "wait_end", 1, "Lock", 7),
+            ev(0.02, "loop_begin", 0),
+        ]
+        events.sort(key=lambda e: e.timestamp)
+        bare = build_dag(self.make())
+        full = build_dag(events)
+        assert full.events_count == bare.events_count + 4
+        assert full.critical_path_s == bare.critical_path_s
+        assert full.path_breakdown == bare.path_breakdown
+        assert full.compute_by_thread == bare.compute_by_thread
+        assert full.mutexes == bare.mutexes
+
     def test_free_mutex_elides_the_wait(self):
         events = self.make()
         handle = ("critical", "hot")
@@ -132,16 +153,17 @@ class TestLockConvoy:
 class TestImbalancedBarrier:
     def make(self):
         bar_site = ("app.py", 9)
-        events = [ev(0.00, "region_fork", 0, 4, 1, *SITE)]
+        events = [ev(0.00, "parallel_begin", 0, 4, 1, *SITE)]
         arrivals = (0.10, 0.20, 0.30, 1.00)
         for t, at in enumerate(arrivals):
-            events.append(ev(0.01, "itask_begin", t, 1))
-            events.append(ev(at, "barrier_enter", t, 1, *bar_site))
+            events.append(ev(0.01, "implicit_task", t, "begin", 1))
+            events.append(ev(at, "barrier_enter", t, None, 1, 0,
+                             *bar_site))
             events.append(ev(1.00, "barrier_release", t,
-                             1.00 - at, 1))
-            events.append(ev(1.10, "join_enter", t, 1))
-            events.append(ev(1.10, "itask_end", t, 1))
-        events.append(ev(1.11, "region_join", 0, 4, 1))
+                             1.00 - at, 1, 0, *bar_site))
+            events.append(ev(1.10, "implicit_task", t, "join", 1))
+            events.append(ev(1.10, "implicit_task", t, "end", 1))
+        events.append(ev(1.11, "parallel_end", 0, 4, 1))
         return sorted(events, key=lambda e: e.timestamp)
 
     def test_barrier_wait_charged_to_site(self):
@@ -173,23 +195,23 @@ class TestBounds:
         # Adversarial mix: tasks, mutexes, and barriers interleaved.
         handle = ("lock", 42)
         events = [
-            ev(0.00, "region_fork", 0, 4, 1, *SITE),
-            ev(0.01, "itask_begin", 0, 1),
-            ev(0.02, "itask_begin", 1, 1),
-            ev(0.03, "task_submit", 0, 900, 0, *SITE),
+            ev(0.00, "parallel_begin", 0, 4, 1, *SITE),
+            ev(0.01, "implicit_task", 0, "begin", 1),
+            ev(0.02, "implicit_task", 1, "begin", 1),
+            ev(0.03, "task_create", 0, 900, 0, *SITE),
             ev(0.04, "task_start", 1, 900),
             ev(0.05, "mutex_acquired", 1, *handle, 0.0, *SITE),
             ev(0.20, "mutex_released", 1, *handle),
             ev(0.21, "mutex_acquired", 0, *handle, 0.15, *SITE),
             ev(0.30, "mutex_released", 0, *handle),
             ev(0.35, "task_finish", 1, 900),
-            ev(0.40, "taskwait_enter", 0, 0),
-            ev(0.41, "taskwait_release", 0, 0.01, 0),
-            ev(0.50, "join_enter", 0, 1),
-            ev(0.55, "join_enter", 1, 1),
-            ev(0.55, "itask_end", 0, 1),
-            ev(0.55, "itask_end", 1, 1),
-            ev(0.56, "region_join", 0, 4, 1),
+            ev(0.40, "taskwait_enter", 0, None, 1, 0, *SITE),
+            ev(0.41, "taskwait_release", 0, 0.01, 1, 0, *SITE),
+            ev(0.50, "implicit_task", 0, "join", 1),
+            ev(0.55, "implicit_task", 1, "join", 1),
+            ev(0.55, "implicit_task", 0, "end", 1),
+            ev(0.55, "implicit_task", 1, "end", 1),
+            ev(0.56, "parallel_end", 0, 4, 1),
         ]
         for causal_elapsed in (True, False):
             analysis = build_dag(events,

@@ -15,15 +15,15 @@ from repro.runtime.trace import TraceEvent
 
 def _sample_events():
     return [
-        TraceEvent(10.0, "region_fork", 0, (2,)),
-        TraceEvent(10.1, "chunk", 0, (0, 5)),
-        TraceEvent(10.2, "chunk", 1, (5, 10)),
-        TraceEvent(10.3, "task_submit", 0, (42,)),
+        TraceEvent(10.0, "parallel_begin", 0, (2, 1, "app.py", 3)),
+        TraceEvent(10.1, "work", 0, ("loop", 0, 5)),
+        TraceEvent(10.2, "work", 1, ("loop", 5, 10)),
+        TraceEvent(10.3, "task_create", 0, (42, 0, "app.py", 4)),
         TraceEvent(10.4, "task_start", 1, (42,)),
         TraceEvent(10.5, "task_finish", 1, (42,)),
-        TraceEvent(10.6, "barrier_enter", 0, ()),
-        TraceEvent(10.7, "barrier_release", 0, (0.1,)),
-        TraceEvent(10.8, "region_join", 0, (2,)),
+        TraceEvent(10.6, "barrier_enter", 0, (None, 1, 0, "app.py", 5)),
+        TraceEvent(10.7, "barrier_release", 0, (0.1, 1, 0, "app.py", 5)),
+        TraceEvent(10.8, "parallel_end", 0, (2, 1)),
     ]
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import OmpError
 from repro.plan import Map, build_plan, execute, execute_member
 from repro.runtime import pure_runtime
-from repro.runtime.trace import Tracer
+from repro.runtime.trace import Recorder
 
 
 def _chain_map(n):
@@ -147,7 +147,7 @@ class _StingyRuntime:
 
     def __init__(self):
         self.tool = None
-        self.tracer = Tracer()
+        self.tracer = Recorder()
         self._inside = False
 
     def in_parallel(self):
@@ -199,9 +199,10 @@ class TestTraceEvents:
                     runtime=pure_runtime)
         finally:
             log = pure_runtime.tracer.stop()
-        events = [e for e in log if e.kind == "plan_execute"]
+        events = [e for e in log
+                  if e.kind == "plan" and e.detail[0] == "execute"]
         assert len(events) == 1
-        source, nparts, ncolors, edges = events[0].detail[:4]
+        source, nparts, ncolors, edges = events[0].detail[1:5]
         assert source == "exec-chain"
         assert nparts == plan.npartitions
         assert ncolors == plan.ncolors
@@ -218,7 +219,8 @@ class TestTraceEvents:
             pure_runtime.parallel_run(member, num_threads=2)
         finally:
             log = pure_runtime.tracer.stop()
-        events = [e for e in log if e.kind == "plan_execute"]
+        events = [e for e in log
+                  if e.kind == "plan" and e.detail[0] == "execute"]
         # Thread 0 reports each step exactly once for the whole team.
         assert len(events) == 3
         assert {e.thread for e in events} == {0}

@@ -17,7 +17,6 @@ import pytest
 from repro import env
 from repro.cruntime import cruntime
 from repro.diagnostics.envreport import format_display_env, icv_snapshot
-from repro.diagnostics.flight import FlightRecorder
 from repro.diagnostics.origin import format_location, register_origin, resolve
 from repro.diagnostics.state import (BlockRecord, DiagnosticsState,
                                      TeamInfo, install, uninstall)
@@ -26,6 +25,7 @@ from repro.diagnostics.watchdog import (DEADLOCK_EXIT_CODE, Watchdog,
                                         build_report, format_report)
 from repro.errors import OmpError
 from repro.runtime import pure_runtime
+from repro.runtime.trace import Recorder
 
 
 @pytest.fixture(params=["pure", "cruntime"])
@@ -532,42 +532,71 @@ class TestWatchdogDetection:
 
 
 class TestFlightRecorder:
-    def test_ring_wraps_to_capacity(self):
-        recorder = FlightRecorder(capacity=4)
+    """The keep-last recorder, as the watchdog and the doctor fly it."""
+
+    def test_ring_wraps_to_capacity(self, rt):
+        recorder = Recorder(capacity=4, keep="last", runtime=rt)
+        recorder.start()
         for index in range(10):
             recorder.task_create(0, index)
-        events = recorder.dump()[threading.get_ident()]["events"]
+        recorder.stop()
+        events = recorder.dump()[str(threading.get_ident())]["events"]
         assert len(events) == 4
         assert [event["detail"][1] for event in events] == [6, 7, 8, 9]
+        assert recorder.dropped == 6
 
-    def test_dump_tail_and_clear(self):
-        recorder = FlightRecorder(capacity=8)
+    def test_dump_tail_and_restart(self, rt):
+        recorder = Recorder(capacity=8, keep="last", runtime=rt)
+        recorder.start()
         for index in range(6):
             recorder.task_create(0, index)
-        events = recorder.dump(tail=2)[threading.get_ident()]["events"]
+        events = recorder.dump(tail=2)[str(threading.get_ident())]["events"]
         assert [event["detail"][1] for event in events] == [4, 5]
         assert "task_create" in recorder.format_text()
-        recorder.clear()
+        recorder.start()
         assert recorder.dump() == {}
+        recorder.stop()
 
-    def test_capacity_validated(self):
+    def test_capacity_and_retention_validated(self):
         with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+            Recorder(capacity=0, keep="last")
+        with pytest.raises(ValueError):
+            Recorder(keep="middle")
+
+    def test_one_ring_per_thread_lifetime(self):
+        """Threads run one after another reuse native idents; each
+        still gets its own ring, named after it, and a finished
+        thread's events stay."""
+        recorder = Recorder(capacity=4, keep="last")
+        recorder.start()
+        for index in range(20):
+            worker = threading.Thread(target=recorder.thread_begin,
+                                      args=(f"user{index}", 0),
+                                      name=f"t{index}")
+            worker.start()
+            worker.join()
+        rings = recorder.dump()
+        assert len(rings) == 20
+        assert sorted(ring["thread"] for ring in rings.values()) == \
+            sorted(f"t{index}" for index in range(20))
+        for ring in rings.values():
+            (event,) = ring["events"]
+            assert event["detail"] == [f"user{ring['thread'][1:]}"]
 
     def test_records_region_events_from_runtime(self, rt):
-        recorder = FlightRecorder(capacity=32)
-        rt.attach_tool(recorder)
+        recorder = Recorder(capacity=32, keep="last", runtime=rt)
+        recorder.start()
         try:
             rt.parallel_run(lambda: rt.barrier(), num_threads=2)
         finally:
-            rt.detach_tool(recorder)
+            recorder.stop()
         kinds = {event["kind"] for ring in recorder.dump().values()
                  for event in ring["events"]}
         assert "parallel_begin" in kinds
         assert "parallel_end" in kinds
 
     def test_records_deferred_tasks_and_sleeps(self, rt):
-        recorder = FlightRecorder(capacity=32)
+        recorder = Recorder(capacity=32, keep="last", runtime=rt)
         handle = object()
 
         def lone_member():
@@ -575,12 +604,12 @@ class TestFlightRecorder:
                 rt.task_submit(lambda: None, depends_in=(handle,),
                                depends_out=(handle,))
 
-        rt.attach_tool(recorder)
+        recorder.start()
         try:
             rt.parallel_run(lone_member, num_threads=1)
             rt.parallel_run(lambda: rt.barrier(), num_threads=2)
         finally:
-            rt.detach_tool(recorder)
+            recorder.stop()
         events = [event for ring in recorder.dump().values()
                   for event in ring["events"]]
         created = [event["detail"][1] for event in events
